@@ -1,12 +1,15 @@
 """Numerical workbench for squeezed-light optical phase estimation.
 
 Two engines cover the same squeeze / phase / loss / unsqueeze / intensity
-protocol: :mod:`qmetro.gaussian` propagates normally ordered second moments
-through closed-form affine maps, and :mod:`qmetro.fock` evolves exact
-truncated Fock-space states (the brute-force oracle).  :mod:`qmetro.correlations`
+protocol: :mod:`qmetro.gaussian` evaluates its normally ordered second
+moments in closed form, and :mod:`qmetro.fock` evolves exact truncated
+Fock-space states (the brute-force oracle).  :mod:`qmetro.correlations`
 supplies photon-statistics parameters, Fisher information, the estimation
 benchmarks and the probe-state catalogue; :mod:`qmetro.protocol` orchestrates
 runs and cross-engine comparisons; the ``qmetro`` CLI exposes all of it.
+
+Importing the package loads only the standard library: numpy and scipy are
+bound lazily (:mod:`qmetro._lazy`) and load on the first Fock computation.
 """
 
 from .correlations import (
@@ -63,6 +66,8 @@ from .gaussian import (
     phase_error,
     phase_error_from_moments,
     protocol_moments,
+    protocol_point,
+    protocol_slope,
     rotation_map,
     signal,
     signal_slope,

@@ -6,6 +6,10 @@ file metadata lives in '#'-prefixed sidecar lines with no timestamps, so
 identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
+
+The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
+``table`` without ``--oracle``) run on the standard library alone; numpy and
+scipy are loaded only by the commands that run the Fock oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from . import correlations as co
-from . import protocol, validate
+from . import gaussian, protocol, validate
 from .fock import TruncationOverflowError
 from .gaussian import SingularOperatingPointError
 
@@ -123,6 +127,8 @@ class SweepSpec:
         ):
             if not values:
                 raise UsageError(f"--{name}: empty grid")
+            if not all(math.isfinite(v) for v in values):
+                raise UsageError(f"--{name}: values must be finite numbers")
             if any(not lo < v <= hi for v in values):
                 raise UsageError(f"--{name}: values must lie in ({lo:g}, {hi:g}]")
             if any(b <= a for a, b in zip(values, values[1:])):
@@ -137,8 +143,8 @@ class SweepSpec:
 
 
 def cmd_table(args) -> int:
-    if args.nbar is None or args.nbar <= 0:
-        raise UsageError("--nbar must be a positive number")
+    if args.nbar is None or not 0.0 < args.nbar < math.inf:
+        raise UsageError("--nbar must be a finite positive number")
     cutoff = _resolve_cutoff(args)
     rows = []
     for family in co.ProbeFamily:
@@ -255,6 +261,8 @@ def cmd_sweep(args) -> int:
         n_bars = _parse_grid(args.nbar, "nbar")
     elif args.nbar_logspace is not None:
         lo, hi, count = args.nbar_logspace
+        if not all(math.isfinite(v) for v in args.nbar_logspace):
+            raise UsageError("--nbar-logspace: MIN, MAX and COUNT must be finite numbers")
         if lo <= 0 or hi <= lo or count < 1:
             raise UsageError("--nbar-logspace needs 0 < MIN < MAX and COUNT >= 1")
         count = int(count)
@@ -270,23 +278,21 @@ def cmd_sweep(args) -> int:
     )
     rows = []
     for n_bar in spec.n_bar_values:
+        snl = co.shot_noise_limit(n_bar, "single-mode")
         for phi in spec.phi_values:
             for eta in spec.eta_values:
-                # same code path as `protocol --engine gaussian`, so a
+                # the kernel `protocol --engine gaussian` evaluates, so a
                 # single-point sweep reproduces that command exactly
-                result = protocol.run_gaussian(
-                    protocol.ProtocolConfig(phi=phi, n_bar=n_bar, eta1=eta, eta2=eta)
-                )
-                snl = co.shot_noise_limit(n_bar, "single-mode")
+                point = gaussian.protocol_point(n_bar, phi, eta, eta)
                 rows.append({
                     "n_bar": n_bar,
                     "phi": phi,
                     "eta": eta,
-                    "signal": result.signal,
-                    "variance": result.variance,
-                    "delta_phi": result.phase_error,
+                    "signal": point.signal,
+                    "variance": point.variance,
+                    "delta_phi": point.phase_error,
                     "snl": snl,
-                    "snl_ratio": snl / result.phase_error,
+                    "snl_ratio": (snl / point.phase_error) if point.phase_error else None,
                 })
     meta = {
         "command": "sweep",
@@ -378,7 +384,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularOperatingPointError, protocol.VanishingDerivativeError) as exc:
+    except SingularOperatingPointError as exc:
         print(f"error: singular operating point: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TruncationOverflowError) as exc:

@@ -6,6 +6,10 @@ classical Fisher information of a measured probability curve, the usual
 estimation benchmarks (Cramer-Rao, shot-noise and Heisenberg limits), and the
 closed-form (Q, J, QFI) catalogue for the standard interferometer probe
 states together with their exact Fock-space counterparts.
+
+The closed forms (:func:`table_row`, the benchmarks, :class:`ProbeFamily`)
+use only the standard library; numpy is loaded by the first state-based or
+oracle function that runs.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from . import fock
+from ._lazy import LazyModule
 from .fock import PureState
+
+np = LazyModule("numpy")
 
 #: Outcomes with probability below this are skipped by the Fisher sum.
 FISHER_PROBABILITY_FLOOR = 1e-12

@@ -9,19 +9,23 @@ oracle that the closed-form machinery elsewhere in the package is checked
 against, so correctness is preferred over speed throughout.
 
 All states are immutable values and all operations are pure functions; they
-are safe to call concurrently.
+are safe to call concurrently.  numpy and scipy are loaded by the first
+operation that needs them, so importing this module is cheap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
+from ._lazy import LazyModule
+
+np = LazyModule("numpy")
+scipy_linalg = LazyModule("scipy.linalg")
+scipy_sparse = LazyModule("scipy.sparse")
+scipy_sparse_linalg = LazyModule("scipy.sparse.linalg")
+scipy_special = LazyModule("scipy.special")
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 # Constructors refuse to return a state missing more weight than this.
@@ -31,7 +35,7 @@ SQUEEZE_DEFICIT_LIMIT = 1e-8
 
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
-_BS_ANGLE = np.pi / 4
+_BS_ANGLE = math.pi / 4
 # Above this working dimension the squeeze unitary is applied matrix-free.
 _DENSE_EXPM_DIM = 700
 
@@ -323,7 +327,7 @@ def beam_splitter(state: PureState) -> PureState:
             continue
         n_a = idx_a[:-1]
         off = np.sqrt((n_a + 1.0) * (total - n_a))
-        w, v = eigh_tridiagonal(np.zeros(idx_a.size), off)
+        w, v = scipy_linalg.eigh_tridiagonal(np.zeros(idx_a.size), off)
         rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ block)
         out[idx_a, total - idx_a] = phase * rotated
     return PureState(out, truncation_tol=state.truncation_tol)
@@ -355,7 +359,7 @@ def phase_shift(state: State, phi: float, convention: str = "single-mode") -> St
 
 @lru_cache(maxsize=32)
 def _squeeze_unitary(r: float, dim: int) -> np.ndarray:
-    out = expm(np.asarray(_squeeze_generator(r, dim).todense()))
+    out = scipy_linalg.expm(np.asarray(_squeeze_generator(r, dim).todense()))
     out.flags.writeable = False
     return out
 
@@ -364,14 +368,16 @@ def _squeeze_generator(r: float, dim: int):
     # (r/2)(a^2 - a^dag^2), anti-Hermitian band matrix with offsets +-2.
     n = np.arange(dim, dtype=float)
     a2 = np.sqrt(n[2:] * n[1:-1])  # <n-2| a^2 |n>
-    return diags([0.5 * r * a2, -0.5 * r * a2], offsets=[2, -2], format="csc", dtype=complex)
+    return scipy_sparse.diags(
+        [0.5 * r * a2, -0.5 * r * a2], offsets=[2, -2], format="csc", dtype=complex
+    )
 
 
 def _apply_squeeze_padded(block: np.ndarray, r: float, dim: int, work_dim: int) -> np.ndarray:
     if work_dim <= _DENSE_EXPM_DIM:
         u = _squeeze_unitary(r, work_dim)
         return u @ block
-    return expm_multiply(_squeeze_generator(r, work_dim), block)
+    return scipy_sparse_linalg.expm_multiply(_squeeze_generator(r, work_dim), block)
 
 
 def squeeze(state: State, r: float, grow: bool = False) -> State:
@@ -489,6 +495,7 @@ def _loss_weights(eta: float, j: int, n: np.ndarray) -> np.ndarray:
         return np.where(j == 0, 1.0, 0.0) * np.ones_like(n, dtype=float)
     if eta == 0.0:
         return np.where(n - j == 0, 1.0, 0.0).astype(float)
+    gammaln = scipy_special.gammaln
     log_binom = gammaln(n + 1) - gammaln(n - j + 1) - gammaln(j + 1)
     return np.exp(0.5 * (log_binom + j * np.log1p(-eta) + (n - j) * np.log(eta)))
 

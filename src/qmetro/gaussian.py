@@ -1,30 +1,164 @@
-"""Second-moment propagation for the squeeze / rotate / lose / unsqueeze loop.
+"""Closed-form Gaussian engine for the squeeze / rotate / lose / unsqueeze loop.
 
-A zero-mean single-mode Gaussian state is fully described by the triple
-v = (<a^2>, <a^dag^2>, <a^dag a>).  Squeezing, number-basis rotation and
-amplitude damping each act on v as an affine map v -> M v + f, so the whole
-protocol reduces to a short chain of 3x3 algebra.  Closed-form expressions
-for the detector signal, its variance and the resulting phase error are also
-provided and are cross-checked against the map composition in the test
-suite; the closed forms assume equal transmissivity at both loss points,
-while the map composition handles unequal ones.
+A zero-mean single-mode Gaussian state is fully described by its normally
+ordered second moments (<a^2>, <a^dag^2>, <a^dag a>).  Loss scales these
+moments and adds nothing to them, so the protocol squeeze(r), rotate(phi),
+damp(eta1), squeeze(-r), damp(eta2) has an exact closed form for general
+(eta1, eta2).  :func:`protocol_point` evaluates it with every sum made of
+terms of one sign, so it keeps full double precision at any brightness and
+at the smallest angles.  It is the only Gaussian code on the runtime path of
+``protocol`` and ``sweep``; :func:`signal`, :func:`signal_slope`,
+:func:`phase_error` and :func:`snl_ratio` are views of it.
+
+Squeezing, number-basis rotation and amplitude damping also act on the
+moments as 3x3 affine maps (:func:`squeeze_map`, :func:`rotation_map`,
+:func:`loss_map`).  Their composition, :func:`protocol_moments`, is the
+independent reference the kernel is checked against by the tests and by
+``validate``.  The module uses only the standard library: 3x3 algebra gains
+nothing from numpy, and Gaussian commands never import it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 #: m_adad must be the conjugate of m_aa to this absolute tolerance.
 CONJUGATE_TOL = 1e-12
 #: Uncertainty bound slack: m_n (m_n + 1) - |m_aa|^2 >= -PHYSICALITY_SLACK.
 PHYSICALITY_SLACK = 1e-10
 
+HALF_PI = math.pi / 2.0
+
 
 class SingularOperatingPointError(ValueError):
     """Phase-error request at a point where the signal slope vanishes."""
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernel
+# ---------------------------------------------------------------------------
+
+
+class ProtocolPoint(NamedTuple):
+    """Detector statistics of one protocol operating point."""
+
+    signal: float
+    variance: float
+    m_aa: complex
+    slope: float
+    phase_error: float | None
+    phase_error_is_limit: bool
+
+
+def protocol_point(
+    n_bar: float, phi: float, eta1: float = 1.0, eta2: float = 1.0
+) -> ProtocolPoint:
+    """Signal, number variance, <a^2>, signal slope and phase error in closed form.
+
+    With n = n_bar and s = sin^2 phi:
+
+    - signal = eta2 n [(1 - eta1) + 4 eta1 (n+1) s]
+    - <a^2>  = eta2 sqrt(n(n+1)) [(1 - eta1) + 2 eta1 (2n+1) s + i eta1 sin 2phi]
+    - Var n  = signal^2 + signal + |<a^2>|^2
+    - d signal / d phi = 4 eta1 eta2 n (n+1) sin 2phi
+
+    For phi in [0, pi/2] no sum cancels, so every value is good to a few ulps.
+    The phase error is sqrt(Var n) / |d signal / d phi|.  At phi = 0 without
+    loss it is the analytic limit 1/sqrt(8 n (n+1)), flagged by
+    ``phase_error_is_limit``; it is None wherever else the slope vanishes
+    (phi = 0 with loss, the signal maximum phi = pi/2, eta1 = 0 or eta2 = 0).
+
+    The arguments are not validated here; callers check them once
+    (``ProtocolConfig``, the sweep axes, the views below).  Expected:
+    n_bar >= 0, 0 <= phi <= pi/2 and 0 <= eta1, eta2 <= 1.  Raises
+    ValueError when n_bar is so large that the variance overflows a double.
+    """
+    n1 = n_bar + 1.0
+    sin_phi = math.sin(phi)
+    sin_sq = sin_phi * sin_phi
+    sin_2phi = math.sin(2.0 * phi)
+    lost = 1.0 - eta1
+    signal = eta2 * n_bar * (lost + 4.0 * eta1 * n1 * sin_sq)
+    amplitude = eta2 * math.sqrt(n_bar * n1)
+    aa_re = amplitude * (lost + 2.0 * eta1 * (2.0 * n_bar + 1.0) * sin_sq)
+    aa_im = amplitude * eta1 * sin_2phi
+    variance = signal * signal + signal + aa_re * aa_re + aa_im * aa_im
+    if not math.isfinite(variance):
+        raise ValueError(
+            f"n_bar={n_bar!r} is too large: the photon-number variance overflows a double"
+        )
+    slope = 4.0 * eta1 * eta2 * n_bar * n1 * sin_2phi
+    error: float | None = None
+    is_limit = False
+    if slope != 0.0 and phi != HALF_PI:
+        error = math.sqrt(variance) / abs(slope)
+    elif phi == 0.0 and eta1 == 1.0 and eta2 == 1.0 and n_bar > 0.0:
+        error = 1.0 / math.sqrt(8.0 * n_bar * n1)
+        is_limit = True
+    return ProtocolPoint(signal, variance, complex(aa_re, aa_im), slope, error, is_limit)
+
+
+def _check_protocol_params(n_bar: float, eta: float) -> None:
+    if not 0.0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and >= 0, got {n_bar!r}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+
+
+def signal(n_bar: float, phi: float, eta: float = 1.0) -> float:
+    """Detector photon count eta n [(1 - eta) + 4 eta (n+1) sin^2 phi].
+
+    With eta = 1 this reduces to 4 n (n+1) sin^2(phi).
+    """
+    _check_protocol_params(n_bar, eta)
+    return protocol_point(n_bar, phi, eta, eta).signal
+
+
+def signal_slope(n_bar: float, phi: float, eta: float = 1.0) -> float:
+    """d signal / d phi = 4 eta^2 n (n+1) sin 2phi."""
+    _check_protocol_params(n_bar, eta)
+    return protocol_point(n_bar, phi, eta, eta).slope
+
+
+def phase_error(n_bar: float, phi: float, eta: float = 1.0) -> float:
+    """Error-propagation phase uncertainty of the intensity readout.
+
+    For 0 < phi < pi/2 this is sqrt(Var n) / |d signal / d phi|.  At phi = 0
+    the lossless (eta = 1) analytic limit 1/sqrt(8 n (n+1)) is returned;
+    with loss the slope of the signal vanishes there and the error diverges,
+    so the call is refused.
+    """
+    if not 0.0 < n_bar < math.inf:
+        raise ValueError("n_bar must be positive")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"transmissivity eta={eta!r} outside (0, 1]")
+    if not 0.0 <= phi < HALF_PI:
+        raise SingularOperatingPointError(
+            f"phi={phi!r} outside [0, pi/2): the phase error is evaluated between the "
+            "signal minimum and maximum, where its slope is nonzero"
+        )
+    error = protocol_point(n_bar, phi, eta, eta).phase_error
+    if error is None:
+        raise SingularOperatingPointError(
+            f"the signal slope vanishes at phi={phi!r} with eta={eta!r}, so the phase "
+            "error diverges; operate at a small nonzero phi"
+        )
+    return error
+
+
+def snl_ratio(n_bar: float, phi: float, eta: float = 1.0) -> float:
+    """Single-mode shot-noise limit 1/sqrt(4 n) divided by the phase error.
+
+    Values above 1 indicate sub-shot-noise sensitivity.
+    """
+    return (1.0 / math.sqrt(4.0 * n_bar)) / phase_error(n_bar, phi, eta)
+
+
+# ---------------------------------------------------------------------------
+# moment-map reference
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -36,7 +170,7 @@ class MomentVector:
     m_n: float
 
     def __post_init__(self) -> None:
-        if abs(self.m_adad - np.conjugate(self.m_aa)) > CONJUGATE_TOL * max(1.0, abs(self.m_aa)):
+        if abs(self.m_adad - self.m_aa.conjugate()) > CONJUGATE_TOL * max(1.0, abs(self.m_aa)):
             raise ValueError("<a^dag^2> must be the conjugate of <a^2>")
         if self.m_n < -1e-12:
             raise ValueError(f"negative occupation {self.m_n!r}")
@@ -54,84 +188,81 @@ class MomentVector:
 
     @classmethod
     def from_pair(cls, m_aa: complex, m_n: float) -> "MomentVector":
-        return cls(complex(m_aa), complex(np.conjugate(m_aa)), float(m_n))
+        m_aa = complex(m_aa)
+        return cls(m_aa, m_aa.conjugate(), float(m_n))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m_aa, self.m_adad, self.m_n], dtype=complex)
+
+def _matvec(matrix: tuple, vector: tuple) -> tuple:
+    return tuple(row[0] * vector[0] + row[1] * vector[1] + row[2] * vector[2] for row in matrix)
 
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """v -> matrix @ v + translation on moment vectors.
 
-    A valid map sends conjugate-paired inputs to conjugate-paired outputs,
+    ``matrix`` is three rows of three complex entries and ``translation``
+    three complex entries; any nested sequence of numbers is accepted.  A
+    valid map sends conjugate-paired inputs to conjugate-paired outputs,
     which pins its structure: row 1 is the conjugate of row 0 with the first
     two columns swapped, and row 2 maps to a real occupation.
     """
 
-    matrix: np.ndarray
-    translation: np.ndarray
+    matrix: tuple
+    translation: tuple
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        t = np.array(self.translation, dtype=complex).reshape(3)
-        if m.shape != (3, 3):
-            raise ValueError(f"matrix must be 3x3, got {m.shape}")
-        swap = [1, 0, 2]
+        m = tuple(tuple(complex(x) for x in row) for row in self.matrix)
+        t = tuple(complex(x) for x in self.translation)
+        if len(m) != 3 or any(len(row) != 3 for row in m) or len(t) != 3:
+            raise ValueError("matrix must be 3x3 and translation of length 3")
         if (
-            np.max(np.abs(m[1] - m[0][swap].conj())) > CONJUGATE_TOL
+            max(abs(m[1][j] - m[0][k].conjugate()) for j, k in ((0, 1), (1, 0), (2, 2)))
+            > CONJUGATE_TOL
             or abs(t[1] - t[0].conjugate()) > CONJUGATE_TOL
-            or abs(m[2, 0] - m[2, 1].conjugate()) > CONJUGATE_TOL
-            or abs(m[2, 2].imag) > CONJUGATE_TOL
+            or abs(m[2][0] - m[2][1].conjugate()) > CONJUGATE_TOL
+            or abs(m[2][2].imag) > CONJUGATE_TOL
             or abs(t[2].imag) > CONJUGATE_TOL
         ):
             raise ValueError("map does not preserve conjugate pairing of the moments")
-        m.flags.writeable = False
-        t.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "translation", t)
 
     def __call__(self, v: MomentVector) -> MomentVector:
-        out = self.matrix @ v.as_array() + self.translation
-        return MomentVector(complex(out[0]), complex(out[1]), float(out[2].real))
+        out = _matvec(self.matrix, (v.m_aa, v.m_adad, v.m_n))
+        m_aa, m_adad, m_n = (x + t for x, t in zip(out, self.translation))
+        return MomentVector(m_aa, m_adad, m_n.real)
 
     def then(self, other: "AffineMap") -> "AffineMap":
         """The composite map 'apply self, then other'."""
-        return AffineMap(
-            other.matrix @ self.matrix,
-            other.matrix @ self.translation + other.translation,
-        )
+        columns = tuple(zip(*self.matrix))
+        matrix = tuple(zip(*(_matvec(other.matrix, column) for column in columns)))
+        moved = _matvec(other.matrix, self.translation)
+        return AffineMap(matrix, tuple(x + t for x, t in zip(moved, other.translation)))
 
 
 def squeeze_map(r: float) -> AffineMap:
     """Moment map of exp[(r/2)(a^2 - a^dag^2)] (mode map a -> a ch r - a^dag sh r)."""
     c, s = math.cosh(r), math.sinh(r)
     s2, c2 = math.sinh(2.0 * r), math.cosh(2.0 * r)
-    matrix = np.array(
-        [
-            [c * c, s * s, -s2],
-            [s * s, c * c, -s2],
-            [-c * s, -c * s, c2],
-        ],
-        dtype=complex,
+    matrix = (
+        (c * c, s * s, -s2),
+        (s * s, c * c, -s2),
+        (-c * s, -c * s, c2),
     )
-    translation = np.array([-c * s, -c * s, s * s], dtype=complex)
-    return AffineMap(matrix, translation)
+    return AffineMap(matrix, (-c * s, -c * s, s * s))
 
 
 def rotation_map(phi: float) -> AffineMap:
     """Moment map of the number-basis rotation with mode map a -> a e^{-i phi}."""
-    return AffineMap(
-        np.diag([np.exp(-2j * phi), np.exp(2j * phi), 1.0]),
-        np.zeros(3, dtype=complex),
-    )
+    turn = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
+    return AffineMap(((turn, 0, 0), (0, turn.conjugate(), 0), (0, 0, 1)), (0, 0, 0))
 
 
 def loss_map(eta: float) -> AffineMap:
     """Moment map of transmissivity-eta damping: uniform scaling by eta."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
-    return AffineMap(eta * np.eye(3, dtype=complex), np.zeros(3, dtype=complex))
+    return AffineMap(((eta, 0, 0), (0, eta, 0), (0, 0, eta)), (0, 0, 0))
 
 
 def protocol_moments(r: float, phi: float, eta1: float = 1.0, eta2: float = 1.0) -> MomentVector:
@@ -142,116 +273,39 @@ def protocol_moments(r: float, phi: float, eta1: float = 1.0, eta2: float = 1.0)
     return v
 
 
+def protocol_slope(r: float, phi: float, eta1: float = 1.0, eta2: float = 1.0) -> float:
+    """d<n>/d phi of :func:`protocol_moments`, by the map algebra.
+
+    Only the rotation depends on phi, and the maps after it are affine, so
+    the derivative of the output moments is the rotation's derivative applied
+    to the squeezed vacuum, then carried through the later maps' matrices.
+    """
+    v = squeeze_map(r)(MomentVector.vacuum())
+    turn = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
+    # d/dphi of rotation_map(phi): <a^2> -> -2i e^{-2i phi} <a^2>, <n> fixed
+    d = (-2j * turn * v.m_aa, 2j * turn.conjugate() * v.m_adad, 0.0)
+    for step in (loss_map(eta1), squeeze_map(-r), loss_map(eta2)):
+        d = _matvec(step.matrix, d)
+    return d[2].real
+
+
 def number_variance(moments: MomentVector) -> float:
     """Var(n) = m_n^2 + m_n + |m_aa|^2, using the zero-mean Gaussian factorisation
     <a^dag a^dag a a> = 2 <a^dag a>^2 + <a^2><a^dag^2>."""
     return moments.m_n**2 + moments.m_n + abs(moments.m_aa) ** 2
 
 
-def _check_protocol_params(n_bar: float, eta: float) -> None:
-    if n_bar < 0:
-        raise ValueError("n_bar must be >= 0")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
-
-
-def signal(n_bar: float, phi: float, eta: float = 1.0) -> float:
-    """Detector photon count eta n [1 + eta + 2 n eta - 2 (n+1) eta cos 2phi].
-
-    With eta = 1 this reduces to 4 n (n+1) sin^2(phi).
-    """
-    _check_protocol_params(n_bar, eta)
-    return eta * n_bar * (
-        1.0 + eta + 2.0 * n_bar * eta - 2.0 * (n_bar + 1.0) * eta * math.cos(2.0 * phi)
-    )
-
-
-def signal_slope(n_bar: float, phi: float, eta: float = 1.0) -> float:
-    """d signal / d phi = 4 eta^2 n (n+1) sin 2phi."""
-    _check_protocol_params(n_bar, eta)
-    return 4.0 * eta**2 * n_bar * (n_bar + 1.0) * math.sin(2.0 * phi)
-
-
-def _noisy_error_bracket(n_bar: float, phi: float, eta: float) -> tuple[float, float]:
-    """Numerator bracket of the squared phase error, and its term-magnitude scale.
-
-    The scale (sum of absolute term values) measures how much floating-point
-    cancellation the bracket suffers; consistency checks against the moment
-    route use it to set an honest tolerance.
-    """
-    n = n_bar
-    terms = (
-        eta**3,
-        2.0 * eta,
-        12.0 * eta**3 * n**3,
-        16.0 * eta**3 * n**2,
-        8.0 * eta**2 * n**2,
-        4.0 * eta**3 * n * (n + 1.0) ** 2 * math.cos(4.0 * phi),
-        6.0 * eta**3 * n,
-        -2.0 * eta * (n + 1.0)
-        * (eta + 4.0 * eta**2 * n * (2.0 * n + 1.0) + 4.0 * eta * n + 1.0)
-        * math.cos(2.0 * phi),
-        6.0 * eta**2 * n,
-        4.0 * eta * n,
-        1.0,
-    )
-    return math.fsum(terms), math.fsum(abs(t) for t in terms)
-
-
-def phase_error_scale(n_bar: float, phi: float, eta: float) -> float:
-    """Magnitude scale of the squared-phase-error evaluation (for tolerances)."""
-    _, scale = _noisy_error_bracket(n_bar, phi, eta)
-    return scale / (16.0 * eta**3 * n_bar * (n_bar + 1.0) ** 2 * math.sin(2.0 * phi) ** 2)
-
-
-def phase_error(n_bar: float, phi: float, eta: float = 1.0) -> float:
-    """Error-propagation phase uncertainty of the intensity readout.
-
-    For 0 < phi < pi/2 this evaluates the closed form
-    sqrt(bracket(n, phi, eta) csc^2(2 phi) / (16 eta^3 n (n+1)^2)).
-    At phi = 0 the lossless (eta = 1) analytic limit 1/sqrt(8 n (n+1)) is
-    returned; with loss the slope of the signal vanishes there and the error
-    diverges, so the call is refused.
-    """
-    if n_bar <= 0:
-        raise ValueError("n_bar must be positive")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity eta={eta!r} outside (0, 1]")
-    if phi == 0.0:
-        if eta == 1.0:
-            return 1.0 / math.sqrt(8.0 * n_bar * (n_bar + 1.0))
-        raise SingularOperatingPointError(
-            "phi = 0 with loss: the signal slope vanishes and the phase error diverges; "
-            "operate at a small nonzero phi"
-        )
-    if not 0.0 < phi < math.pi / 2.0:
-        raise SingularOperatingPointError(
-            f"phi={phi!r} outside (0, pi/2): the closed form is evaluated between the "
-            "signal minimum and maximum, where its slope is nonzero"
-        )
-    bracket, _ = _noisy_error_bracket(n_bar, phi, eta)
-    denom = 16.0 * eta**3 * n_bar * (n_bar + 1.0) ** 2 * math.sin(2.0 * phi) ** 2
-    return math.sqrt(bracket / denom)
-
-
 def phase_error_from_moments(n_bar: float, phi: float, eta: float = 1.0) -> float:
-    """Same quantity recomputed as sqrt(Var n)/|d signal/d phi| from the maps.
+    """Phase error recomputed as sqrt(Var n)/|d signal/d phi|, both from the maps.
 
-    Independent route used to guard the long closed-form bracket against
+    Independent route used to guard the closed-form kernel against
     transcription slips; the two must agree to high accuracy.
     """
     if n_bar <= 0:
         raise ValueError("n_bar must be positive")
-    slope = signal_slope(n_bar, phi, eta)
+    r = math.asinh(math.sqrt(n_bar))
+    slope = protocol_slope(r, phi, eta, eta)
     if slope == 0.0:
         raise SingularOperatingPointError("signal slope vanishes at this operating point")
-    moments = protocol_moments(math.asinh(math.sqrt(n_bar)), phi, eta, eta)
+    moments = protocol_moments(r, phi, eta, eta)
     return math.sqrt(number_variance(moments)) / abs(slope)
-
-
-def snl_ratio(n_bar: float, phi: float, eta: float = 1.0) -> float:
-    """Single-mode shot-noise limit 1/sqrt(4 n) divided by the phase error.
-
-    Values above 1 indicate sub-shot-noise sensitivity.
-    """
-    return (1.0 / math.sqrt(4.0 * n_bar)) / phase_error(n_bar, phi, eta)

@@ -9,16 +9,16 @@ gives a stable key for result caching.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import fock, gaussian
 from .fock import MixedState, PureState, TruncationOverflowError
 from .gaussian import MomentVector, SingularOperatingPointError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENGINES = ("gaussian", "fock", "both")
 
@@ -52,11 +52,20 @@ class ProtocolConfig:
     engine: str = "gaussian"
 
     def __post_init__(self) -> None:
+        for name in ("n_bar", "r", "phi", "eta1", "eta2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_bar is None and self.r is None:
             raise ValueError("give n_bar or r")
-        if self.n_bar is not None and self.r is not None:
-            implied = math.sinh(self.r) ** 2
-            if abs(implied - self.n_bar) > 1e-10 * max(1.0, abs(self.n_bar)):
+        if self.r is not None:
+            try:
+                implied = math.sinh(self.r) ** 2
+            except OverflowError:
+                raise ValueError(f"r={self.r!r} is too large: sinh^2 r overflows") from None
+            if self.n_bar is not None and abs(implied - self.n_bar) > 1e-10 * max(
+                1.0, abs(self.n_bar)
+            ):
                 raise ValueError(
                     f"n_bar={self.n_bar} inconsistent with r={self.r} (sinh^2 r = {implied})"
                 )
@@ -82,12 +91,10 @@ class ProtocolConfig:
     def r_value(self) -> float:
         return self.r if self.r is not None else math.asinh(math.sqrt(self.n_bar))
 
-    @property
-    def equal_etas(self) -> bool:
-        return self.eta1 == self.eta2
-
     def digest(self) -> str:
         """Stable hash of the physical operating point, for result keying."""
+        import hashlib
+
         key = (
             f"{self.n_bar_value!r}|{self.phi!r}|{self.eta1!r}|{self.eta2!r}"
             f"|{self.cutoff!r}|{self.engine}"
@@ -154,62 +161,30 @@ def default_cutoff(n_bar: float) -> int:
     return min(128, c + (c % 2))
 
 
-def _consistency_tolerance(a: float, b: float, scale: float) -> float:
-    # 1e-10 relative at desk scale, widened by the honest floating-point
-    # conditioning of the closed form when its terms cancel heavily.
-    return 1e-10 * max(abs(a), abs(b)) + 256.0 * np.finfo(float).eps * scale
-
-
 def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
-    """Protocol via second-moment maps, cross-checked against the closed forms.
+    """Protocol in the Gaussian engine: one evaluation of :func:`gaussian.protocol_point`.
 
-    With equal transmissivities the closed-form signal and phase error are
-    evaluated as well and must agree with the map composition; disagreement
-    raises, since it means the two routes no longer describe one protocol.
+    Refuses phi = 0 with loss, where the signal carries no phase information
+    to first order, and eta2 = 0, where no light reaches the detector.
     """
-    n_bar, r = config.n_bar_value, config.r_value
     phi, eta1, eta2 = config.phi, config.eta1, config.eta2
     if phi == 0.0 and (eta1 < 1.0 or eta2 < 1.0):
         raise SingularOperatingPointError(
             "phi = 0 with loss: the signal carries no phase information to first order; "
             "operate at a small nonzero phi"
         )
-    moments = gaussian.protocol_moments(r, phi, eta1, eta2)
-    sig = moments.m_n
-    var = gaussian.number_variance(moments)
-
-    phase_err: float | None
-    is_limit = False
-    if config.equal_etas:
-        eta = eta1
-        closed = gaussian.signal(n_bar, phi, eta)
-        tol = _consistency_tolerance(sig, closed, eta * n_bar * (2.0 + 2.0 * eta * (n_bar + 1.0)))
-        if abs(sig - closed) > tol:
-            raise RuntimeError(
-                f"internal inconsistency: moment-map signal {sig!r} vs closed form {closed!r}"
-            )
-        if phi == 0.0:
-            phase_err = gaussian.phase_error(n_bar, 0.0, 1.0)
-            is_limit = True
-        elif phi == math.pi / 2.0:
-            phase_err = None
-        else:
-            phase_err = gaussian.phase_error(n_bar, phi, eta)
-            recomputed = math.sqrt(var) / abs(gaussian.signal_slope(n_bar, phi, eta))
-            tol = _consistency_tolerance(
-                phase_err**2, recomputed**2, gaussian.phase_error_scale(n_bar, phi, eta)
-            )
-            if abs(phase_err**2 - recomputed**2) > tol:
-                raise RuntimeError(
-                    f"internal inconsistency: closed-form phase error {phase_err!r} "
-                    f"vs moment route {recomputed!r}"
-                )
-    else:
-        try:
-            phase_err = error_propagation(gaussian_signal_curve(config), phi)
-        except VanishingDerivativeError:
-            phase_err = None
-    return ProtocolResult(moments, sig, var, phase_err, is_limit)
+    if eta2 == 0.0:
+        raise ValueError(
+            "eta2 = 0: no light reaches the detector, so the phase error is undefined"
+        )
+    point = gaussian.protocol_point(config.n_bar_value, phi, eta1, eta2)
+    return ProtocolResult(
+        MomentVector.from_pair(point.m_aa, point.signal),
+        point.signal,
+        point.variance,
+        point.phase_error,
+        point.phase_error_is_limit,
+    )
 
 
 def run_fock(config: ProtocolConfig) -> ProtocolResult:

@@ -1,7 +1,7 @@
 """Self-check suites behind the ``validate`` CLI command.
 
 Each check re-derives a quantity two independent ways (closed form vs exact
-Fock oracle, transcribed formula vs moment algebra) and reports the observed
+Fock oracle, closed-form kernel vs moment algebra) and reports the observed
 deviation against its budget.  ``quick`` keeps to sub-minute subsets; ``full``
 runs the complete grids.
 """
@@ -12,10 +12,11 @@ import math
 import time
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from . import correlations as co
 from . import fock, gaussian, protocol
+from ._lazy import LazyModule
+
+np = LazyModule("numpy")
 
 LEVELS = ("quick", "full")
 
@@ -130,7 +131,7 @@ def check_engine_equivalence(full: bool) -> tuple[float, str]:
 
 
 def check_phase_error_transcription(samples: int) -> tuple[float, str]:
-    """Closed-form noisy phase error vs moment-algebra recomputation."""
+    """Closed-form kernel's noisy phase error vs moment-algebra recomputation."""
     rng = np.random.default_rng(20240811)
     worst = 0.0
     for _ in range(samples):
@@ -138,7 +139,7 @@ def check_phase_error_transcription(samples: int) -> tuple[float, str]:
         phi = rng.uniform(0.05, 1.45)
         eta = rng.uniform(0.1, 1.0)
         n_bar = math.sinh(r) ** 2
-        a = gaussian.phase_error(n_bar, phi, eta)
+        a = gaussian.protocol_point(n_bar, phi, eta, eta).phase_error
         b = gaussian.phase_error_from_moments(n_bar, phi, eta)
         worst = max(worst, abs(a - b) / max(a, b))
     return worst, f"{samples} random (r, phi, eta) samples, seed 20240811"

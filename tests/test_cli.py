@@ -142,9 +142,10 @@ class TestSweepCommand:
 
     def test_unit_transmission_ratio_form(self, capsys):
         code, out, _ = run(
-            capsys, "sweep", "--nbar", "1,4,10", "--phi", "0.0001", "--eta", "1",
+            capsys, "sweep", "--nbar", "1,4,10", "--phi", "0.00001", "--eta", "1",
             "--format", "json",
         )
+        # the phi -> 0 limit; the exact ratio falls below it by ~ n^2 phi^2 relative
         for row in json.loads(out)["rows"]:
             expected = math.sqrt(2.0 * (row["n_bar"] + 1.0))
             assert row["snl_ratio"] == pytest.approx(expected, rel=1e-6)
@@ -171,6 +172,34 @@ class TestSweepCommand:
             ])
             assert code == 0
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+NON_FINITE_INPUT = [
+    ("protocol", "--nbar", "nan", "--phi", "0.3"),
+    ("protocol", "--nbar", "inf", "--phi", "0.3"),
+    ("protocol", "--r", "nan", "--phi", "0.3"),
+    ("protocol", "--r", "inf", "--phi", "0.3"),
+    ("protocol", "--nbar", "1", "--phi", "nan"),
+    ("protocol", "--nbar", "1", "--phi", "0.3", "--eta", "nan"),
+    ("protocol", "--nbar", "1", "--phi", "0.3", "--eta1", "inf"),
+    ("sweep", "--nbar", "nan", "--phi", "0.1", "--eta", "0.9"),
+    ("sweep", "--nbar", "1,inf", "--phi", "0.1", "--eta", "0.9"),
+    ("sweep", "--nbar", "1", "--phi", "nan", "--eta", "0.9"),
+    ("sweep", "--nbar", "1", "--phi", "0.1", "--eta", "inf"),
+    ("sweep", "--nbar-logspace", "nan", "10", "5", "--phi", "0.1", "--eta", "0.9"),
+    ("sweep", "--nbar-logspace", "1", "inf", "5", "--phi", "0.1", "--eta", "0.9"),
+    ("sweep", "--nbar-logspace", "1", "10", "inf", "--phi", "0.1", "--eta", "0.9"),
+    ("table", "--nbar", "nan"),
+    ("table", "--nbar", "inf"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_INPUT, ids=" ".join)
+def test_non_finite_input_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 class TestValidateCommand:

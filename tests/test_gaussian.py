@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,9 +169,10 @@ class TestSnlRatio:
         assert ga.snl_ratio(2e4, 1e-3, 0.95) == pytest.approx(3.0, rel=0.10)
 
     def test_ratio_shape_at_unit_transmission(self):
-        # at eta = 1 and small phi the ratio approaches sqrt(2 (n + 1))
+        # at eta = 1 and small phi the ratio approaches sqrt(2 (n + 1)); the
+        # exact value falls below it by ~ n^2 phi^2 relative
         for n_bar in (1.0, 4.0, 10.0):
-            assert ga.snl_ratio(n_bar, 1e-4, 1.0) == pytest.approx(
+            assert ga.snl_ratio(n_bar, 1e-5, 1.0) == pytest.approx(
                 math.sqrt(2.0 * (n_bar + 1.0)), rel=1e-6
             )
 
@@ -222,3 +224,91 @@ def test_protocol_moments_remain_physical(r, phi, eta1, eta2):
 def test_phase_error_never_improves_with_more_loss(n_bar, phi):
     errors = [ga.phase_error(n_bar, phi, eta) for eta in (0.2, 0.4, 0.6, 0.8, 1.0)]
     assert all(a >= b - 1e-12 * abs(b) for a, b in zip(errors, errors[1:]))
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernel against a high-precision moment-map composition
+# ---------------------------------------------------------------------------
+
+HALF_PI = math.pi / 2
+#: Relative tolerance of the kernel against the 50-digit reference.
+KERNEL_TOL = 1e-14
+
+
+def _mp_protocol(n_bar, phi, eta1, eta2):
+    """(signal, variance, <a^2>, phase error) from the moment maps at 50 digits.
+
+    The state (<a^2>, <a^dag a>) and its phi-derivative are pushed through
+    squeeze(r), rotate(phi), damp(eta1), squeeze(-r), damp(eta2) from the
+    vacuum, with cosh^2 r = n + 1 and sinh^2 r = n; <a^dag^2> is the conjugate
+    of <a^2> throughout.
+    """
+    with mpmath.workdps(50):
+        n = mpmath.mpf(n_bar)
+        c2, s2, cs = n + 1, n, mpmath.sqrt(n * (n + 1))
+
+        def squeeze(aa, m, d_aa, d_m, cs):
+            # a -> a ch r - a^dag sh r; the inverse flips the sign of cs
+            return (
+                c2 * aa + s2 * mpmath.conj(aa) - 2 * cs * m - cs,
+                -2 * cs * mpmath.re(aa) + (c2 + s2) * m + s2,
+                c2 * d_aa + s2 * mpmath.conj(d_aa) - 2 * cs * d_m,
+                -2 * cs * mpmath.re(d_aa) + (c2 + s2) * d_m,
+            )
+
+        turn = mpmath.expj(-2 * mpmath.mpf(phi))
+        aa, m, d_aa, d_m = squeeze(mpmath.mpc(0), mpmath.mpf(0), mpmath.mpc(0), mpmath.mpf(0), cs)
+        aa, d_aa = aa * turn, (d_aa - 2j * aa) * turn
+        eta1, eta2 = mpmath.mpf(eta1), mpmath.mpf(eta2)
+        aa, m, d_aa, d_m = squeeze(eta1 * aa, eta1 * m, eta1 * d_aa, eta1 * d_m, -cs)
+        aa, m, d_m = eta2 * aa, eta2 * m, eta2 * d_m
+        variance = m * m + m + abs(aa) ** 2
+        return m, variance, aa, mpmath.sqrt(variance) / abs(d_m)
+
+
+def _assert_kernel_matches_reference(n_bar, phi, eta1, eta2):
+    point = ga.protocol_point(n_bar, phi, eta1, eta2)
+    signal, variance, m_aa, error = _mp_protocol(n_bar, phi, eta1, eta2)
+    with mpmath.workdps(50):
+        devs = {
+            "signal": abs(point.signal - signal) / signal,
+            "variance": abs(point.variance - variance) / variance,
+            "m_aa": abs(point.m_aa - m_aa) / abs(m_aa),
+            "phase_error": abs(point.phase_error - error) / error,
+        }
+    for name, dev in devs.items():
+        assert dev <= KERNEL_TOL, (name, float(dev), (n_bar, phi, eta1, eta2))
+
+
+# (0, 1] down to 1e-100: below that eta1 eta2 n (n+1) sin 2phi leaves the
+# double range, which no physical transmission reaches
+_transmissions = st.one_of(
+    st.floats(0.5, 1.0), st.floats(-100.0, 0.0).map(lambda e: 10.0**e)
+)
+
+
+@given(
+    st.floats(-2.0, 10.0).map(lambda e: 10.0**e),
+    st.floats(-9.0, math.log10(HALF_PI)).map(lambda e: 10.0**e).filter(lambda p: p < HALF_PI),
+    _transmissions,
+    _transmissions,
+)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_kernel_matches_high_precision_maps_on_full_domain(n_bar, phi, eta1, eta2):
+    _assert_kernel_matches_reference(n_bar, phi, eta1, eta2)
+
+
+@pytest.mark.parametrize(
+    "n_bar,phi,eta",
+    [  # points where the cancelling closed form drifted or the map route raised
+        (1.5e4, 1e-3, 0.99),
+        (1e4, 1e-5, 1.0),
+        (1e6, 1e-5, 0.999),
+        (100.0, 1e-6, 1.0),
+        (1e7, 1e-3, 0.99),
+        (1e8, 1e-5, 0.99),
+    ],
+)
+def test_kernel_at_formerly_failing_points(n_bar, phi, eta):
+    _assert_kernel_matches_reference(n_bar, phi, eta, eta)
+    assert ga.phase_error(n_bar, phi, eta) == ga.protocol_point(n_bar, phi, eta, eta).phase_error

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qmetro import cli, fock, gaussian, protocol
 from qmetro import correlations as co
-from qmetro import fock, gaussian, protocol
 
 R1 = math.asinh(1.0)
 
@@ -68,9 +68,46 @@ class TestRunGaussian:
             protocol.run_gaussian(protocol.ProtocolConfig(phi=0.0, n_bar=1.0, eta1=0.9, eta2=0.9))
 
     def test_unequal_etas_use_error_propagation(self):
+        # the closed form equals error propagation along the moment-map curve
         config = protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=0.95, eta2=0.85)
         result = protocol.run_gaussian(config)
-        assert result.phase_error is not None and result.phase_error > 0
+        propagated = protocol.error_propagation(protocol.gaussian_signal_curve(config), 0.3)
+        assert result.phase_error == pytest.approx(propagated, rel=1e-6)
+
+
+HALF_PI = math.pi / 2
+
+
+@pytest.mark.parametrize(
+    "phi,eta1,eta2,expected",
+    [
+        (HALF_PI, 1.0, 1.0, None),  # signal maximum: sin 2phi is ~1e-16 there, not 0
+        (HALF_PI, 0.9, 0.9, None),
+        (HALF_PI, 0.9, 0.8, None),
+        (0.3, 0.0, 0.9, None),  # the phase never reaches the detector
+        (0.3, 0.0, 0.0, ValueError),  # `--eta 0`: no light reaches the detector
+        (0.0, 1.0, 1.0, "limit"),
+        (0.0, 0.9, 0.9, gaussian.SingularOperatingPointError),
+        (0.0, 1.0, 0.9, gaussian.SingularOperatingPointError),
+    ],
+)
+def test_edge_operating_points(phi, eta1, eta2, expected):
+    n_bar = 2.0
+    config = protocol.ProtocolConfig(phi=phi, n_bar=n_bar, eta1=eta1, eta2=eta2)
+    etas = ("--eta", repr(eta1)) if eta1 == eta2 else ("--eta1", repr(eta1), "--eta2", repr(eta2))
+    argv = ["protocol", "--nbar", repr(n_bar), "--phi", repr(phi), *etas]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            protocol.run_gaussian(config)
+        assert cli.main(argv) == 2
+        return
+    result = protocol.run_gaussian(config)
+    if expected == "limit":
+        assert result.phase_error == 1.0 / math.sqrt(8.0 * n_bar * (n_bar + 1.0))
+        assert result.phase_error_is_limit
+    else:
+        assert result.phase_error is None and not result.phase_error_is_limit
+    assert cli.main(argv) == 0
 
 
 class TestRunFock:

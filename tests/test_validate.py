@@ -1,3 +1,5 @@
+import math
+
 from qmetro import gaussian, validate
 
 
@@ -14,18 +16,35 @@ def test_quick_suite_structure_and_verdict():
 
 
 def test_tampered_phase_error_coefficient_is_caught(monkeypatch):
-    # corrupt one bracket term; the transcription check must name the identity
-    original = gaussian._noisy_error_bracket
+    # corrupt the shot-noise coefficient of Var n = S^2 + S + |<a^2>|^2 in the
+    # kernel; the transcription check must name the identity
+    original = gaussian.protocol_point
 
-    def tampered(n_bar, phi, eta):
-        value, scale = original(n_bar, phi, eta)
-        return value + 0.01 * eta**3 * n_bar**2, scale
+    def tampered(n_bar, phi, eta1=1.0, eta2=1.0):
+        point = original(n_bar, phi, eta1, eta2)
+        variance = point.signal**2 + 1.01 * point.signal + abs(point.m_aa) ** 2
+        error = point.phase_error * math.sqrt(variance / point.variance)
+        return point._replace(variance=variance, phase_error=error)
 
-    monkeypatch.setattr(gaussian, "_noisy_error_bracket", tampered)
+    monkeypatch.setattr(gaussian, "protocol_point", tampered)
     report = validate.run_checks("quick")
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "noisy-phase-error-transcription" in failed
     assert report["passed"] is False
+
+
+def test_tampered_slope_coefficient_is_caught(monkeypatch):
+    # the reference route takes its slope from the moment maps, not from the
+    # kernel, so a slip in 4 eta1 eta2 n (n+1) sin 2phi cannot cancel out
+    original = gaussian.protocol_point
+
+    def tampered(n_bar, phi, eta1=1.0, eta2=1.0):
+        point = original(n_bar, phi, eta1, eta2)
+        return point._replace(slope=1.01 * point.slope, phase_error=point.phase_error / 1.01)
+
+    monkeypatch.setattr(gaussian, "protocol_point", tampered)
+    observed, _ = validate.check_phase_error_transcription(samples=5)
+    assert observed > 1e-3
 
 
 def test_full_suite_passes():
