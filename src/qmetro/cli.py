@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -26,8 +25,6 @@ from . import correlations as co
 from . import gaussian, protocol, validate
 from .fock import TruncationOverflowError
 from .gaussian import SingularOperatingPointError
-
-CUTOFF_ENV_VAR = "QMETRO_DEFAULT_CUTOFF"
 
 TABLE_COLUMNS = (
     "state_id", "n_bar", "q", "j", "qfi",
@@ -80,33 +77,11 @@ class UsageError(ValueError):
     """Bad input on the command line (exit code 2)."""
 
 
-def _env_cutoff() -> int | None:
-    raw = os.environ.get(CUTOFF_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{CUTOFF_ENV_VAR}={raw!r} is not an integer") from exc
-    if value < 2:
-        raise UsageError(f"{CUTOFF_ENV_VAR} must be >= 2")
-    return value
-
-
-def _resolve_cutoff(args) -> int | None:
-    return args.cutoff if args.cutoff is not None else _env_cutoff()
-
-
 def _parse_grid(raw: str, name: str) -> list[float]:
     try:
-        values = [float(x) for x in raw.split(",") if x.strip()]
+        return [float(x) for x in raw.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"--{name}: expected comma-separated numbers, got {raw!r}") from exc
-    if not values:
-        raise UsageError(f"--{name}: empty grid")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise UsageError(f"--{name}: grid must be strictly increasing")
-    return values
 
 
 @dataclass(frozen=True)
@@ -120,21 +95,19 @@ class SweepSpec:
     out_path: str | None
 
     def __post_init__(self) -> None:
-        for name, values, lo, hi in (
-            ("nbar", self.n_bar_values, 0.0, math.inf),
-            ("phi", self.phi_values, 0.0, math.pi / 2),
-            ("eta", self.eta_values, 0.0, 1.0),
+        for name, values in (
+            ("nbar", self.n_bar_values), ("phi", self.phi_values), ("eta", self.eta_values),
         ):
             if not values:
                 raise UsageError(f"--{name}: empty grid")
-            if not all(math.isfinite(v) for v in values):
-                raise UsageError(f"--{name}: values must be finite numbers")
-            if any(not lo < v <= hi for v in values):
-                raise UsageError(f"--{name}: values must lie in ({lo:g}, {hi:g}]")
+            if not all(0.0 < v < math.inf for v in values):
+                raise UsageError(f"--{name}: values must be finite and positive")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise UsageError(f"--{name}: grid must be strictly increasing")
         if any(v >= math.pi / 2 for v in self.phi_values):
             raise UsageError("--phi: sweep values must be below pi/2 (signal extremum)")
+        for eta in self.eta_values:
+            gaussian.check_eta(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +118,6 @@ class SweepSpec:
 def cmd_table(args) -> int:
     if args.nbar is None or not 0.0 < args.nbar < math.inf:
         raise UsageError("--nbar must be a finite positive number")
-    cutoff = _resolve_cutoff(args)
     rows = []
     for family in co.ProbeFamily:
         try:
@@ -164,21 +136,17 @@ def cmd_table(args) -> int:
             record["note"] = "formula-only"
         elif args.oracle:
             try:
-                oracle = co.oracle_row(family, args.nbar, cutoff)
+                oracle = co.oracle_row(family, args.nbar, args.cutoff)
                 record.update({
                     "oracle_q": oracle.q, "oracle_j": oracle.j, "oracle_qfi": oracle.qfi,
-                    "max_rel_dev": max(
-                        abs(row.q - oracle.q) / max(abs(row.q), abs(oracle.q), 1.0),
-                        abs(row.j - oracle.j) / max(abs(row.j), abs(oracle.j), 1.0),
-                        abs(row.qfi - oracle.qfi) / max(abs(row.qfi), abs(oracle.qfi), 1.0),
-                    ),
+                    "max_rel_dev": row.max_deviation(oracle),
                 })
             except (ValueError, TruncationOverflowError) as exc:
                 record["note"] = f"oracle unavailable: {exc}"
         rows.append(record)
     meta = {"command": "table", "n_bar": _fmt(float(args.nbar)), "oracle": args.oracle}
-    if cutoff is not None:
-        meta["cutoff"] = cutoff
+    if args.cutoff is not None:
+        meta["cutoff"] = args.cutoff
     _emit_rows(rows, TABLE_COLUMNS, meta, args.format, args.out)
     return 0
 
@@ -221,9 +189,8 @@ def cmd_protocol(args) -> int:
         }
         meta = {"command": "protocol", **{k: _fmt(v) for k, v in deviations.items()}}
     elif config.engine == "fock":
-        cutoff = config.cutoff if config.cutoff is not None else protocol.default_cutoff(
-            config.n_bar_value)
-        rows.append(_protocol_record("fock", config, protocol.run_fock(config), cutoff))
+        result = protocol.run_fock(config)
+        rows.append(_protocol_record("fock", config, result, config.cutoff_value))
         meta = {"command": "protocol"}
     else:
         rows.append(_protocol_record("gaussian", config, protocol.run_gaussian(config), None))
@@ -247,7 +214,7 @@ def _protocol_config(args) -> protocol.ProtocolConfig:
             r=args.r,
             eta1=eta1,
             eta2=eta2,
-            cutoff=_resolve_cutoff(args),
+            cutoff=args.cutoff,
             engine=args.engine,
         )
     except ValueError as exc:

@@ -41,6 +41,25 @@ class UndefinedStatisticError(ValueError):
     """A statistic was requested where it is undefined (e.g. Q at <n> = 0)."""
 
 
+def relative_deviation(a: complex, b: complex) -> float:
+    """|a - b| / max(|a|, |b|, 1): relative above magnitude 1, absolute below it."""
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def richardson(d_h, d_h2, measure: Callable):
+    """Refine central differences taken at steps h and h/2.
+
+    Returns ``(value, refined)``.  When ``measure`` of the two estimates
+    differs by more than ``RICHARDSON_TRIGGER`` relative, the value is
+    ``measure`` of the Richardson combination (4 d_{h/2} - d_h)/3; otherwise
+    it is ``measure(d_h2)``.
+    """
+    m_h, m_h2 = measure(d_h), measure(d_h2)
+    if abs(m_h - m_h2) > RICHARDSON_TRIGGER * max(abs(m_h2), 1e-300):
+        return measure((4.0 * d_h2 - d_h) / 3.0), True
+    return m_h2, False
+
+
 def mandel_q(mean_n: float, var_n: float) -> float:
     """(Var n - <n>) / <n>: 0 for Poissonian light, -1 for a number state."""
     if mean_n <= 0:
@@ -199,9 +218,7 @@ def classical_fisher_information(
     def fisher(d: np.ndarray) -> float:
         return float(np.sum(d[mask] ** 2 / p0[mask]))
 
-    f_h, f_h2 = fisher(d_h), fisher(d_h2)
-    refined = abs(f_h - f_h2) > RICHARDSON_TRIGGER * max(abs(f_h2), 1e-300)
-    value = fisher((4.0 * d_h2 - d_h) / 3.0) if refined else f_h2
+    value, refined = richardson(d_h, d_h2, fisher)
     if full_output:
         return value, {
             "skipped_mass": skipped_mass,
@@ -268,6 +285,14 @@ class TableRow:
     q: float
     j: float
     qfi: float
+
+    def max_deviation(self, other: "TableRow") -> float:
+        """Worst :func:`relative_deviation` of Q, J and QFI against another row."""
+        return max(
+            relative_deviation(self.q, other.q),
+            relative_deviation(self.j, other.j),
+            relative_deviation(self.qfi, other.qfi),
+        )
 
 
 def table_row(state_id: ProbeFamily | str, n_bar: float) -> TableRow:

@@ -1,7 +1,9 @@
 """Truncated Fock-space states, linear-optics unitaries, and photon loss.
 
-Single- and two-mode bosonic states are dense complex amplitude tensors over
-the number basis |0>, ..., |cutoff>.  Every state records how much probability
+Kets of one or two bosonic modes are dense complex amplitude tensors over the
+number basis |0>, ..., |cutoff>; density matrices, which photon loss
+produces, are single-mode.  The protocol is single-mode, and the two-mode
+probe catalogue needs only kets.  Every state records how much probability
 weight truncation is allowed to have cost it (``truncation_tol``), and every
 operation either preserves weight exactly or measures what it discarded and
 fails loudly when that exceeds its budget.  This module is the slow, exact
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._lazy import LazyModule
+from .gaussian import check_eta
 
 np = LazyModule("numpy")
 scipy_linalg = LazyModule("scipy.linalg")
@@ -108,24 +111,20 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class MixedState:
-    """Density matrix over the truncated number basis.
+    """Single-mode density matrix over the truncated number basis.
 
-    The matrix is indexed by the flattened basis, so its dimension is
-    ``(cutoff + 1) ** modes``.  Hermiticity and trace are checked on
-    construction; the (more expensive) positivity check lives in
-    :meth:`validate`.
+    ``matrix`` has shape ``(cutoff + 1, cutoff + 1)``.  Hermiticity and trace
+    are checked on construction; the (more expensive) positivity check lives
+    in :meth:`validate`.
     """
 
     matrix: np.ndarray
-    modes: int
     cutoff: int
     truncation_tol: float = DEFAULT_TRUNCATION_TOL
 
     def __post_init__(self) -> None:
         mat = _frozen(self.matrix)
-        dim = (self.cutoff + 1) ** self.modes
-        if self.modes not in (1, 2):
-            raise ValueError("only 1- and 2-mode density matrices are supported")
+        dim = self.cutoff + 1
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
@@ -134,6 +133,10 @@ class MixedState:
         tr = self.trace
         if not 1.0 - self.truncation_tol <= tr <= 1.0 + 1e-12:
             raise ValueError(f"trace {tr!r} outside [1 - {self.truncation_tol:g}, 1]")
+
+    @property
+    def modes(self) -> int:
+        return 1
 
     @property
     def trace(self) -> float:
@@ -287,11 +290,12 @@ def product(a: PureState, b: PureState) -> PureState:
 def to_density(state: State) -> MixedState:
     if isinstance(state, MixedState):
         return state
-    psi = state.amplitudes.reshape(-1)
+    if state.modes != 1:
+        raise ValueError("density matrices are single-mode; got a two-mode state")
+    psi = state.amplitudes
     return MixedState(
         np.outer(psi, psi.conj()),
-        modes=state.modes,
-        cutoff=state.cutoff,
+        state.cutoff,
         truncation_tol=_tol_for(state.norm_deficit, base=state.truncation_tol),
     )
 
@@ -352,9 +356,8 @@ def phase_shift(state: State, phi: float, convention: str = "single-mode") -> St
     factors = _phase_factors(state, phi, convention)
     if isinstance(state, PureState):
         return PureState(factors * state.amplitudes, truncation_tol=state.truncation_tol)
-    flat = factors.reshape(-1)
-    mat = (flat[:, None] * state.matrix) * flat.conj()[None, :]
-    return MixedState(mat, state.modes, state.cutoff, truncation_tol=state.truncation_tol)
+    mat = (factors[:, None] * state.matrix) * factors.conj()[None, :]
+    return MixedState(mat, state.cutoff, truncation_tol=state.truncation_tol)
 
 
 @lru_cache(maxsize=32)
@@ -436,8 +439,7 @@ def squeeze(state: State, r: float, grow: bool = False) -> State:
     mat = 0.5 * (out[:keep, :keep] + out[:keep, :keep].conj().T)
     return MixedState(
         mat,
-        modes=1,
-        cutoff=keep - 1,
+        keep - 1,
         truncation_tol=_tol_for(state.trace_deficit + spill, base=state.truncation_tol),
     )
 
@@ -471,69 +473,37 @@ def _check_squeeze_spill(spill: float, edge: float, cutoff: int, r: float) -> No
 # ---------------------------------------------------------------------------
 
 
-def loss_kraus(eta: float, cutoff: int) -> list[np.ndarray]:
-    """Kraus operators of the transmissivity-eta damping channel.
-
-    ``K_j[n-j, n] = sqrt(C(n, j)) (1-eta)^{j/2} eta^{(n-j)/2}`` for
-    j = 0..cutoff; they satisfy sum_j K_j^dag K_j = 1 exactly on the
-    truncated space (binomial identity).
-    """
-    _check_eta(eta)
-    dim = cutoff + 1
-    ops = []
-    for j in range(dim):
-        k = np.zeros((dim, dim))
-        n = np.arange(j, dim)
-        k[n - j, n] = _loss_weights(eta, j, n)
-        ops.append(k)
-    return ops
-
-
 def _loss_weights(eta: float, j: int, n: np.ndarray) -> np.ndarray:
-    # sqrt(C(n, j)) (1-eta)^{j/2} eta^{(n-j)/2}, evaluated in log space.
-    if eta == 1.0:
-        return np.where(j == 0, 1.0, 0.0) * np.ones_like(n, dtype=float)
-    if eta == 0.0:
-        return np.where(n - j == 0, 1.0, 0.0).astype(float)
+    # sqrt(C(n, j)) (1-eta)^{j/2} eta^{(n-j)/2} for 0 < eta < 1, in log space.
     gammaln = scipy_special.gammaln
     log_binom = gammaln(n + 1) - gammaln(n - j + 1) - gammaln(j + 1)
     return np.exp(0.5 * (log_binom + j * np.log1p(-eta) + (n - j) * np.log(eta)))
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+def loss(state: State, eta: float) -> MixedState:
+    """Amplitude damping of a single mode: sigma = sum_j K_j rho K_j^dag.
 
-
-def loss(state: State, eta: float, mode: int = 0) -> MixedState:
-    """Amplitude damping of one mode: sigma = sum_j K_j rho K_j^dag."""
-    _check_eta(eta)
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} invalid for a {state.modes}-mode state")
+    The Kraus operators are ``K_j[n-j, n] = sqrt(C(n, j)) (1-eta)^{j/2}
+    eta^{(n-j)/2}``; they satisfy sum_j K_j^dag K_j = 1 exactly on the
+    truncated space (binomial identity).
+    """
+    check_eta(eta)
     rho = to_density(state)
     if eta == 1.0:
         return rho
     dim = state.cutoff + 1
-
-    if state.modes == 1:
-        out = np.zeros_like(rho.matrix)
-        if eta == 0.0:
-            out[0, 0] = rho.trace
-        else:
-            for j in range(dim):
-                n = np.arange(j, dim)
-                g = _loss_weights(eta, j, n)
-                out[: dim - j, : dim - j] += np.outer(g, g) * rho.matrix[j:, j:]
-        out = 0.5 * (out + out.conj().T)
-        return MixedState(out, 1, state.cutoff, truncation_tol=_tol_for(rho.trace_deficit, base=rho.truncation_tol))
-
-    eye = np.eye(dim)
     out = np.zeros_like(rho.matrix)
-    for k in loss_kraus(eta, state.cutoff):
-        full = np.kron(k, eye) if mode == 0 else np.kron(eye, k)
-        out += full @ rho.matrix @ full.T
+    if eta == 0.0:
+        out[0, 0] = rho.trace
+    else:
+        for j in range(dim):
+            n = np.arange(j, dim)
+            g = _loss_weights(eta, j, n)
+            out[: dim - j, : dim - j] += np.outer(g, g) * rho.matrix[j:, j:]
     out = 0.5 * (out + out.conj().T)
-    return MixedState(out, 2, state.cutoff, truncation_tol=_tol_for(rho.trace_deficit, base=rho.truncation_tol))
+    return MixedState(
+        out, state.cutoff, truncation_tol=_tol_for(rho.trace_deficit, base=rho.truncation_tol)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,55 +529,29 @@ def expectation(state: State, observable: str, mode: int | None = None):
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} invalid for a {state.modes}-mode state")
 
+    # <a^2> directly; otherwise the marginal populations, then one formula each.
     n = np.arange(state.cutoff + 1, dtype=float)
-    if isinstance(state, PureState):
-        amps = state.amplitudes
-        if state.modes == 2 and mode == 1:
-            amps = amps.T
+    coeff = np.sqrt(n[2:] * n[1:-1])  # <n-2| a^2 |n>
+    if isinstance(state, MixedState):
+        if observable == "a2":
+            return complex(np.sum(coeff * np.diagonal(state.matrix, offset=-2)))
+        pop = np.diag(state.matrix).real
+    else:
+        amps = state.amplitudes if mode == 0 else state.amplitudes.T
+        if observable == "a2":
+            # the photon-number axis is the first; broadcast over the other mode
+            column = coeff.reshape((-1,) + (1,) * (state.modes - 1))
+            return complex(np.sum(amps[:-2].conj() * column * amps[2:]))
         weights = np.abs(amps) ** 2
-        marginal = weights if state.modes == 1 else weights.sum(axis=1)
-        if observable == "n":
-            return float(n @ marginal)
-        if observable == "n2":
-            return float((n**2) @ marginal)
-        if observable == "adag2a2":
-            return float((n * (n - 1.0)) @ marginal)
         if observable == "cross_nn":
             return float(n @ weights @ n)
-        coeff = np.sqrt(n[2:] * n[1:-1])
-        if state.modes == 1:
-            return complex(np.sum(amps[:-2].conj() * coeff * amps[2:]))
-        return complex(np.sum(amps[:-2].conj() * coeff[:, None] * amps[2:]))
+        pop = weights if state.modes == 1 else weights.sum(axis=1)
 
-    dim = state.cutoff + 1
-    rho = state.matrix
-    if state.modes == 1:
-        pop = np.diag(rho).real
-        if observable == "n":
-            return float(n @ pop)
-        if observable == "n2":
-            return float((n**2) @ pop)
-        if observable == "adag2a2":
-            return float((n * (n - 1.0)) @ pop)
-        coeff = np.sqrt(n[2:] * n[1:-1])
-        return complex(np.sum(coeff * np.diagonal(rho, offset=-2)))
-
-    rho4 = rho.reshape(dim, dim, dim, dim)  # (a, b; a', b')
-    if observable == "cross_nn":
-        pop = np.einsum("abab->ab", rho4).real
-        return float(n @ pop @ n)
-    if mode == 1:
-        rho4 = rho4.transpose(1, 0, 3, 2)
-    reduced = np.einsum("mbnb->mn", rho4)  # partial trace over the other mode
-    pop = np.diag(reduced).real
     if observable == "n":
         return float(n @ pop)
     if observable == "n2":
         return float((n**2) @ pop)
-    if observable == "adag2a2":
-        return float((n * (n - 1.0)) @ pop)
-    coeff = np.sqrt(n[2:] * n[1:-1])
-    return complex(np.sum(coeff * np.diagonal(reduced, offset=-2)))
+    return float((n * (n - 1.0)) @ pop)  # adag2a2
 
 
 def project_total_photon(state: PureState, n_total: int) -> PureState:
@@ -629,14 +573,10 @@ def project_total_photon(state: PureState, n_total: int) -> PureState:
 
 
 def number_distribution(state: State) -> np.ndarray:
-    """Photon-number probabilities: vector (one mode) or matrix (two modes)."""
+    """Photon-number probabilities: vector (one mode) or matrix (two-mode ket)."""
     if isinstance(state, PureState):
         return np.abs(state.amplitudes) ** 2
-    pop = np.diag(state.matrix).real
-    if state.modes == 1:
-        return pop
-    dim = state.cutoff + 1
-    return pop.reshape(dim, dim)
+    return np.diag(state.matrix).real
 
 
 def fidelity(a: PureState, b: State) -> float:

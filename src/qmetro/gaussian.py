@@ -36,6 +36,12 @@ class SingularOperatingPointError(ValueError):
     """Phase-error request at a point where the signal slope vanishes."""
 
 
+def check_eta(eta: float) -> None:
+    """Refuse a transmissivity outside [0, 1], NaN included."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernel
 # ---------------------------------------------------------------------------
@@ -103,8 +109,7 @@ def protocol_point(
 def _check_protocol_params(n_bar: float, eta: float) -> None:
     if not 0.0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+    check_eta(eta)
 
 
 def signal(n_bar: float, phi: float, eta: float = 1.0) -> float:
@@ -130,10 +135,9 @@ def phase_error(n_bar: float, phi: float, eta: float = 1.0) -> float:
     with loss the slope of the signal vanishes there and the error diverges,
     so the call is refused.
     """
-    if not 0.0 < n_bar < math.inf:
-        raise ValueError("n_bar must be positive")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity eta={eta!r} outside (0, 1]")
+    _check_protocol_params(n_bar, eta)
+    if n_bar == 0.0 or eta == 0.0:
+        raise ValueError("n_bar and eta must be positive")
     if not 0.0 <= phi < HALF_PI:
         raise SingularOperatingPointError(
             f"phi={phi!r} outside [0, pi/2): the phase error is evaluated between the "
@@ -260,8 +264,7 @@ def rotation_map(phi: float) -> AffineMap:
 
 def loss_map(eta: float) -> AffineMap:
     """Moment map of transmissivity-eta damping: uniform scaling by eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+    check_eta(eta)
     return AffineMap(((eta, 0, 0), (0, eta, 0), (0, 0, eta)), (0, 0, 0))
 
 

@@ -2,18 +2,19 @@
 
 Runs the protocol in either engine (closed-form Gaussian moments or the exact
 truncated Fock oracle), propagates phase estimates by error propagation, and
-packages cross-engine comparisons.  Runs are pure functions of their config;
-concurrent evaluation of many configs is safe, and ``ProtocolConfig.digest``
-gives a stable key for result caching.
+packages cross-engine comparisons.  Runs are pure functions of their config,
+so concurrent evaluation of many configs is safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from . import fock, gaussian
+from .correlations import richardson
 from .fock import MixedState, PureState, TruncationOverflowError
 from .gaussian import MomentVector, SingularOperatingPointError
 
@@ -28,6 +29,10 @@ TRACE_DEFICIT_LIMIT = 1e-8
 DEFAULT_STEP = 1e-4
 #: Slope magnitudes below this count as a vanished derivative.
 SLOPE_FLOOR = 1e-12
+#: default_cutoff refuses to pick a cutoff above this; pass one explicitly.
+DEFAULT_CUTOFF_CAP = 128
+#: default_cutoff stops searching at this cutoff.
+_CUTOFF_SEARCH_LIMIT = 1 << 20
 
 
 class VanishingDerivativeError(ValueError):
@@ -40,7 +45,7 @@ class ProtocolConfig:
 
     Exactly one of ``n_bar`` (mean probe photons sinh^2 r) and ``r`` may be
     given, or both if they agree.  ``cutoff`` only affects the Fock engine;
-    when omitted, :func:`default_cutoff` supplies it.
+    when omitted, :func:`default_cutoff` supplies it (:attr:`cutoff_value`).
     """
 
     phi: float
@@ -73,9 +78,8 @@ class ProtocolConfig:
             raise ValueError("n_bar must be positive")
         if self.r is not None and self.r <= 0 and self.n_bar is None:
             raise ValueError("r must be positive")
-        for eta in (self.eta1, self.eta2):
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"transmissivity {eta!r} outside [0, 1]")
+        gaussian.check_eta(self.eta1)
+        gaussian.check_eta(self.eta2)
         if not 0.0 <= self.phi <= math.pi / 2.0:
             raise ValueError("phi must lie in [0, pi/2]")
         if self.engine not in ENGINES:
@@ -91,15 +95,9 @@ class ProtocolConfig:
     def r_value(self) -> float:
         return self.r if self.r is not None else math.asinh(math.sqrt(self.n_bar))
 
-    def digest(self) -> str:
-        """Stable hash of the physical operating point, for result keying."""
-        import hashlib
-
-        key = (
-            f"{self.n_bar_value!r}|{self.phi!r}|{self.eta1!r}|{self.eta2!r}"
-            f"|{self.cutoff!r}|{self.engine}"
-        )
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
+    @property
+    def cutoff_value(self) -> int:
+        return self.cutoff if self.cutoff is not None else default_cutoff(self.n_bar_value)
 
 
 @dataclass(frozen=True)
@@ -129,21 +127,14 @@ class ComparisonReport:
     fock_result: ProtocolResult
     cutoff: int
 
-    def _pair(self, attr: str) -> tuple[float, float]:
-        return getattr(self.gaussian_result, attr), getattr(self.fock_result, attr)
-
-    def abs_deviation(self, attr: str) -> float:
-        a, b = self._pair(attr)
-        return abs(a - b)
-
     def rel_deviation(self, attr: str) -> float:
-        a, b = self._pair(attr)
+        """|g - f| / max(|g|, |f|) of a (dotted) result attribute."""
+        get = attrgetter(attr)
+        a, b = get(self.gaussian_result), get(self.fock_result)
         return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
     def moment_aa_deviation(self) -> float:
-        a = self.gaussian_result.moments.m_aa
-        b = self.fock_result.moments.m_aa
-        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+        return self.rel_deviation("moments.m_aa")
 
     @property
     def trace_deficit(self) -> float:
@@ -151,14 +142,32 @@ class ComparisonReport:
 
 
 def default_cutoff(n_bar: float) -> int:
-    """Smallest even cutoff >= 8 (n_bar + 1), capped at 128.
+    """Smallest even cutoff whose squeezed-vacuum tail is <= SQUEEZE_DEFICIT_LIMIT / 100.
 
-    A deliberately small starting policy: every Fock run re-checks its actual
-    truncation loss and fails loudly when this is not enough, at which point
-    the caller should pass an explicit cutoff.
+    The squeeze stage of a Fock run then meets its budget by construction.
+    With sinh^2 r = n_bar the squeezed vacuum's photon-number probabilities
+    are P(0) = 1/cosh r and P(2m) = P(2m-2) tanh^2 r (2m-1)/(2m); the tail
+    past a cutoff is 1 minus their running sum.  Raises
+    TruncationOverflowError, before any Fock work, when that cutoff exceeds
+    DEFAULT_CUTOFF_CAP.
     """
-    c = max(2, math.ceil(8.0 * (n_bar + 1.0)))
-    return min(128, c + (c % 2))
+    limit = fock.SQUEEZE_DEFICIT_LIMIT / 100.0
+    tanh_sq = n_bar / (n_bar + 1.0)
+    p = total = 1.0 / math.sqrt(n_bar + 1.0)
+    m = 0
+    while 1.0 - total > limit and 2 * m < _CUTOFF_SEARCH_LIMIT:
+        m += 1
+        p *= tanh_sq * (2 * m - 1) / (2 * m)
+        total += p
+    cutoff = max(2, 2 * m)
+    if cutoff > DEFAULT_CUTOFF_CAP:
+        needed = cutoff if 1.0 - total <= limit else f"more than {cutoff}"
+        raise TruncationOverflowError(
+            f"n_bar={n_bar!r} needs a cutoff of {needed} to keep the squeezed-vacuum tail "
+            f"below {limit:g}, above the default cap {DEFAULT_CUTOFF_CAP}; "
+            "pass --cutoff explicitly"
+        )
+    return cutoff
 
 
 def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
@@ -196,7 +205,7 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
     the two engines agree on the complex <a^2>, not just on its modulus.
     """
     r, phi = config.r_value, config.phi
-    cutoff = config.cutoff if config.cutoff is not None else default_cutoff(config.n_bar_value)
+    cutoff = config.cutoff_value
 
     state: PureState | MixedState = fock.vacuum(cutoff)
     state = _staged(fock.squeeze, state, r, stage="squeeze")
@@ -232,12 +241,11 @@ def _staged(op, state, *args, stage: str, **kwargs):
 
 
 def run_both(config: ProtocolConfig) -> ComparisonReport:
-    cutoff = config.cutoff if config.cutoff is not None else default_cutoff(config.n_bar_value)
     return ComparisonReport(
         config=config,
         gaussian_result=run_gaussian(config),
-        fock_result=run_fock(replace(config, cutoff=cutoff)),
-        cutoff=cutoff,
+        fock_result=run_fock(config),
+        cutoff=config.cutoff_value,
     )
 
 
@@ -253,8 +261,8 @@ def error_propagation(
 ) -> float:
     """Phase error sqrt(Var)/|dS/dphi| from a (signal, variance) curve.
 
-    The slope is estimated by central differences at ``step`` and ``step/2``
-    with Richardson refinement when they disagree beyond 1e-4 relative.
+    The slope is estimated by central differences at ``step`` and ``step/2``,
+    refined by :func:`correlations.richardson` when they disagree.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -267,11 +275,7 @@ def error_propagation(
         s_minus, _ = signal_curve(phi - h)
         return (s_plus - s_minus) / (2.0 * h)
 
-    d_h, d_h2 = slope(step), slope(step / 2.0)
-    if abs(d_h - d_h2) > 1e-4 * max(abs(d_h2), 1e-300):
-        d = (4.0 * d_h2 - d_h) / 3.0
-    else:
-        d = d_h2
+    d, _ = richardson(slope(step), slope(step / 2.0), float)
     if abs(d) <= SLOPE_FLOOR:
         raise VanishingDerivativeError(
             f"signal slope {d:.3e} at phi={phi!r} is numerically zero; "
@@ -310,7 +314,7 @@ def lossless_output_distribution(config: ProtocolConfig) -> Callable[[float], np
     if config.eta1 != 1.0 or config.eta2 != 1.0:
         raise ValueError("the distribution curve is for the lossless protocol")
     r = config.r_value
-    cutoff = config.cutoff if config.cutoff is not None else default_cutoff(config.n_bar_value)
+    cutoff = config.cutoff_value
 
     def curve(phi: float) -> np.ndarray:
         state = fock.squeeze(fock.vacuum(cutoff), r)

@@ -20,14 +20,6 @@ np = LazyModule("numpy")
 
 LEVELS = ("quick", "full")
 
-#: Floored relative closeness used throughout: |a-b| <= tol * max(|a|,|b|,1).
-def _dev(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
-
-
-def _cdev(a: complex, b: complex) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
-
 
 @dataclass
 class CheckResult:
@@ -71,7 +63,8 @@ def check_table_closed_form_identity() -> tuple[float, str]:
                 row = co.table_row(family, n_bar)
             except ValueError:
                 continue
-            worst = max(worst, _dev(row.qfi, co.path_symmetric_qfi(row.n_bar, row.q, row.j)))
+            identity = co.path_symmetric_qfi(row.n_bar, row.q, row.j)
+            worst = max(worst, co.relative_deviation(row.qfi, identity))
     return worst, "all families, n_bar grid {1, 2, 4, 8.5, 20, 400}"
 
 
@@ -84,10 +77,7 @@ def check_table_oracle(n_bars: tuple[float, ...]) -> tuple[float, str]:
             if family is co.ProbeFamily.ECS:
                 continue
             row = co.table_row(family, n_bar)
-            oracle = co.oracle_row(family, n_bar)
-            worst = max(
-                worst, _dev(row.q, oracle.q), _dev(row.j, oracle.j), _dev(row.qfi, oracle.qfi)
-            )
+            worst = max(worst, row.max_deviation(co.oracle_row(family, n_bar)))
             points += 1
     return worst, f"{points} (family, n_bar) points"
 
@@ -99,8 +89,7 @@ def check_table_oracle_entangled_coherent() -> tuple[float, str]:
     """
     row = co.table_row(co.ProbeFamily.ECS, 20.0)
     oracle = co.oracle_row(co.ProbeFamily.ECS, 20.0, cutoff=60)
-    worst = max(_dev(row.q, oracle.q), _dev(row.j, oracle.j), _dev(row.qfi, oracle.qfi))
-    return worst, "n_bar=20 at cutoff 60"
+    return row.max_deviation(oracle), "n_bar=20 at cutoff 60"
 
 
 def check_engine_equivalence(full: bool) -> tuple[float, str]:
@@ -122,9 +111,9 @@ def check_engine_equivalence(full: bool) -> tuple[float, str]:
                 g, f = report.gaussian_result, report.fock_result
                 worst = max(
                     worst,
-                    _dev(g.signal, f.signal),
-                    _cdev(g.moments.m_aa, f.moments.m_aa),
-                    _dev(g.variance, f.variance),
+                    co.relative_deviation(g.signal, f.signal),
+                    co.relative_deviation(g.moments.m_aa, f.moments.m_aa),
+                    co.relative_deviation(g.variance, f.variance),
                 )
                 points += 1
     return worst, f"{points} grid points at cutoff 60"
@@ -152,7 +141,7 @@ def check_lossless_signal_identity() -> tuple[float, str]:
         for phi in np.linspace(0.0, math.pi / 2, 9):
             worst = max(
                 worst,
-                _dev(
+                co.relative_deviation(
                     gaussian.signal(float(n_bar), float(phi), 1.0),
                     4.0 * n_bar * (n_bar + 1.0) * math.sin(phi) ** 2,
                 ),
@@ -176,7 +165,7 @@ def check_error_propagation_limit(full: bool) -> tuple[float, str]:
         curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=1e-4, n_bar=n_bar))
         worst = max(
             worst,
-            _dev(
+            co.relative_deviation(
                 protocol.error_propagation(curve, 1e-4),
                 1.0 / math.sqrt(8.0 * n_bar * (n_bar + 1.0)),
             ),
@@ -202,7 +191,7 @@ def check_qcrb_saturation() -> tuple[float, str]:
             protocol.ProtocolConfig(phi=0.01, n_bar=n_bar, cutoff=96)
         )
         fisher = co.classical_fisher_information(curve, 0.01)
-        worst = max(worst, _dev(fisher, 8.0 * n_bar * (n_bar + 1.0)))
+        worst = max(worst, co.relative_deviation(fisher, 8.0 * n_bar * (n_bar + 1.0)))
     return worst, "photon-number POVM at phi=0.01, n_bar in {0.5, 1}"
 
 

@@ -221,18 +221,23 @@ class TestValidateCommand:
         assert "PASS" in out
 
 
-class TestCutoffEnvironment:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CUTOFF_ENV_VAR, "60")
-        code, out, _ = run(
-            capsys, "protocol", "--nbar", "1", "--phi", "0.3", "--engine", "fock",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["rows"][0]["cutoff"] == 60
+@pytest.mark.parametrize("n_bar", ["0.01", "0.1", "0.5", "1", "2"])
+def test_default_fock_cutoff_works(capsys, n_bar):
+    code, out, _ = run(
+        capsys, "protocol", "--nbar", n_bar, "--phi", "0.3", "--eta", "0.9",
+        "--engine", "both", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    for key in ("signal_rel_dev", "variance_rel_dev", "m_aa_rel_dev"):
+        assert float(doc["meta"][key]) <= 1e-6
+    assert doc["rows"][1]["trace_deficit"] <= 1e-8
 
-    def test_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CUTOFF_ENV_VAR, "many")
-        code, _, err = run(capsys, "protocol", "--nbar", "1", "--phi", "0.3",
-                           "--engine", "fock")
-        assert code == 2
+
+def test_default_fock_cutoff_names_the_cutoff_it_needs(capsys):
+    code, out, err = run(capsys, "protocol", "--nbar", "1e4", "--phi", "0.3",
+                         "--engine", "fock")
+    assert code == 2
+    assert out == ""
+    assert "needs a cutoff of" in err
+    assert "--cutoff" in err

@@ -167,6 +167,8 @@ class TestPhaseShift:
             fock.phase_shift(fock.vacuum(4), 0.1, "relative-half")
         with pytest.raises(ValueError):
             fock.phase_shift(fock.noon(1, 3), 0.1, "single-mode")
+        with pytest.raises(ValueError):
+            fock.phase_shift(fock.to_density(fock.vacuum(4)), 0.1, "relative-half")
 
     def test_mixed_state_phase(self):
         rho = fock.to_density(fock.coherent(0.8, 20))
@@ -174,11 +176,6 @@ class TestPhaseShift:
         expected = fock.to_density(fock.phase_shift(fock.coherent(0.8, 20), 0.3))
         np.testing.assert_allclose(out.matrix, expected.matrix, atol=1e-14)
 
-    def test_mixed_two_mode_relative_half(self):
-        state = fock.noon(2, 4)
-        out = fock.phase_shift(fock.to_density(state), 0.7, "relative-half")
-        expected = fock.to_density(fock.phase_shift(state, 0.7, "relative-half"))
-        np.testing.assert_allclose(out.matrix, expected.matrix, atol=1e-14)
 
 
 class TestSqueeze:
@@ -232,18 +229,16 @@ class TestLoss:
             fock.loss(fock.vacuum(4), 1.2)
 
     def test_kraus_completeness(self):
+        # sum_j K_j^dag K_j = 1 on the truncated space: the channel keeps the
+        # trace of every number state, which it sends to Binomial(n, eta)
         for eta in (0.0, 0.3, 0.77, 1.0):
-            total = sum(k.T @ k for k in fock.loss_kraus(eta, 14))
-            np.testing.assert_allclose(total, np.eye(15), atol=1e-12)
+            for n in range(15):
+                out = fock.loss(fock.number_state(n, 14), eta)
+                assert out.trace == pytest.approx(1.0, abs=1e-12)
+                binomial = [math.comb(n, k) * eta**k * (1 - eta) ** (n - k) for k in range(n + 1)]
+                np.testing.assert_allclose(
+                    fock.number_distribution(out), binomial + [0.0] * (14 - n), atol=1e-12)
 
-    def test_two_mode_loss_traces(self):
-        state = fock.noon(2, 4)
-        out = fock.loss(state, 0.9, mode=1)
-        assert out.trace == pytest.approx(1.0, abs=1e-12)
-        out.validate()
-        # mode a untouched on the |2,0> branch, damped on |0,2>
-        assert fock.expectation(out, "n", 0) == pytest.approx(1.0, abs=1e-12)
-        assert fock.expectation(out, "n", 1) == pytest.approx(0.9, abs=1e-12)
 
 
 class TestMeasurements:
@@ -269,17 +264,11 @@ class TestMeasurements:
         with pytest.raises(ValueError):
             fock.expectation(fock.vacuum(4), "x")
 
-    def test_two_mode_mixed_quadratic_moment(self):
-        # <a^2> on the squeezed factor of a product state survives the
-        # density-matrix route: -cosh(r) sinh(r) on mode 0, ~0 on mode 1
-        r = 0.5
-        state = fock.product(fock.squeezed_vacuum(r, 0.0, 30), fock.coherent(0.3, 30))
-        rho = fock.to_density(state)
-        expected = -math.cosh(r) * math.sinh(r)
-        assert fock.expectation(rho, "a2", 0) == pytest.approx(expected, rel=1e-6)
-        assert fock.expectation(rho, "a2", 1) == pytest.approx(0.3**2, rel=1e-6)
-        assert fock.expectation(rho, "a2", 0) == pytest.approx(
-            fock.expectation(state, "a2", 0), rel=1e-12
+    @pytest.mark.parametrize("observable", ["n", "n2", "adag2a2", "a2"])
+    def test_density_matrix_route_matches_ket(self, observable):
+        state = fock.phase_shift(fock.squeezed_vacuum(0.6, 0.0, 50), 0.4)
+        assert fock.expectation(fock.to_density(state), observable) == pytest.approx(
+            fock.expectation(state, observable), rel=1e-12
         )
 
     def test_observable_moments_bundle(self):
@@ -316,10 +305,13 @@ class TestDistributions:
         dist = fock.number_distribution(fock.vacuum(4))
         np.testing.assert_array_equal(dist, [1, 0, 0, 0, 0])
 
-    def test_mixed_two_mode_shape(self):
-        dist = fock.number_distribution(fock.loss(fock.noon(2, 3), 0.8, mode=0))
-        assert dist.shape == (4, 4)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+    def test_density_matrix_route(self):
+        state = fock.squeezed_vacuum(0.6, 0.3, 40)
+        np.testing.assert_allclose(
+            fock.number_distribution(fock.to_density(state)),
+            fock.number_distribution(state),
+            atol=1e-15,
+        )
 
 
 class TestStateInvariants:
@@ -344,11 +336,11 @@ class TestStateInvariants:
         mat = np.eye(3, dtype=complex)
         mat[0, 1] = 0.1
         with pytest.raises(ValueError):
-            fock.MixedState(mat / np.trace(mat).real, modes=1, cutoff=2)
+            fock.MixedState(mat / np.trace(mat).real, cutoff=2)
 
     def test_mixed_state_positivity_check(self):
         mat = np.diag([1.5, -0.5, 0.0]).astype(complex)
-        state = fock.MixedState(mat, modes=1, cutoff=2)  # trace and hermiticity fine
+        state = fock.MixedState(mat, cutoff=2)  # trace and hermiticity fine
         with pytest.raises(ValueError):
             state.validate()
 
@@ -368,10 +360,6 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             fock.squeeze(fock.noon(1, 3), 0.2)
 
-    def test_loss_mode_index(self):
-        with pytest.raises(ValueError):
-            fock.loss(fock.vacuum(3), 0.5, mode=1)
-
     def test_expectation_mode_handling(self):
         with pytest.raises(ValueError):
             fock.expectation(fock.vacuum(3), "cross_nn")
@@ -379,6 +367,22 @@ class TestArgumentValidation:
             fock.expectation(fock.noon(1, 3), "n")  # needs a mode index
         with pytest.raises(ValueError):
             fock.expectation(fock.noon(1, 3), "n", mode=2)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            fock.to_density,
+            lambda state: fock.loss(state, 0.5),
+            lambda state: fock.MixedState(
+                np.outer(state.amplitudes.ravel(), state.amplitudes.ravel().conj()),
+                cutoff=state.cutoff,
+            ),
+        ],
+        ids=["to_density", "loss", "MixedState"],
+    )
+    def test_density_matrices_are_single_mode(self, route):
+        with pytest.raises(ValueError):
+            route(fock.noon(2, 3))
 
     def test_tmsv_rejects_negative_r(self):
         with pytest.raises(ValueError):

@@ -36,17 +36,22 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             protocol.ProtocolConfig(phi=0.1, n_bar=1.0, engine="exact")
 
-    def test_digest_keys_runs(self):
-        a = protocol.ProtocolConfig(phi=0.1, n_bar=1.0)
-        b = protocol.ProtocolConfig(phi=0.1, r=R1)
-        c = protocol.ProtocolConfig(phi=0.2, n_bar=1.0)
-        assert a.digest() == b.digest()
-        assert a.digest() != c.digest()
-
     def test_default_cutoff_policy(self):
-        assert protocol.default_cutoff(1.0) == 16
-        assert protocol.default_cutoff(2.5) == 28
-        assert protocol.default_cutoff(1e4) == 128
+        # the smallest even cutoff whose squeezed-vacuum tail is <= 1e-10
+        limit = fock.SQUEEZE_DEFICIT_LIMIT / 100.0
+        for n_bar, expected in ((0.01, 8), (0.1, 16), (1.0, 60), (2.0, 102)):
+            assert protocol.default_cutoff(n_bar) == expected
+            r = math.asinh(math.sqrt(n_bar))
+            assert fock.squeezed_vacuum(r, 0.0, expected).norm_deficit <= limit
+            assert fock.squeezed_vacuum(r, 0.0, expected - 2).norm_deficit > limit
+        assert protocol.ProtocolConfig(phi=0.1, n_bar=1.0).cutoff_value == 60
+        assert protocol.ProtocolConfig(phi=0.1, n_bar=1.0, cutoff=30).cutoff_value == 30
+
+    def test_default_cutoff_cap(self):
+        with pytest.raises(fock.TruncationOverflowError, match=r"cutoff of 418254.*--cutoff"):
+            protocol.default_cutoff(1e4)
+        with pytest.raises(fock.TruncationOverflowError, match="more than"):
+            protocol.default_cutoff(1e10)
 
 
 class TestRunGaussian:
@@ -198,7 +203,8 @@ class TestComparisonReport:
             protocol.ProtocolConfig(phi=0.3, r=0.5, eta1=0.9, eta2=0.9, cutoff=60)
         )
         g, f = report.gaussian_result, report.fock_result
-        assert report.abs_deviation("signal") == abs(g.signal - f.signal)
+        assert report.rel_deviation("signal") == abs(g.signal - f.signal) / max(
+            abs(g.signal), abs(f.signal))
         assert report.rel_deviation("signal") < 1e-6
         assert report.moment_aa_deviation() < 1e-6
         assert report.trace_deficit < 1e-8
