@@ -10,8 +10,8 @@ runs and cross-engine comparisons; the ``qmetro`` CLI exposes all of it.
 
 The Python API is these modules (``from qmetro import fock, protocol``); the
 package itself re-exports nothing.  Importing them loads only the standard
-library: numpy and scipy are bound lazily (:mod:`qmetro._lazy`) and load on
-the first Fock computation.
+library: numpy, the only dependency, is bound lazily (:mod:`qmetro._lazy`)
+and loads on the first Fock computation.
 """
 
 __version__ = "0.1.0"

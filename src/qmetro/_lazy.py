@@ -1,10 +1,10 @@
 """Modules bound at import time but loaded on first use.
 
-numpy and scipy take most of a second to import, and the Gaussian commands
-never need them.  A module that uses them binds a :class:`LazyModule` in
-their place, e.g. ``np = LazyModule("numpy")``, so importing any part of
-qmetro stays standard-library only; the real module is imported the first
-time one of its attributes is read.
+numpy takes a tenth of a second to import, and the Gaussian commands never
+need it.  A module that uses it binds a :class:`LazyModule` in its place,
+``np = LazyModule("numpy")``, so importing any part of qmetro stays
+standard-library only; the real module is imported the first time one of
+its attributes is read.  numpy is the package's only dependency.
 """
 
 import importlib

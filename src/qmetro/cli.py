@@ -8,8 +8,9 @@ identical invocations produce byte-identical files.
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 
 The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
-``table`` without ``--oracle``) run on the standard library alone; numpy and
-scipy are loaded only by the commands that run the Fock oracle.
+``table`` without ``--oracle``) run on the standard library alone; numpy is
+loaded only by the commands that run the Fock oracle, and no command needs
+scipy.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def cmd_sweep(args) -> int:
             raise UsageError("--nbar-logspace: MIN, MAX and COUNT must be finite numbers")
         if lo <= 0 or hi <= lo or count < 1:
             raise UsageError("--nbar-logspace needs 0 < MIN < MAX and COUNT >= 1")
+        if count != int(count):
+            raise UsageError(f"--nbar-logspace: COUNT must be a whole number, got {count!r}")
         count = int(count)
         n_bars = [lo * (hi / lo) ** (i / max(count - 1, 1)) for i in range(count)]
     else:

@@ -398,7 +398,7 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
 
     if family is ProbeFamily.LASER:
         alpha = math.sqrt(n_bar)
-        return fock.beam_splitter(fock.product(fock.coherent(alpha, c), fock.vacuum(c)))
+        return _beam_splitter(fock.product(fock.coherent(alpha, c), fock.vacuum(c)))
     if family is ProbeFamily.NOON:
         return fock.noon(_as_integer(n_bar, "noon"), c)
     if family is ProbeFamily.TWIN_SQUEEZED:
@@ -411,19 +411,32 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
         # denominator, i.e. the canonical operating point.
         alpha = math.sqrt(n_bar / 2.0)
         r = math.asinh(math.sqrt(n_bar / 2.0))
-        return fock.beam_splitter(
+        return _beam_splitter(
             fock.product(fock.coherent(alpha, c), fock.squeezed_vacuum(r, 0.0, c))
         )
     if family is ProbeFamily.TWIN_FOCK:
         n_total = _as_integer(n_bar, "twin_fock")
         if n_total % 2:
             raise ValueError("twin Fock needs an even total photon number")
-        return fock.beam_splitter(fock.twin_fock(n_total // 2, c))
+        return _beam_splitter(fock.twin_fock(n_total // 2, c))
     if family is ProbeFamily.TMSV:
         return fock.two_mode_squeezed_vacuum(math.asinh(math.sqrt(n_bar)), c)
     if family is ProbeFamily.ECS:
         return fock.entangled_coherent(math.sqrt(n_bar), c)
     raise ValueError(f"unknown probe family {state_id!r}")  # pragma: no cover
+
+
+def _beam_splitter(state: PureState) -> PureState:
+    # The beam splitter acts exactly only below the cutoff in total photon
+    # number; a probe must not rest on the clipped blocks above it.
+    clipped, needed = fock.beam_splitter_overflow(state)
+    if clipped > fock.CONSTRUCTOR_DEFICIT_LIMIT:
+        raise fock.TruncationOverflowError(
+            f"beam splitter at cutoff {state.cutoff}: input weight {clipped:.3e} lies in "
+            f"total-photon blocks above the cutoff (limit {fock.CONSTRUCTOR_DEFICIT_LIMIT:g}); "
+            f"use a cutoff of at least {needed}"
+        )
+    return fock.beam_splitter(state)
 
 
 def oracle_row(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None = None) -> TableRow:

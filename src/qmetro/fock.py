@@ -11,8 +11,11 @@ oracle that the closed-form machinery elsewhere in the package is checked
 against, so correctness is preferred over speed throughout.
 
 All states are immutable values and all operations are pure functions; they
-are safe to call concurrently.  numpy and scipy are loaded by the first
-operation that needs them, so importing this module is cheap.
+are safe to call concurrently.  The module needs numpy and the standard
+library only; numpy is loaded by the first operation that needs it, so
+importing this module is cheap.  The squeeze unitary comes from one
+eigendecomposition of its generator per basis size, shared by every
+squeezing parameter, so no matrix exponential is ever taken.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ from ._lazy import LazyModule
 from .gaussian import check_eta
 
 np = LazyModule("numpy")
-scipy_linalg = LazyModule("scipy.linalg")
-scipy_sparse = LazyModule("scipy.sparse")
-scipy_sparse_linalg = LazyModule("scipy.sparse.linalg")
-scipy_special = LazyModule("scipy.special")
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 # Constructors refuse to return a state missing more weight than this.
@@ -39,8 +38,6 @@ SQUEEZE_DEFICIT_LIMIT = 1e-8
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 _BS_ANGLE = math.pi / 4
-# Above this working dimension the squeeze unitary is applied matrix-free.
-_DENSE_EXPM_DIM = 700
 
 OBSERVABLES = ("n", "n2", "cross_nn", "a2", "adag2a2")
 PHASE_CONVENTIONS = ("single-mode", "relative-half")
@@ -311,10 +308,10 @@ def beam_splitter(state: PureState) -> PureState:
     Realised as i^N exp[-i pi/4 (a^dag b + a b^dag)], whose mode map is
     (a, b) -> ((i a + b)/sqrt2, (a + i b)/sqrt2).  The generator conserves
     total photon number, so the unitary is applied exactly within each
-    total-number block; blocks with total above the per-mode cutoff are
-    rotated within their clipped span, which is harmless whenever the state
-    carries negligible weight there (caller's cutoff responsibility, as for
-    every constructor).
+    total-number block.  A block whose total exceeds the per-mode cutoff is
+    only partly representable and is rotated within its clipped span; the
+    input weight in such blocks (:func:`beam_splitter_overflow`) bounds what
+    the result gets wrong there, and is added to its ``truncation_tol``.
     """
     if not isinstance(state, PureState) or state.modes != 2:
         raise ValueError("beam_splitter() acts on two-mode pure states")
@@ -331,10 +328,27 @@ def beam_splitter(state: PureState) -> PureState:
             continue
         n_a = idx_a[:-1]
         off = np.sqrt((n_a + 1.0) * (total - n_a))
-        w, v = scipy_linalg.eigh_tridiagonal(np.zeros(idx_a.size), off)
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
         rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ block)
         out[idx_a, total - idx_a] = phase * rotated
-    return PureState(out, truncation_tol=state.truncation_tol)
+    clipped, _ = beam_splitter_overflow(state)
+    return PureState(out, truncation_tol=state.truncation_tol + clipped)
+
+
+def beam_splitter_overflow(state: PureState) -> tuple[float, int]:
+    """Weight of a two-mode ket in total-photon blocks above its cutoff.
+
+    Returns that weight and the smallest cutoff that leaves at most
+    ``CONSTRUCTOR_DEFICIT_LIMIT`` of it above, i.e. the cutoff at which the
+    beam splitter would act exactly on all but that much of the state.
+    """
+    c = state.cutoff
+    n = np.arange(c + 1)
+    per_total = np.bincount(
+        (n[:, None] + n[None, :]).ravel(), weights=(np.abs(state.amplitudes) ** 2).ravel()
+    )
+    beyond = np.append(np.cumsum(per_total[::-1])[::-1][1:], 0.0)  # weight at totals > T
+    return float(beyond[c]), int(np.argmax(beyond <= CONSTRUCTOR_DEFICIT_LIMIT))
 
 
 def _phase_factors(state: State, phi: float, convention: str) -> np.ndarray:
@@ -360,27 +374,46 @@ def phase_shift(state: State, phi: float, convention: str = "single-mode") -> St
     return MixedState(mat, state.cutoff, truncation_tol=state.truncation_tol)
 
 
-@lru_cache(maxsize=32)
-def _squeeze_unitary(r: float, dim: int) -> np.ndarray:
-    out = scipy_linalg.expm(np.asarray(_squeeze_generator(r, dim).todense()))
-    out.flags.writeable = False
+@lru_cache(maxsize=4)
+def _squeeze_eigen(dim: int) -> tuple:
+    """Eigendecomposition of the squeeze generator on ``dim`` levels, per parity.
+
+    (1/2)(a^2 - a^dag^2) couples n only to n +- 2, so it splits into the even
+    and the odd chain n = p, p + 2, ...  On a chain indexed by k the gauge
+    D = diag(i^k) turns it into i T with T real symmetric tridiagonal
+    (off-diagonal sqrt(n (n - 1)) / 2), hence
+    exp[(r/2)(a^2 - a^dag^2)] = D V e^{i r Lambda} V^T D^* with T = V Lambda V^T.
+    One decomposition serves every r, squeeze and un-squeeze alike.
+    """
+    chains = []
+    for parity in (0, 1):
+        n = np.arange(parity, dim, 2, dtype=float)
+        off = 0.5 * np.sqrt(n[1:] * (n[1:] - 1.0))
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        gauge = np.array([1, 1j, -1, -1j])[np.arange(n.size) % 4]
+        for array in (w, v, gauge):
+            array.flags.writeable = False
+        chains.append((w, v, gauge))
+    return tuple(chains)
+
+
+def _apply_squeeze(block: np.ndarray, r: float) -> np.ndarray:
+    """exp[(r/2)(a^2 - a^dag^2)] @ block over the first ``block.shape[0]`` levels."""
+    out = np.empty_like(block)
+    column = (-1,) + (1,) * (block.ndim - 1)
+    for parity, (w, v, gauge) in enumerate(_squeeze_eigen(block.shape[0])):
+        x = _real_matmul(v.T, gauge.conj().reshape(column) * block[parity::2])
+        x *= np.exp(1j * r * w).reshape(column)
+        out[parity::2] = gauge.reshape(column) * _real_matmul(v, x)
     return out
 
 
-def _squeeze_generator(r: float, dim: int):
-    # (r/2)(a^2 - a^dag^2), anti-Hermitian band matrix with offsets +-2.
-    n = np.arange(dim, dtype=float)
-    a2 = np.sqrt(n[2:] * n[1:-1])  # <n-2| a^2 |n>
-    return scipy_sparse.diags(
-        [0.5 * r * a2, -0.5 * r * a2], offsets=[2, -2], format="csc", dtype=complex
-    )
-
-
-def _apply_squeeze_padded(block: np.ndarray, r: float, dim: int, work_dim: int) -> np.ndarray:
-    if work_dim <= _DENSE_EXPM_DIM:
-        u = _squeeze_unitary(r, work_dim)
-        return u @ block
-    return scipy_sparse_linalg.expm_multiply(_squeeze_generator(r, work_dim), block)
+def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # m @ x for real m and complex x as one real product over the interleaved
+    # real and imaginary parts (half the work of a complex product).
+    x = np.ascontiguousarray(x)
+    product = m @ x.reshape(x.shape[0], -1).view(float)
+    return product.view(complex).reshape((m.shape[0],) + x.shape[1:])
 
 
 def squeeze(state: State, r: float, grow: bool = False) -> State:
@@ -449,13 +482,13 @@ def _squeezed_array(state: State, r: float, dim: int, work_dim: int):
     if isinstance(state, PureState):
         psi = np.zeros(work_dim, dtype=complex)
         psi[:dim] = state.amplitudes
-        out = _apply_squeeze_padded(psi, r, dim, work_dim)
+        out = _apply_squeeze(psi, r)
         edge = float(np.vdot(out[-4:], out[-4:]).real)
         return out, edge
     sigma = np.zeros((work_dim, work_dim), dtype=complex)
     sigma[:dim, :dim] = state.matrix
-    half = _apply_squeeze_padded(sigma, r, dim, work_dim)
-    out = _apply_squeeze_padded(half.conj().T, r, dim, work_dim).conj().T
+    half = _apply_squeeze(sigma, r)
+    out = _apply_squeeze(half.conj().T, r).conj().T
     edge = float(np.sum(np.diag(out).real[-4:]))
     return out, edge
 
@@ -473,10 +506,9 @@ def _check_squeeze_spill(spill: float, edge: float, cutoff: int, r: float) -> No
 # ---------------------------------------------------------------------------
 
 
-def _loss_weights(eta: float, j: int, n: np.ndarray) -> np.ndarray:
+def _loss_weights(eta: float, j: int, n: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
     # sqrt(C(n, j)) (1-eta)^{j/2} eta^{(n-j)/2} for 0 < eta < 1, in log space.
-    gammaln = scipy_special.gammaln
-    log_binom = gammaln(n + 1) - gammaln(n - j + 1) - gammaln(j + 1)
+    log_binom = log_fact[n] - log_fact[n - j] - log_fact[j]
     return np.exp(0.5 * (log_binom + j * np.log1p(-eta) + (n - j) * np.log(eta)))
 
 
@@ -496,9 +528,10 @@ def loss(state: State, eta: float) -> MixedState:
     if eta == 0.0:
         out[0, 0] = rho.trace
     else:
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
         for j in range(dim):
             n = np.arange(j, dim)
-            g = _loss_weights(eta, j, n)
+            g = _loss_weights(eta, j, n, log_fact)
             out[: dim - j, : dim - j] += np.outer(g, g) * rho.matrix[j:, j:]
     out = 0.5 * (out + out.conj().T)
     return MixedState(
@@ -604,7 +637,6 @@ class ObservableMoments:
 
     mean_n: tuple[float, ...]
     mean_n2: tuple[float, ...]
-    mean_a2: tuple[complex, ...]
     var_n: tuple[float, ...]
     cross_nn: float | None
 
@@ -617,15 +649,12 @@ class ObservableMoments:
 
 
 def observable_moments(state: State) -> ObservableMoments:
-    mean_n, mean_n2, mean_a2, var_n = [], [], [], []
+    mean_n, mean_n2, var_n = [], [], []
     for mode in range(state.modes):
         m1 = expectation(state, "n", mode)
         m2 = expectation(state, "n2", mode)
         mean_n.append(m1)
         mean_n2.append(m2)
-        mean_a2.append(expectation(state, "a2", mode))
         var_n.append(m2 - m1**2)
     cross = expectation(state, "cross_nn") if state.modes == 2 else None
-    return ObservableMoments(
-        tuple(mean_n), tuple(mean_n2), tuple(mean_a2), tuple(var_n), cross
-    )
+    return ObservableMoments(tuple(mean_n), tuple(mean_n2), tuple(var_n), cross)

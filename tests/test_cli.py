@@ -52,6 +52,16 @@ class TestTableCommand:
         assert "oracle unavailable" in rows["twin_squeezed_vacuum"]["note"]
         assert rows["twin_fock"]["max_rel_dev"] < 1e-8
 
+    def test_oracle_names_the_beam_splitter_cutoff(self, capsys):
+        # |1,1> at cutoff 1 sits wholly in a total-photon block the beam
+        # splitter cannot represent; the row names the cutoff that can
+        code, out, _ = run(
+            capsys, "table", "--nbar", "2", "--oracle", "--cutoff", "1", "--format", "json")
+        assert code == 0
+        rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
+        assert "oracle unavailable" in rows["twin_fock"]["note"]
+        assert "cutoff of at least 2" in rows["twin_fock"]["note"]
+
 
 class TestProtocolCommand:
     def test_reference_signal(self, capsys):
@@ -200,6 +210,15 @@ def test_non_finite_input_is_refused(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("count", ["2.5", "1.5", "10.01"])
+def test_fractional_logspace_count_is_refused(capsys, count):
+    code, out, err = run(capsys, "sweep", "--nbar-logspace", "1", "10", count,
+                         "--phi", "0.1", "--eta", "0.9")
+    assert code == 2
+    assert out == ""
+    assert "COUNT" in err
 
 
 class TestValidateCommand:

@@ -146,6 +146,26 @@ class TestBeamSplitter:
         with pytest.raises(ValueError):
             fock.beam_splitter(fock.coherent(0.5, 10))
 
+    def test_clipped_block_weight_is_recorded(self):
+        # |1,1> at cutoff 1: its whole weight sits in the total-2 block, which
+        # the cutoff cannot hold; cutoff 2 would hold it
+        state = fock.twin_fock(1, 1)
+        assert fock.beam_splitter_overflow(state) == (1.0, 2)
+        assert fock.beam_splitter(state).truncation_tol >= 1.0
+
+    def test_small_clipped_weight_is_folded_into_the_tolerance(self):
+        weight = 1e-8
+        state = ket({(0, 0): math.sqrt(1.0 - weight), (2, 2): math.sqrt(weight)}, 2, modes=2)
+        clipped, _ = fock.beam_splitter_overflow(state)
+        assert clipped == pytest.approx(weight, rel=1e-12)
+        out = fock.beam_splitter(state)
+        assert out.truncation_tol == pytest.approx(state.truncation_tol + weight, rel=1e-12)
+
+    def test_unclipped_input_keeps_its_tolerance(self):
+        state = fock.product(fock.coherent(1.0, 30), fock.vacuum(30))
+        assert fock.beam_splitter_overflow(state)[0] == 0.0
+        assert fock.beam_splitter(state).truncation_tol == state.truncation_tol
+
 
 class TestPhaseShift:
     def test_identity(self):
@@ -208,6 +228,41 @@ class TestSqueeze:
         back = fock.squeeze(fock.squeeze(rho, 0.5), -0.5)
         psi = fock.coherent(0.8, 48)
         assert fock.fidelity(psi, back) >= 1.0 - 1e-9
+
+
+def padded_generator(r, dim):
+    """(r/2)(a^2 - a^dag^2) on ``dim`` levels, dense."""
+    g = np.zeros((dim, dim))
+    n = np.arange(2, dim)
+    g[n - 2, n] = 0.5 * r * np.sqrt(n * (n - 1.0))
+    g[n, n - 2] = -g[n - 2, n]
+    return g
+
+
+class TestSqueezeUnitary:
+    """The eigendecomposition route against a matrix exponential of the generator."""
+
+    @pytest.mark.parametrize("dim", [64, 122, 202, 402])
+    @pytest.mark.parametrize("r", [0.5, -0.5, 1.44, -1.44, 2.5])
+    def test_matches_expm(self, dim, r):
+        expm = pytest.importorskip("scipy.linalg").expm
+        u = fock._apply_squeeze(np.eye(dim, dtype=complex), r)
+        reference = expm(padded_generator(r, dim))
+        # squeeze() pads the basis to twice the state's dimension, so the state
+        # occupies the first half of the columns.  Beyond them the comparison
+        # is limited by expm's own error (its unitarity defect reaches ~1e-11
+        # at dim 402, against ~2e-15 here).
+        half = dim // 2
+        assert np.max(np.abs(u[:, :half] - reference[:, :half])) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [64, 402])
+    @pytest.mark.parametrize("r", [0.5, 1.44, 2.5])
+    def test_unitary_and_transposed_inverse(self, dim, r):
+        u = fock._apply_squeeze(np.eye(dim, dtype=complex), r)
+        inverse = fock._apply_squeeze(np.eye(dim, dtype=complex), -r)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-13
+        # the generator is real antisymmetric, so U(-r) = U(r)^T
+        assert np.max(np.abs(inverse - u.T)) <= 1e-12
 
 
 class TestLoss:
@@ -434,7 +489,6 @@ def low_occupancy_states(draw, support=3, cutoff=96):
     return fock.PureState(amps)
 
 
-# Quantized so the cached squeeze unitaries get reused across examples.
 squeeze_parameters = st.sampled_from(tuple(np.linspace(-0.9, 0.9, 25).tolist()))
 
 
