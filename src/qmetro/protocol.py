@@ -145,11 +145,29 @@ def default_cutoff(n_bar: float) -> int:
     """Smallest even cutoff whose squeezed-vacuum tail is <= SQUEEZE_DEFICIT_LIMIT / 100.
 
     The squeeze stage of a Fock run then meets its budget by construction.
+    The cutoff comes from :func:`squeeze_cutoff`.  Raises
+    TruncationOverflowError, before any Fock work, when it exceeds
+    DEFAULT_CUTOFF_CAP.
+    """
+    cutoff, found = squeeze_cutoff(n_bar)
+    if cutoff > DEFAULT_CUTOFF_CAP:
+        needed = cutoff if found else f"more than {cutoff}"
+        raise TruncationOverflowError(
+            f"n_bar={n_bar!r} needs a cutoff of {needed} to keep the squeezed-vacuum tail "
+            f"below {fock.SQUEEZE_DEFICIT_LIMIT / 100.0:g}, above the default cap "
+            f"{DEFAULT_CUTOFF_CAP}; pass --cutoff explicitly"
+        )
+    return cutoff
+
+
+def squeeze_cutoff(n_bar: float) -> tuple[int, bool]:
+    """Smallest even cutoff whose exact squeezed-vacuum tail is <= SQUEEZE_DEFICIT_LIMIT / 100.
+
     With sinh^2 r = n_bar the squeezed vacuum's photon-number probabilities
     are P(0) = 1/cosh r and P(2m) = P(2m-2) tanh^2 r (2m-1)/(2m); the tail
-    past a cutoff is 1 minus their running sum.  Raises
-    TruncationOverflowError, before any Fock work, when that cutoff exceeds
-    DEFAULT_CUTOFF_CAP.
+    past a cutoff is 1 minus their running sum.  The search stops at
+    ``_CUTOFF_SEARCH_LIMIT``; the flag tells whether the returned cutoff
+    meets the limit or is only where the search stopped.
     """
     limit = fock.SQUEEZE_DEFICIT_LIMIT / 100.0
     tanh_sq = n_bar / (n_bar + 1.0)
@@ -159,15 +177,7 @@ def default_cutoff(n_bar: float) -> int:
         m += 1
         p *= tanh_sq * (2 * m - 1) / (2 * m)
         total += p
-    cutoff = max(2, 2 * m)
-    if cutoff > DEFAULT_CUTOFF_CAP:
-        needed = cutoff if 1.0 - total <= limit else f"more than {cutoff}"
-        raise TruncationOverflowError(
-            f"n_bar={n_bar!r} needs a cutoff of {needed} to keep the squeezed-vacuum tail "
-            f"below {limit:g}, above the default cap {DEFAULT_CUTOFF_CAP}; "
-            "pass --cutoff explicitly"
-        )
-    return cutoff
+    return max(2, 2 * m), 1.0 - total <= limit
 
 
 def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
@@ -207,8 +217,14 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
     r, phi = config.r_value, config.phi
     cutoff = config.cutoff_value
 
-    state: PureState | MixedState = fock.vacuum(cutoff)
-    state = _staged(fock.squeeze, state, r, stage="squeeze")
+    try:
+        state: PureState | MixedState = fock.squeeze(fock.vacuum(cutoff), r)
+    except TruncationOverflowError as exc:
+        needed, found = squeeze_cutoff(config.n_bar_value)
+        raise TruncationOverflowError(
+            f"squeeze stage: {exc}; use a cutoff of {'at least' if found else 'more than'} "
+            f"{needed}"
+        ) from exc
     state = fock.phase_shift(state, -phi)
     if config.eta1 < 1.0:
         state = fock.loss(state, config.eta1)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qmetro import cli
+from qmetro import cli, protocol
 
 
 def run(capsys, *argv):
@@ -260,3 +260,12 @@ def test_default_fock_cutoff_names_the_cutoff_it_needs(capsys):
     assert out == ""
     assert "needs a cutoff of" in err
     assert "--cutoff" in err
+
+
+def test_squeeze_overflow_names_the_cutoff_it_needs(capsys):
+    code, out, err = run(capsys, "protocol", "--nbar", "10", "--phi", "0.1", "--eta", "0.9",
+                         "--engine", "fock", "--cutoff", "60")
+    assert code == 2
+    assert out == ""
+    assert "squeeze stage" in err
+    assert f"use a cutoff of at least {protocol.squeeze_cutoff(10.0)[0]}" in err

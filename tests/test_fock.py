@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,26 @@ class TestTwoModeConstructors:
         assert np.max(np.abs(off_diagonal)) == 0.0
 
 
+def eigh_beam_splitter(amps):
+    """i^N exp[-i pi/4 (a^dag b + a b^dag)] block by block, one eigh per block."""
+    c = amps.shape[0] - 1
+    out = np.zeros_like(amps)
+    for total in range(2 * c + 1):
+        idx_a = np.arange(max(0, total - c), min(total, c) + 1)
+        block = amps[idx_a, total - idx_a]
+        n_a = idx_a[:-1]
+        off = np.sqrt((n_a + 1.0) * (total - n_a))
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        rotated = (v * np.exp(-1j * math.pi / 4 * w)) @ (v.T @ block)
+        out[idx_a, total - idx_a] = 1j ** (total % 4) * rotated
+    return out
+
+
+def random_ket(rng, shape):
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps)
+
+
 class TestBeamSplitter:
     def test_hong_ou_mandel(self):
         out = fock.beam_splitter(fock.twin_fock(1, 4))
@@ -165,6 +186,51 @@ class TestBeamSplitter:
         state = fock.product(fock.coherent(1.0, 30), fock.vacuum(30))
         assert fock.beam_splitter_overflow(state)[0] == 0.0
         assert fock.beam_splitter(state).truncation_tol == state.truncation_tol
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 200])
+    def test_matches_per_block_eigh(self, cutoff):
+        # every block, complete (the recursion) and clipped (eigh), is applied
+        # to a random input
+        amps = random_ket(np.random.default_rng(cutoff), (cutoff + 1, cutoff + 1))
+        out = fock.beam_splitter(fock.PureState(amps)).amplitudes
+        assert np.max(np.abs(out - eigh_beam_splitter(amps))) <= 1e-13
+
+    def test_complete_blocks_are_orthogonal_up_to_total_400(self):
+        for total, rot in enumerate(fock._multiplets(400)):
+            assert rot.shape == (total + 1, total + 1)
+            if total % 8 == 0:  # every eighth block keeps the test fast
+                assert np.max(np.abs(rot.T @ rot - np.eye(total + 1))) <= 1e-13
+
+    def test_recursion_stays_accurate_at_total_400(self):
+        # A random vector in the complete block of total 400.  A recurrence
+        # that builds the block column by column from (i a^dag + b^dag)/sqrt2
+        # alone is not isometric: its error grows with the total and it
+        # diverges before 400.
+        cutoff = 400
+        k = np.arange(cutoff + 1)
+        amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        amps[k, cutoff - k] = random_ket(np.random.default_rng(400), cutoff + 1)
+        out = fock.beam_splitter(fock.PureState(amps)).amplitudes
+        off = np.sqrt((k[:-1] + 1.0) * (cutoff - k[:-1]))
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        expected = (v * np.exp(-1j * math.pi / 4 * w)) @ (v.T @ amps[k, cutoff - k])
+        assert np.max(np.abs(out[k, cutoff - k] - expected)) <= 1e-13
+
+    def test_empty_blocks_skipped_without_changing_the_accounting(self):
+        # input in one complete and one clipped block only; every other block,
+        # including those between them, is exactly zero and must stay zero
+        cutoff = 6
+        amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        amps[1, 2] = math.sqrt(0.5)
+        amps[4, 5] = math.sqrt(0.5)
+        state = fock.PureState(amps)
+        assert fock.beam_splitter_overflow(state) == (pytest.approx(0.5), 9)
+        out = fock.beam_splitter(state)
+        assert out.truncation_tol == state.truncation_tol + fock.beam_splitter_overflow(state)[0]
+        np.testing.assert_allclose(out.amplitudes, eigh_beam_splitter(amps), atol=1e-15)
+        n = np.arange(cutoff + 1)
+        totals = n[:, None] + n[None, :]
+        assert np.all(out.amplitudes[(totals != 3) & (totals != 9)] == 0.0)
 
 
 class TestPhaseShift:
@@ -265,7 +331,52 @@ class TestSqueezeUnitary:
         assert np.max(np.abs(inverse - u.T)) <= 1e-12
 
 
+def kraus_loss(matrix, eta):
+    """sum_j K_j rho K_j^dag, one Kraus operator at a time, for 0 < eta < 1."""
+    dim = matrix.shape[0]
+    out = np.zeros_like(matrix)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    for j in range(dim):
+        n = np.arange(j, dim)
+        log_binom = log_fact[n] - log_fact[n - j] - log_fact[j]
+        g = np.exp(0.5 * (log_binom + j * np.log1p(-eta) + (n - j) * np.log(eta)))
+        out[: dim - j, : dim - j] += np.outer(g, g) * matrix[j:, j:]
+    return 0.5 * (out + out.conj().T)
+
+
+def random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return fock.MixedState(rho / np.trace(rho).real, dim - 1)
+
+
 class TestLoss:
+    @pytest.mark.parametrize("eta", [1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-9])
+    def test_matches_kraus_sum(self, eta):
+        rng = np.random.default_rng(7)
+        for dim in range(1, 71):
+            rho = random_density(rng, dim)
+            out = fock.loss(rho, eta)
+            reference = kraus_loss(rho.matrix, eta)
+            assert np.max(np.abs(out.matrix - reference)) <= 1e-14 * np.max(np.abs(reference))
+            # exactly Hermitian, and trace preserving
+            assert np.array_equal(out.matrix, out.matrix.conj().T)
+            assert out.trace == pytest.approx(1.0, abs=1e-13)
+
+    def test_peak_memory(self):
+        # the output's symmetrisation and MixedState's Hermiticity check set
+        # the peak (just under 10 MiB at dim 402); the weight matrix and the
+        # per-diagonal buffer must not raise it
+        rho = random_density(np.random.default_rng(402), 402)
+        fock.loss(rho, 0.9)
+        tracemalloc.start()
+        try:
+            fock.loss(rho, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 2**20
+
     def test_full_transmission_is_identity(self):
         state = fock.coherent(1.0, 25)
         out = fock.loss(state, 1.0)

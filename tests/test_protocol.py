@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestProtocolConfig:
             protocol.default_cutoff(1e4)
         with pytest.raises(fock.TruncationOverflowError, match="more than"):
             protocol.default_cutoff(1e10)
+
+    def test_squeeze_cutoff_has_no_cap(self):
+        assert protocol.squeeze_cutoff(1.0) == (60, True)
+        assert protocol.squeeze_cutoff(1e4) == (418254, True)
+        needed, found = protocol.squeeze_cutoff(1e10)
+        assert not found and needed >= protocol._CUTOFF_SEARCH_LIMIT
+
+    def test_squeeze_overflow_names_a_cutoff_that_works(self):
+        config = protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=0.9, eta2=0.9, cutoff=30)
+        with pytest.raises(
+            fock.TruncationOverflowError, match=r"^squeeze stage: .*use a cutoff of at least 60$"
+        ):
+            protocol.run_fock(config)
+        result = protocol.run_fock(replace(config, cutoff=60))
+        assert result.trace_deficit <= protocol.TRACE_DEFICIT_LIMIT
 
 
 class TestRunGaussian:
