@@ -2,7 +2,9 @@
 
 Kets of one or two bosonic modes are dense complex amplitude tensors over the
 number basis |0>, ..., |cutoff>; density matrices, which photon loss
-produces, are single-mode.  The protocol is single-mode, and the two-mode
+produces, are single-mode.  A lossy single-mode ket can also be kept as the
+kets of its Kraus branches, rho = sum_k |phi_k><phi_k|, which the squeeze
+moves all at once; the protocol's lossy runs never form rho.  The two-mode
 probe catalogue needs only kets.  Every state records how much probability
 weight truncation is allowed to have cost it (``truncation_tol``), and every
 operation either preserves weight exactly or measures what it discarded and
@@ -19,7 +21,9 @@ squeezing parameter, so no matrix exponential is ever taken.  Photon loss
 acts on each diagonal of a density matrix on its own and is evaluated one
 diagonal at a time.  The beam splitter's unitary on a complete total-photon
 block follows from the previous block's by a stable recursion; only the
-blocks that the cutoff clips are diagonalised.
+blocks that the cutoff clips are diagonalised.  The squeeze and beam
+splitter generators couple even levels only to odd ones, so each
+diagonalisation is one SVD of half the size.
 """
 
 from __future__ import annotations
@@ -154,7 +158,47 @@ class MixedState:
             raise ValueError(f"negative eigenvalue {eigenvalues.min():.3e}")
 
 
-State = PureState | MixedState
+class BranchState:
+    """Single-mode mixed state rho = sum_k |phi_k><phi_k| held as its branch kets.
+
+    ``branches`` has shape ``(cutoff + 1, K)``; column k is the unnormalised
+    ket phi_k, and the squared norms sum to the trace, which must lie in
+    ``[1 - truncation_tol, 1]``.  :func:`loss_branches` makes one from a ket.
+    Immutable like the other states, but a plain class: every command
+    imports this module, and a dataclass's generated methods are compiled
+    at import time.
+    """
+
+    __slots__ = ("branches", "truncation_tol")
+    modes = 1
+
+    def __init__(self, branches: np.ndarray, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
+        branches = _frozen(branches)
+        if branches.ndim != 2 or 0 in branches.shape:
+            raise ValueError(f"expected a (cutoff + 1, K) branch array, got {branches.shape}")
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "truncation_tol", truncation_tol)
+        tr = self.trace
+        if not 1.0 - truncation_tol <= tr <= 1.0 + 1e-12:
+            raise ValueError(f"trace {tr!r} outside [1 - {truncation_tol:g}, 1]")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"BranchState is immutable; cannot set {name!r}")
+
+    @property
+    def cutoff(self) -> int:
+        return self.branches.shape[0] - 1
+
+    @property
+    def trace(self) -> float:
+        return float(np.vdot(self.branches, self.branches).real)
+
+    @property
+    def trace_deficit(self) -> float:
+        return max(0.0, 1.0 - self.trace)
+
+
+State = PureState | MixedState | BranchState
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +387,7 @@ def beam_splitter(state: PureState) -> PureState:
         block = amps[idx_a, total - idx_a]
         n_a = idx_a[:-1]
         off = np.sqrt((n_a + 1.0) * (total - n_a))
-        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        w, v = _chiral_eigh(np.diag(off, 1) + np.diag(off, -1))
         rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ block)
         out[idx_a, total - idx_a] = 1j ** (total % 4) * rotated
     clipped, _ = beam_splitter_overflow(state)
@@ -441,12 +485,30 @@ def _squeeze_eigen(dim: int) -> tuple:
     for parity in (0, 1):
         n = np.arange(parity, dim, 2, dtype=float)
         off = 0.5 * np.sqrt(n[1:] * (n[1:] - 1.0))
-        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        w, v = _chiral_eigh(np.diag(off, 1) + np.diag(off, -1))
         gauge = _gauge(n.size)
         for array in (w, v, gauge):
             array.flags.writeable = False
         chains.append((w, v, gauge))
     return tuple(chains)
+
+
+def _chiral_eigh(t: np.ndarray) -> tuple:
+    """Eigendecomposition of a real symmetric matrix that couples even indices only to odd ones.
+
+    With the even indices first it reads [[0, C], [C^T, 0]], so the SVD
+    C = U S V^T gives it: eigenvalues +-s with eigenvectors (u, +-v)/sqrt2,
+    and 0 with (u, 0) for each column of U beyond those of V.  One SVD of
+    half the size costs about a third of ``eigh`` on the whole.
+    """
+    u, s, vt = np.linalg.svd(t[0::2, 1::2])
+    pairs = s.size
+    v = np.zeros(t.shape)
+    v[0::2, : 2 * pairs] = np.tile(u[:, :pairs], 2) / math.sqrt(2.0)
+    v[1::2, :pairs] = vt.T / math.sqrt(2.0)
+    v[1::2, pairs : 2 * pairs] = -v[1::2, :pairs]
+    v[0::2, 2 * pairs :] = u[:, pairs:]
+    return np.concatenate([s, -s, np.zeros(t.shape[0] - 2 * pairs)]), v
 
 
 def _gauge(size: int) -> np.ndarray:
@@ -476,6 +538,7 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def squeeze(state: State, r: float, grow: bool = False) -> State:
     """Single-mode squeeze exp[(r/2)(a^2 - a^dag^2)]; negative r un-squeezes.
 
+    Acts on a ket, or on every branch ket of a :class:`BranchState` at once.
     By default the unitary is evaluated in a padded basis and the result
     restricted back to the state's cutoff; weight left in the pad is the
     truncation deficit and must stay below ``SQUEEZE_DEFICIT_LIMIT``.  With
@@ -488,13 +551,23 @@ def squeeze(state: State, r: float, grow: bool = False) -> State:
     """
     if state.modes != 1:
         raise ValueError("squeeze() acts on single-mode states")
+    if isinstance(state, MixedState):
+        raise ValueError("squeeze() acts on kets and branch states, not density matrices")
     if r == 0.0:
         return state
+    branched = isinstance(state, BranchState)
+    array = state.branches if branched else state.amplitudes
     dim = state.cutoff + 1
 
     work_dim = 2 * max(dim, 32)
     while True:
-        out, edge = _squeezed_array(state, r, dim, work_dim)
+        padded = np.zeros((work_dim,) + array.shape[1:], dtype=complex)
+        padded[:dim] = array
+        out = _apply_squeeze(padded, r)
+        weights = np.abs(out) ** 2
+        if branched:
+            weights = weights.sum(axis=1)
+        edge = float(weights[-4:].sum())
         if edge <= 0.1 * SQUEEZE_DEFICIT_LIMIT:
             break
         if not grow or work_dim >= 8192:
@@ -505,49 +578,27 @@ def squeeze(state: State, r: float, grow: bool = False) -> State:
             break
         work_dim *= 2
 
-    if isinstance(state, PureState):
-        weights = np.abs(out) ** 2
-    else:
-        weights = np.clip(np.diag(out).real, 0.0, None)
-
     if grow:
-        # Keep every level that carries weight; trim only a <=1e-16 tail.
-        tail = np.cumsum(weights[::-1])[::-1]
-        keep = int(np.searchsorted(-tail, -1e-16))
-        keep = max(dim, min(work_dim, keep + 1))
-        spill = float(tail[keep]) if keep < work_dim else 0.0
+        keep, spill = _trim(weights, dim)
     else:
         keep = dim
         spill = float(weights[dim:].sum())
         _check_squeeze_spill(spill, edge, state.cutoff, r)
-
-    if isinstance(state, PureState):
-        return PureState(
-            out[:keep],
-            truncation_tol=_tol_for(state.norm_deficit + spill, base=state.truncation_tol),
-        )
-    mat = 0.5 * (out[:keep, :keep] + out[:keep, :keep].conj().T)
-    return MixedState(
-        mat,
-        keep - 1,
-        truncation_tol=_tol_for(state.trace_deficit + spill, base=state.truncation_tol),
+    deficit = state.trace_deficit if branched else state.norm_deficit
+    return type(state)(
+        out[:keep], truncation_tol=_tol_for(deficit + spill, base=state.truncation_tol)
     )
 
 
-def _squeezed_array(state: State, r: float, dim: int, work_dim: int):
-    """Squeezed amplitudes or density matrix at work_dim, plus edge weight."""
-    if isinstance(state, PureState):
-        psi = np.zeros(work_dim, dtype=complex)
-        psi[:dim] = state.amplitudes
-        out = _apply_squeeze(psi, r)
-        edge = float(np.vdot(out[-4:], out[-4:]).real)
-        return out, edge
-    sigma = np.zeros((work_dim, work_dim), dtype=complex)
-    sigma[:dim, :dim] = state.matrix
-    half = _apply_squeeze(sigma, r)
-    out = _apply_squeeze(half.conj().T, r).conj().T
-    edge = float(np.sum(np.diag(out).real[-4:]))
-    return out, edge
+def _trim(weights: np.ndarray, least: int) -> tuple[int, float]:
+    """How many leading entries to keep, at least ``least``, and the weight of the rest.
+
+    Every entry that carries weight is kept; only a tail of at most 1e-16 is
+    dropped.
+    """
+    tail = np.cumsum(weights[::-1])[::-1]
+    keep = max(least, min(weights.size, int(np.searchsorted(-tail, -1e-16)) + 1))
+    return keep, float(tail[keep]) if keep < weights.size else 0.0
 
 
 def _check_squeeze_spill(spill: float, edge: float, cutoff: int, r: float) -> None:
@@ -613,26 +664,68 @@ def _loss_diagonals(matrix: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _loss_matrix(eta: float, dim: int) -> np.ndarray:
-    """B[m, n] = <m|K_{n-m}|n> = sqrt(C(n, n-m)) (1-eta)^{(n-m)/2} eta^{m/2}, 0 for n < m.
+    """B[m, n] = <m|K_{n-m}|n>, 0 for n < m: :func:`_loss_band` laid out on its superdiagonals."""
+    out = np.zeros((dim, dim))
+    for k, row in enumerate(_loss_band(eta, dim, 0, dim)):
+        out.reshape(-1)[k :: dim + 1][: dim - k] = row[: dim - k]
+    return out
 
-    Evaluated in log space in one pass; the terms that depend on n - m alone
-    enter as Toeplitz views of one vector each, padded below the diagonal so
-    that those entries come out as exp(-inf) = 0.
+
+def _loss_band(eta: float, dim: int, start: int, stop: int) -> np.ndarray:
+    """Rows k = start..stop - 1 of band[k, m] = B[m, m + k] = <m|K_k|m + k>, 0 for m + k >= dim.
+
+    B[m, n] = sqrt(C(n, n-m)) (1-eta)^{(n-m)/2} eta^{m/2} for 0 < eta < 1,
+    evaluated in log space in one pass; log (m + k)! enters as a Hankel view
+    of one vector padded with -inf, so entries past the basis come out as
+    exp(-inf) = 0.
     """
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    n = np.arange(dim)
-
-    def toeplitz(upper: np.ndarray, below: float) -> np.ndarray:
-        # view t[m, n] = upper[n - m] for n >= m, ``below`` for n < m
-        padded = np.concatenate([np.full(dim - 1, below), upper])
-        return np.lib.stride_tricks.sliding_window_view(padded, dim)[::-1]
-
-    log_b = log_fact[None, :] - log_fact[:, None]
-    log_b -= toeplitz(log_fact, math.inf)
-    log_b += toeplitz(n * np.log1p(-eta), 0.0)
-    log_b += (n * np.log(eta))[:, None]
+    stop = min(stop, dim)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(dim)])
+    padded = np.concatenate([log_fact, np.full(dim - 1, -math.inf)])
+    log_b = np.lib.stride_tricks.sliding_window_view(padded, dim)[start:stop] - log_fact
+    log_b -= log_fact[start:stop, None]
+    log_b += (np.arange(start, stop) * np.log1p(-eta))[:, None]
+    log_b += np.arange(dim) * np.log(eta)
     log_b *= 0.5
     return np.exp(log_b, out=log_b)
+
+
+def loss_branches(state: PureState, eta: float) -> BranchState:
+    """The loss channel on a single-mode ket, kept as its Kraus branches.
+
+    The output is rho = sum_k |phi_k><phi_k| with phi_k = K_k psi, i.e.
+    phi_k[m] = B[m, m + k] psi[m + k] (:func:`_loss_band`): the ket left when
+    k photons are lost, whose squared norm is the probability of that.  The
+    leading branches are kept by the rule of :func:`_trim`; the dropped
+    ones' weight leaves the trace, so it shows in ``trace_deficit``.  B is
+    evaluated 64 rows at a time, so nothing of size (cutoff + 1)^2 is formed.
+    """
+    check_eta(eta)
+    if not isinstance(state, PureState) or state.modes != 1:
+        raise ValueError("loss_branches() acts on single-mode kets")
+    psi = state.amplitudes
+    dim = psi.size
+    dropped = 0.0
+    if eta == 1.0:
+        branches = psi[:, None]
+    elif eta == 0.0:
+        branches = np.zeros((dim, 1))
+        branches[0] = math.sqrt(state.norm_squared)
+    else:
+        # shifted[k, m] = psi[m + k], 0 past the cutoff (a view)
+        shifted = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([psi, np.zeros(dim - 1)]), dim
+        )
+        weights = np.concatenate([
+            np.einsum("km,km->k", _loss_band(eta, dim, k, k + 64) ** 2,
+                      np.abs(shifted[k : k + 64]) ** 2)
+            for k in range(0, dim, 64)
+        ])
+        keep, dropped = _trim(weights, 1)
+        branches = (_loss_band(eta, dim, 0, keep) * shifted[:keep]).T
+    return BranchState(
+        branches, truncation_tol=_tol_for(state.norm_deficit + dropped, base=state.truncation_tol)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -666,15 +759,18 @@ def expectation(state: State, observable: str, mode: int | None = None):
             return complex(np.sum(coeff * np.diagonal(state.matrix, offset=-2)))
         pop = np.diag(state.matrix).real
     else:
-        amps = state.amplitudes if mode == 0 else state.amplitudes.T
+        if isinstance(state, BranchState):
+            amps = state.branches  # every branch contributes, like a second mode
+        else:
+            amps = state.amplitudes if mode == 0 else state.amplitudes.T
         if observable == "a2":
-            # the photon-number axis is the first; broadcast over the other mode
-            column = coeff.reshape((-1,) + (1,) * (state.modes - 1))
+            # the photon-number axis is the first; broadcast over the other one
+            column = coeff.reshape((-1,) + (1,) * (amps.ndim - 1))
             return complex(np.sum(amps[:-2].conj() * column * amps[2:]))
         weights = np.abs(amps) ** 2
         if observable == "cross_nn":
             return float(n @ weights @ n)
-        pop = weights if state.modes == 1 else weights.sum(axis=1)
+        pop = weights if amps.ndim == 1 else weights.sum(axis=1)
 
     if observable == "n":
         return float(n @ pop)

@@ -93,7 +93,7 @@ def check_table_oracle_entangled_coherent() -> tuple[float, str]:
 
 
 def check_engine_equivalence(full: bool) -> tuple[float, str]:
-    """Moment-map protocol vs Fock density-matrix pipeline at cutoff 60."""
+    """Moment-map protocol vs the Fock pipeline (Kraus-branch kets when lossy) at cutoff 60."""
     rs = (0.2, 0.5, 0.8814) if full else (0.5, 0.8814)
     phis = (0.05, 0.3, 1.0) if full else (0.3, 1.0)
     etas = (1.0, 0.95, 0.8) if full else (0.95,)

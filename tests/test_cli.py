@@ -240,7 +240,7 @@ class TestValidateCommand:
         assert "PASS" in out
 
 
-@pytest.mark.parametrize("n_bar", ["0.01", "0.1", "0.5", "1", "2"])
+@pytest.mark.parametrize("n_bar", ["0.01", "0.1", "0.5", "1", "2", "9"])
 def test_default_fock_cutoff_works(capsys, n_bar):
     code, out, _ = run(
         capsys, "protocol", "--nbar", n_bar, "--phi", "0.3", "--eta", "0.9",

@@ -187,13 +187,25 @@ class TestBeamSplitter:
         assert fock.beam_splitter_overflow(state)[0] == 0.0
         assert fock.beam_splitter(state).truncation_tol == state.truncation_tol
 
-    @pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 200])
+    @pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 127, 200])
     def test_matches_per_block_eigh(self, cutoff):
-        # every block, complete (the recursion) and clipped (eigh), is applied
-        # to a random input
+        # every block, complete (the recursion) and clipped (half-size SVD),
+        # is applied to a random input; the clipped windows have every length
+        # from 1 to the cutoff, odd and even
         amps = random_ket(np.random.default_rng(cutoff), (cutoff + 1, cutoff + 1))
         out = fock.beam_splitter(fock.PureState(amps)).amplitudes
         assert np.max(np.abs(out - eigh_beam_splitter(amps))) <= 1e-13
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 63, 64, 255])
+    def test_chiral_eigh_decomposes_odd_and_even_chains(self, size):
+        # a zero-diagonal tridiagonal matrix, like the clipped generators
+        off = np.sqrt(np.arange(1.0, size) * np.arange(size - 1.0, 0.0, -1.0))
+        t = np.diag(off, 1) + np.diag(off, -1)
+        w, v = fock._chiral_eigh(t)
+        assert np.max(np.abs(v.T @ v - np.eye(size))) <= 1e-13
+        scale = max(1.0, np.max(t))
+        assert np.max(np.abs((v * w) @ v.T - t)) <= 1e-13 * scale
+        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(t), atol=1e-12 * scale)
 
     def test_complete_blocks_are_orthogonal_up_to_total_400(self):
         for total, rot in enumerate(fock._multiplets(400)):
@@ -290,10 +302,16 @@ class TestSqueeze:
         assert out.norm_squared == pytest.approx(state.norm_squared, abs=1e-12)
 
     def test_mixed_squeeze_roundtrip(self):
-        rho = fock.to_density(fock.coherent(0.8, 48))
+        # loss leaves a coherent state coherent: every branch is along |0.8>
+        rho = fock.loss_branches(fock.coherent(1.0, 48), 0.64)
         back = fock.squeeze(fock.squeeze(rho, 0.5), -0.5)
         psi = fock.coherent(0.8, 48)
-        assert fock.fidelity(psi, back) >= 1.0 - 1e-9
+        fidelity = np.sum(np.abs(psi.amplitudes.conj() @ back.branches) ** 2)
+        assert fidelity >= 1.0 - 1e-9
+
+    def test_refuses_density_matrices(self):
+        with pytest.raises(ValueError, match="not density matrices"):
+            fock.squeeze(fock.to_density(fock.vacuum(8)), 0.2)
 
 
 def padded_generator(r, dim):
@@ -405,6 +423,64 @@ class TestLoss:
                 np.testing.assert_allclose(
                     fock.number_distribution(out), binomial + [0.0] * (14 - n), atol=1e-12)
 
+
+
+def reference_branches(state, eta):
+    """phi_k[m] = B[m, m + k] psi[m + k] for every k, from the full loss matrix."""
+    psi = state.amplitudes
+    dim = psi.size
+    weights = fock._loss_matrix(eta, dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        out[: dim - k, k] = np.diagonal(weights, k) * psi[k:]
+    return out
+
+
+class TestLossBranches:
+    @pytest.mark.parametrize("eta", [0.0, 1e-6, 0.3, 0.9, 1.0])
+    def test_branches_sum_to_the_loss_channel(self, eta):
+        state = fock.squeezed_vacuum(0.8814, 0.3, 64)
+        phi = fock.loss_branches(state, eta).branches
+        reference = fock.loss(state, eta).matrix
+        assert np.max(np.abs(phi @ phi.conj().T - reference)) <= 1e-14
+
+    def test_dropped_branch_weight_leaves_the_trace(self):
+        state = fock.squeezed_vacuum(0.8814, 0.3, 64)
+        out = fock.loss_branches(state, 0.9)
+        kept = out.branches.shape[1]
+        reference = reference_branches(state, 0.9)
+        np.testing.assert_array_equal(out.branches, reference[:, :kept])
+        weights = np.sum(np.abs(reference) ** 2, axis=0)
+        dropped = math.fsum(weights[kept:])
+        assert kept < 65 and 0.0 < dropped <= 1e-16
+        # the trace counts the kept branches only, so the dropped weight is
+        # part of trace_deficit, and the tolerance covers it
+        assert out.trace == pytest.approx(math.fsum(weights[:kept]), abs=1e-14)
+        assert out.trace_deficit == max(0.0, 1.0 - out.trace)
+        assert out.truncation_tol >= state.norm_deficit + dropped
+
+    def test_moments_match_the_density_matrix(self):
+        state = fock.squeezed_vacuum(0.8814, 0.3, 64)
+        branches = fock.loss_branches(state, 0.7)
+        rho = fock.loss(state, 0.7)
+        for observable in ("n", "n2", "a2", "adag2a2"):
+            assert fock.expectation(branches, observable) == pytest.approx(
+                fock.expectation(rho, observable), rel=1e-13)
+
+    def test_branch_state_is_immutable(self):
+        state = fock.loss_branches(fock.coherent(1.0, 20), 0.5)
+        with pytest.raises(AttributeError):
+            state.branches = np.zeros((21, 1))
+        with pytest.raises(ValueError):
+            state.branches[0, 0] = 0.0
+        with pytest.raises(ValueError, match="trace"):
+            fock.BranchState(2.0 * state.branches)
+
+    def test_needs_a_single_mode_ket(self):
+        with pytest.raises(ValueError):
+            fock.loss_branches(fock.to_density(fock.vacuum(4)), 0.5)
+        with pytest.raises(ValueError):
+            fock.loss_branches(fock.noon(1, 3), 0.5)
 
 
 class TestMeasurements:

@@ -170,12 +170,11 @@ class TestRunFock:
                 expected = gaussian.protocol_moments(r, 0.0, eta, eta)
                 state = fock.squeeze(fock.vacuum(60), r)
                 if eta < 1.0:
-                    state = fock.loss(state, eta)
+                    state = fock.loss_branches(state, eta)
                 state = fock.squeeze(state, -r, grow=True)
-                if eta < 1.0:
-                    state = fock.loss(state, eta)
-                m_n = fock.expectation(state, "n")
-                m_aa = fock.expectation(state, "a2")
+                # the readout loss thins the moments: <n> -> eta <n>, <a^2> -> eta <a^2>
+                m_n = eta * fock.expectation(state, "n")
+                m_aa = eta * fock.expectation(state, "a2")
                 assert abs(expected.m_n - m_n) <= 1e-6 * max(abs(m_n), 1.0)
                 assert abs(expected.m_aa - m_aa) <= 1e-6 * max(abs(m_aa), 1.0)
 
@@ -186,13 +185,12 @@ class TestRunFock:
             state = fock.squeeze(state, r)
             state = fock.phase_shift(state, -phi)
             if eta < 1.0:
-                state = fock.loss(state, eta)
+                state = fock.loss_branches(state, eta)
             state = fock.squeeze(state, -r, grow=True)
-            if eta < 1.0:
-                state = fock.loss(state, eta)
-            fourth = fock.expectation(state, "adag2a2")
-            m_n = fock.expectation(state, "n")
-            m_aa = fock.expectation(state, "a2")
+            # the readout loss thins <a^dag^k a^k> to eta^k <a^dag^k a^k>
+            fourth = eta**2 * fock.expectation(state, "adag2a2")
+            m_n = eta * fock.expectation(state, "n")
+            m_aa = eta * fock.expectation(state, "a2")
             factorised = 2.0 * m_n**2 + abs(m_aa) ** 2
             assert abs(fourth - factorised) <= 1e-6 * max(abs(fourth), abs(factorised), 1.0)
 
@@ -211,6 +209,58 @@ class TestRunFock:
         after = fock.loss(fock.phase_shift(state, 0.37), 0.8)
         before = fock.phase_shift(fock.loss(state, 0.8), 0.37)
         np.testing.assert_allclose(after.matrix, before.matrix, atol=1e-14)
+
+
+def density_matrix_moments(config):
+    """<n>, <n^2> and <a^2> of the protocol output, through the density matrix.
+
+    The reference for run_fock's lossy pipeline: rho after the first loss is
+    anti-squeezed as U rho U^H, with U on a working basis grown by the same
+    edge rule as fock.squeeze, and the readout loss is the channel itself.
+    """
+    r = config.r_value
+    probe = fock.phase_shift(fock.squeeze(fock.vacuum(config.cutoff), r), -config.phi)
+    rho = fock.loss(probe, config.eta1).matrix
+    dim = rho.shape[0]
+    work = 2 * max(dim, 32)
+    while True:
+        u = fock._apply_squeeze(np.eye(work, dtype=complex)[:, :dim], -r)
+        sigma = u @ rho @ u.conj().T
+        if np.sum(np.diag(sigma).real[-4:]) <= 0.1 * fock.SQUEEZE_DEFICIT_LIMIT:
+            break
+        work *= 2
+    out = fock.loss(fock.MixedState(sigma, work - 1, truncation_tol=1e-8), config.eta2)
+    return tuple(fock.expectation(out, observable) for observable in ("n", "n2", "a2"))
+
+
+def rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "eta1,eta2", [(0.9, 0.9), (1.0, 0.9), (0.9, 1.0), (0.95, 0.8), (0.0, 0.9), (0.9, 0.0)]
+)
+def test_branch_pipeline_matches_density_matrix(eta1, eta2):
+    config = protocol.ProtocolConfig(phi=0.3, r=0.8814, eta1=eta1, eta2=eta2, cutoff=60)
+    result = protocol.run_fock(config)
+    n, n2, a2 = density_matrix_moments(config)
+    assert rel(result.signal, n) <= 1e-12
+    assert rel(result.moments.m_aa, a2) <= 1e-12
+    assert rel(result.variance, n2 - n**2) <= 1e-10
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+def test_readout_thinning_matches_the_loss_channel(eta):
+    rng = np.random.default_rng(17)
+    for dim in (1, 5, 40):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = a @ a.conj().T
+        rho = fock.MixedState(rho / np.trace(rho).real, dim - 1)
+        observables = ("n", "n2", "a2")
+        before = [fock.expectation(rho, o) for o in observables]
+        after = [fock.expectation(fock.loss(rho, eta), o) for o in observables]
+        for thinned, exact in zip(protocol._thinned(eta, *before), after):
+            assert abs(thinned - exact) <= 1e-13 * max(abs(exact), 1.0)
 
 
 class TestComparisonReport:
