@@ -8,9 +8,13 @@ identical invocations produce byte-identical files.
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 
 The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
-``table`` without ``--oracle``) run on the standard library alone; numpy is
-loaded only by the commands that run the Fock oracle, and no command needs
-scipy.
+``table`` without ``--oracle``) run on the standard library alone.
+``protocol`` and ``sweep`` execute only this module, :mod:`qmetro.protocol`
+and :mod:`qmetro.gaussian`; ``table`` adds :mod:`qmetro.correlations`.  The
+engine modules :mod:`qmetro.fock`, :mod:`qmetro.correlations` and
+:mod:`qmetro.validate` are bound here but load on first use (see
+:mod:`qmetro`), so numpy is imported only by the commands that run the Fock
+oracle, and no command needs scipy.
 """
 
 from __future__ import annotations
@@ -20,12 +24,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import correlations as co
 from . import gaussian, protocol, validate
-from .fock import TruncationOverflowError
-from .gaussian import SingularOperatingPointError
+from .gaussian import Frozen, SingularOperatingPointError, TruncationOverflowError
 
 TABLE_COLUMNS = (
     "state_id", "n_bar", "q", "j", "qfi",
@@ -37,6 +39,7 @@ PROTOCOL_COLUMNS = (
     "m_aa_re", "m_aa_im", "snl", "snl_ratio", "trace_deficit",
 )
 SWEEP_COLUMNS = ("n_bar", "phi", "eta", "signal", "variance", "delta_phi", "snl", "snl_ratio")
+VALIDATE_LEVELS = ("quick", "full")
 
 
 def _fmt(value) -> str:
@@ -85,17 +88,20 @@ def _parse_grid(raw: str, name: str) -> list[float]:
         raise UsageError(f"--{name}: expected comma-separated numbers, got {raw!r}") from exc
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """Axes and output destination of one sweep invocation."""
 
-    n_bar_values: tuple[float, ...]
-    phi_values: tuple[float, ...]
-    eta_values: tuple[float, ...]
-    fmt: str
-    out_path: str | None
+    __slots__ = ("n_bar_values", "phi_values", "eta_values", "fmt", "out_path")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n_bar_values: tuple[float, ...],
+        phi_values: tuple[float, ...],
+        eta_values: tuple[float, ...],
+        fmt: str,
+        out_path: str | None,
+    ) -> None:
+        self._init(n_bar_values, phi_values, eta_values, fmt, out_path)
         for name, values in (
             ("nbar", self.n_bar_values), ("phi", self.phi_values), ("eta", self.eta_values),
         ):
@@ -119,6 +125,9 @@ class SweepSpec:
 def cmd_table(args) -> int:
     if args.nbar is None or not 0.0 < args.nbar < math.inf:
         raise UsageError("--nbar must be a finite positive number")
+    if args.cutoff is not None and args.cutoff < 1:
+        raise UsageError("--cutoff must be >= 1")
+    co.check_table_n_bar(args.nbar)
     rows = []
     for family in co.ProbeFamily:
         try:
@@ -155,7 +164,7 @@ def cmd_table(args) -> int:
 def _protocol_record(engine: str, config: protocol.ProtocolConfig,
                      result: protocol.ProtocolResult, cutoff) -> dict:
     n_bar = config.n_bar_value
-    snl = co.shot_noise_limit(n_bar, "single-mode")
+    snl = gaussian.shot_noise_limit(n_bar)
     return {
         "engine": engine,
         "n_bar": n_bar,
@@ -248,7 +257,7 @@ def cmd_sweep(args) -> int:
     )
     rows = []
     for n_bar in spec.n_bar_values:
-        snl = co.shot_noise_limit(n_bar, "single-mode")
+        snl = gaussian.shot_noise_limit(n_bar)
         for phi in spec.phi_values:
             for eta in spec.eta_values:
                 # the kernel `protocol --engine gaussian` evaluates, so a
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the self-check suites")
-    p_val.add_argument("--level", choices=validate.LEVELS, default="quick")
+    p_val.add_argument("--level", choices=VALIDATE_LEVELS, default="quick")
     p_val.add_argument("--out", metavar="PATH", default=None,
                        help="write the JSON report here (summary goes to stdout)")
     p_val.set_defaults(fn=cmd_validate)

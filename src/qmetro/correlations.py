@@ -8,22 +8,24 @@ closed-form (Q, J, QFI) catalogue for the standard interferometer probe
 states together with their exact Fock-space counterparts.
 
 The closed forms (:func:`table_row`, the benchmarks, :class:`ProbeFamily`)
-use only the standard library; numpy is loaded by the first state-based or
-oracle function that runs.
+use only the standard library, so ``table`` without ``--oracle`` imports no
+numpy: the functions that need it import it themselves, and
+:mod:`qmetro.fock` loads on the first oracle or state-based call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import fock
-from ._lazy import LazyModule
-from .fock import PureState
+from . import fock, gaussian
+from .gaussian import Frozen
 
-np = LazyModule("numpy")
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fock import PureState
 
 #: Outcomes with probability below this are skipped by the Fisher sum.
 FISHER_PROBABILITY_FLOOR = 1e-12
@@ -74,8 +76,7 @@ def mode_correlation(var_a: float, var_b: float, cov: float) -> float | None:
     return cov / math.sqrt(var_a * var_b)
 
 
-@dataclass(frozen=True)
-class ProbeStatistics:
+class ProbeStatistics(Frozen):
     """Number statistics of a two-mode probe, plus its quantum Fisher information.
 
     ``j`` is None when either mode has zero number variance; ``qfi`` is the
@@ -83,17 +84,21 @@ class ProbeStatistics:
     state value for the interferometer generator (n_a - n_b)/2.
     """
 
-    mean_n_a: float
-    mean_n_b: float
-    var_n_a: float
-    var_n_b: float
-    cov_nn: float
-    q_a: float | None
-    q_b: float | None
-    j: float | None
-    qfi: float
+    __slots__ = ("mean_n_a", "mean_n_b", "var_n_a", "var_n_b", "cov_nn", "q_a", "q_b", "j", "qfi")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        mean_n_a: float,
+        mean_n_b: float,
+        var_n_a: float,
+        var_n_b: float,
+        cov_nn: float,
+        q_a: float | None,
+        q_b: float | None,
+        j: float | None,
+        qfi: float,
+    ) -> None:
+        self._init(mean_n_a, mean_n_b, var_n_a, var_n_b, cov_nn, q_a, q_b, j, qfi)
         if self.var_n_a < -1e-10 or self.var_n_b < -1e-10:
             raise ValueError("negative number variance")
         if self.j is not None and abs(self.j) > 1.0 + 1e-10:
@@ -142,6 +147,8 @@ def pure_state_qfi(state: PureState, generator: str) -> float:
         raise ValueError(
             f"state norm deficit {state.norm_deficit:.3e} too large for a QFI evaluation"
         )
+    import numpy as np
+
     weights = np.abs(state.amplitudes) ** 2
     n = np.arange(state.cutoff + 1, dtype=float)
     if generator == "n":
@@ -176,6 +183,8 @@ def path_symmetric_qfi(n_bar: float, q: float, j: float) -> float:
 def _probability_stencil(
     prob_curve: Callable[[float], np.ndarray], phi: float, step: float
 ) -> dict[float, np.ndarray]:
+    import numpy as np
+
     points = {}
     for x in (phi, phi + step, phi - step, phi + step / 2, phi - step / 2):
         p = np.asarray(prob_curve(x), dtype=float)
@@ -205,6 +214,8 @@ def classical_fisher_information(
     used.  Outcomes with probability below ``FISHER_PROBABILITY_FLOOR`` are
     skipped; their total mass is reported via ``full_output``.
     """
+    import numpy as np
+
     if step <= 0:
         raise ValueError("step must be positive")
     points = _probability_stencil(prob_curve, phi, step)
@@ -237,11 +248,13 @@ def cramer_rao_bound(fisher_information: float) -> float:
 
 def shot_noise_limit(n_bar: float, convention: str = "two-mode") -> float:
     """1/sqrt(n) for a two-mode interferometer, 1/sqrt(4n) for a single mode."""
-    if n_bar <= 0:
-        raise ValueError("mean photon number must be positive")
     if convention not in SNL_CONVENTIONS:
         raise ValueError(f"unknown SNL convention {convention!r}; pick one of {SNL_CONVENTIONS}")
-    return 1.0 / math.sqrt(n_bar if convention == "two-mode" else 4.0 * n_bar)
+    if convention == "single-mode":
+        return gaussian.shot_noise_limit(n_bar)
+    if n_bar <= 0:
+        raise ValueError("mean photon number must be positive")
+    return 1.0 / math.sqrt(n_bar)
 
 
 def heisenberg_limit(n_bar: float) -> float:
@@ -274,17 +287,19 @@ FORMULA_ONLY = frozenset({ProbeFamily.AMPLIFIED_BELL})
 
 #: The entangled-coherent closed forms assume e^{-n_bar} is negligible.
 ECS_ASSUMPTION_LIMIT = 1e-6
+#: Largest n_bar the catalogue's closed forms take.  Above ~6e153 the
+#: amplified-Bell J's 5 n_bar^2 overflows a double (J comes out -0.0), and
+#: above ~9e153 QFIs come out infinite or raise OverflowError.
+TABLE_NBAR_LIMIT = 5e153
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Frozen):
     """Closed-form (Q, J, QFI) of one probe family at mean photon number n_bar."""
 
-    state_id: ProbeFamily
-    n_bar: float
-    q: float
-    j: float
-    qfi: float
+    __slots__ = ("state_id", "n_bar", "q", "j", "qfi")
+
+    def __init__(self, state_id: ProbeFamily, n_bar: float, q: float, j: float, qfi: float):
+        self._init(state_id, n_bar, q, j, qfi)
 
     def max_deviation(self, other: "TableRow") -> float:
         """Worst :func:`relative_deviation` of Q, J and QFI against another row."""
@@ -292,6 +307,17 @@ class TableRow:
             relative_deviation(self.q, other.q),
             relative_deviation(self.j, other.j),
             relative_deviation(self.qfi, other.qfi),
+        )
+
+
+def check_table_n_bar(n_bar: float) -> None:
+    """Refuse an n_bar outside (0, TABLE_NBAR_LIMIT], NaN included."""
+    if not n_bar > 0:
+        raise ValueError("n_bar must be positive")
+    if n_bar > TABLE_NBAR_LIMIT:
+        raise ValueError(
+            f"n_bar={n_bar!r} is too large: the closed forms overflow a double above "
+            f"{TABLE_NBAR_LIMIT:g}"
         )
 
 
@@ -305,8 +331,7 @@ def table_row(state_id: ProbeFamily | str, n_bar: float) -> TableRow:
     requires e^{-n_bar} < 1e-6, the regime its closed forms assume.
     """
     family = ProbeFamily(state_id)
-    if n_bar <= 0:
-        raise ValueError("n_bar must be positive")
+    check_table_n_bar(n_bar)
     n = float(n_bar)
     if family is ProbeFamily.LASER:
         return TableRow(family, n, 0.0, 0.0, n)

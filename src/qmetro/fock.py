@@ -14,12 +14,12 @@ against, so correctness is preferred over speed throughout.
 
 All states are immutable values and all operations are pure functions; they
 are safe to call concurrently.  The module needs numpy and the standard
-library only; numpy is loaded by the first operation that needs it, so
-importing this module is cheap.  The squeeze unitary comes from one
-eigendecomposition of its generator per basis size, shared by every
-squeezing parameter, so no matrix exponential is ever taken.  Photon loss
-acts on each diagonal of a density matrix on its own and is evaluated one
-diagonal at a time.  The beam splitter's unitary on a complete total-photon
+library only.  The package registers it to load on first use, so the
+Gaussian commands never run it and never import numpy.  The squeeze
+unitary comes from one eigendecomposition of its generator per basis size,
+shared by every squeezing parameter, so no matrix exponential is ever
+taken.  Photon loss acts on each diagonal of a density matrix on its own
+and is evaluated one diagonal at a time.  The beam splitter's unitary on a complete total-photon
 block follows from the previous block's by a stable recursion; only the
 blocks that the cutoff clips are diagonalised.  The squeeze and beam
 splitter generators couple even levels only to odd ones, so each
@@ -32,10 +32,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._lazy import LazyModule
-from .gaussian import check_eta
+import numpy as np
 
-np = LazyModule("numpy")
+from .gaussian import Frozen, TruncationOverflowError, check_eta
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 # Constructors refuse to return a state missing more weight than this.
@@ -49,10 +48,6 @@ _BS_ANGLE = math.pi / 4
 
 OBSERVABLES = ("n", "n2", "cross_nn", "a2", "adag2a2")
 PHASE_CONVENTIONS = ("single-mode", "relative-half")
-
-
-class TruncationOverflowError(RuntimeError):
-    """A truncated-basis operation lost more weight than its budget allows."""
 
 
 class EmptyProjectionError(ValueError):
@@ -158,15 +153,13 @@ class MixedState:
             raise ValueError(f"negative eigenvalue {eigenvalues.min():.3e}")
 
 
-class BranchState:
+class BranchState(Frozen):
     """Single-mode mixed state rho = sum_k |phi_k><phi_k| held as its branch kets.
 
     ``branches`` has shape ``(cutoff + 1, K)``; column k is the unnormalised
     ket phi_k, and the squared norms sum to the trace, which must lie in
     ``[1 - truncation_tol, 1]``.  :func:`loss_branches` makes one from a ket.
-    Immutable like the other states, but a plain class: every command
-    imports this module, and a dataclass's generated methods are compiled
-    at import time.
+    Immutable like the other states.
     """
 
     __slots__ = ("branches", "truncation_tol")
@@ -176,14 +169,10 @@ class BranchState:
         branches = _frozen(branches)
         if branches.ndim != 2 or 0 in branches.shape:
             raise ValueError(f"expected a (cutoff + 1, K) branch array, got {branches.shape}")
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "truncation_tol", truncation_tol)
+        self._init(branches, truncation_tol)
         tr = self.trace
         if not 1.0 - truncation_tol <= tr <= 1.0 + 1e-12:
             raise ValueError(f"trace {tr!r} outside [1 - {truncation_tol:g}, 1]")
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"BranchState is immutable; cannot set {name!r}")
 
     @property
     def cutoff(self) -> int:

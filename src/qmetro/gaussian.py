@@ -16,12 +16,15 @@ moments as 3x3 affine maps (:func:`squeeze_map`, :func:`rotation_map`,
 independent reference the kernel is checked against by the tests and by
 ``validate``.  The module uses only the standard library: 3x3 algebra gains
 nothing from numpy, and Gaussian commands never import it.
+
+It is also the bottom of the package's import graph, so it holds what every
+engine shares: :func:`check_eta`, the error types and :class:`Frozen`, the
+base of the immutable value classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 #: m_adad must be the conjugate of m_aa to this absolute tolerance.
@@ -36,10 +39,53 @@ class SingularOperatingPointError(ValueError):
     """Phase-error request at a point where the signal slope vanishes."""
 
 
+class TruncationOverflowError(RuntimeError):
+    """A truncated-basis operation lost more weight than its budget allows.
+
+    Raised by the Fock oracle (:mod:`qmetro.fock` binds the same class) and
+    by the protocol's cutoff policy; defined here so that catching it loads
+    no Fock code.
+    """
+
+
 def check_eta(eta: float) -> None:
     """Refuse a transmissivity outside [0, 1], NaN included."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+
+
+def shot_noise_limit(n_bar: float) -> float:
+    """Single-mode shot-noise limit 1/sqrt(4 n_bar)."""
+    if n_bar <= 0:
+        raise ValueError("mean photon number must be positive")
+    return 1.0 / math.sqrt(4.0 * n_bar)
+
+
+class Frozen:
+    """Base of the immutable value classes: named fields, set once.
+
+    A subclass lists its fields in ``__slots__`` and stores them with
+    :meth:`_init` in its ``__init__``; afterwards any assignment raises.  A
+    plain class rather than a frozen dataclass: creating a dataclass compiles
+    its generated methods, and :mod:`dataclasses` imports ``inspect``, costs
+    that every command would pay at start-up.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +203,7 @@ def snl_ratio(n_bar: float, phi: float, eta: float = 1.0) -> float:
 
     Values above 1 indicate sub-shot-noise sensitivity.
     """
-    return (1.0 / math.sqrt(4.0 * n_bar)) / phase_error(n_bar, phi, eta)
+    return shot_noise_limit(n_bar) / phase_error(n_bar, phi, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +211,13 @@ def snl_ratio(n_bar: float, phi: float, eta: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(Frozen):
     """Normally ordered second moments (<a^2>, <a^dag^2>, <a^dag a>)."""
 
-    m_aa: complex
-    m_adad: complex
-    m_n: float
+    __slots__ = ("m_aa", "m_adad", "m_n")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m_aa: complex, m_adad: complex, m_n: float) -> None:
+        self._init(m_aa, m_adad, m_n)
         if abs(self.m_adad - self.m_aa.conjugate()) > CONJUGATE_TOL * max(1.0, abs(self.m_aa)):
             raise ValueError("<a^dag^2> must be the conjugate of <a^2>")
         if self.m_n < -1e-12:
@@ -200,8 +244,7 @@ def _matvec(matrix: tuple, vector: tuple) -> tuple:
     return tuple(row[0] * vector[0] + row[1] * vector[1] + row[2] * vector[2] for row in matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineMap:
+class AffineMap(Frozen):
     """v -> matrix @ v + translation on moment vectors.
 
     ``matrix`` is three rows of three complex entries and ``translation``
@@ -211,12 +254,11 @@ class AffineMap:
     two columns swapped, and row 2 maps to a real occupation.
     """
 
-    matrix: tuple
-    translation: tuple
+    __slots__ = ("matrix", "translation")
 
-    def __post_init__(self) -> None:
-        m = tuple(tuple(complex(x) for x in row) for row in self.matrix)
-        t = tuple(complex(x) for x in self.translation)
+    def __init__(self, matrix, translation) -> None:
+        m = tuple(tuple(complex(x) for x in row) for row in matrix)
+        t = tuple(complex(x) for x in translation)
         if len(m) != 3 or any(len(row) != 3 for row in m) or len(t) != 3:
             raise ValueError("matrix must be 3x3 and translation of length 3")
         if (
@@ -228,8 +270,7 @@ class AffineMap:
             or abs(t[2].imag) > CONJUGATE_TOL
         ):
             raise ValueError("map does not preserve conjugate pairing of the moments")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "translation", t)
+        self._init(m, t)
 
     def __call__(self, v: MomentVector) -> MomentVector:
         out = _matvec(self.matrix, (v.m_aa, v.m_adad, v.m_n))

@@ -4,22 +4,26 @@ Runs the protocol in either engine (closed-form Gaussian moments or the exact
 truncated Fock oracle), propagates phase estimates by error propagation, and
 packages cross-engine comparisons.  Runs are pure functions of their config,
 so concurrent evaluation of many configs is safe.
+
+The Gaussian path needs this module and :mod:`qmetro.gaussian` only:
+:mod:`qmetro.fock` and :mod:`qmetro.correlations` are read only inside the
+functions that use them, so they load on the first Fock run or finite
+difference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
-from . import fock, gaussian
-from .correlations import richardson
-from .fock import BranchState, PureState, TruncationOverflowError
-from .gaussian import MomentVector, SingularOperatingPointError
+from . import correlations, fock, gaussian
+from .gaussian import Frozen, MomentVector, SingularOperatingPointError, TruncationOverflowError
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .fock import BranchState, PureState
 
 ENGINES = ("gaussian", "fock", "both")
 
@@ -41,8 +45,7 @@ class VanishingDerivativeError(ValueError):
     """Error propagation attempted where the signal slope vanishes."""
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Frozen):
     """One protocol operating point.
 
     Exactly one of ``n_bar`` (mean probe photons sinh^2 r) and ``r`` may be
@@ -50,15 +53,19 @@ class ProtocolConfig:
     when omitted, :func:`default_cutoff` supplies it (:attr:`cutoff_value`).
     """
 
-    phi: float
-    n_bar: float | None = None
-    r: float | None = None
-    eta1: float = 1.0
-    eta2: float = 1.0
-    cutoff: int | None = None
-    engine: str = "gaussian"
+    __slots__ = ("phi", "n_bar", "r", "eta1", "eta2", "cutoff", "engine")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        phi: float,
+        n_bar: float | None = None,
+        r: float | None = None,
+        eta1: float = 1.0,
+        eta2: float = 1.0,
+        cutoff: int | None = None,
+        engine: str = "gaussian",
+    ) -> None:
+        self._init(phi, n_bar, r, eta1, eta2, cutoff, engine)
         for name in ("n_bar", "r", "phi", "eta1", "eta2"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -102,8 +109,7 @@ class ProtocolConfig:
         return self.cutoff if self.cutoff is not None else default_cutoff(self.n_bar_value)
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(Frozen):
     """Signal, its variance, and the propagated phase error of one run.
 
     ``phase_error`` is None exactly at the signal extremum phi = pi/2 where
@@ -112,22 +118,35 @@ class ProtocolResult:
     to truncation (0 for the Gaussian engine).
     """
 
-    moments: MomentVector
-    signal: float
-    variance: float
-    phase_error: float | None
-    phase_error_is_limit: bool = False
-    trace_deficit: float = 0.0
+    __slots__ = (
+        "moments", "signal", "variance", "phase_error", "phase_error_is_limit", "trace_deficit",
+    )
+
+    def __init__(
+        self,
+        moments: MomentVector,
+        signal: float,
+        variance: float,
+        phase_error: float | None,
+        phase_error_is_limit: bool = False,
+        trace_deficit: float = 0.0,
+    ) -> None:
+        self._init(moments, signal, variance, phase_error, phase_error_is_limit, trace_deficit)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Frozen):
     """Cross-engine deviations for one config, recomputed from stored results."""
 
-    config: ProtocolConfig
-    gaussian_result: ProtocolResult
-    fock_result: ProtocolResult
-    cutoff: int
+    __slots__ = ("config", "gaussian_result", "fock_result", "cutoff")
+
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        gaussian_result: ProtocolResult,
+        fock_result: ProtocolResult,
+        cutoff: int,
+    ) -> None:
+        self._init(config, gaussian_result, fock_result, cutoff)
 
     def rel_deviation(self, attr: str) -> float:
         """|g - f| / max(|g|, |f|) of a (dotted) result attribute."""
@@ -239,7 +258,7 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
     # instead of clipping weight.
     state = _staged(fock.squeeze, state, -r, grow=True, stage="anti-squeeze")
 
-    deficit = state.norm_deficit if isinstance(state, PureState) else state.trace_deficit
+    deficit = state.norm_deficit if isinstance(state, fock.PureState) else state.trace_deficit
     if deficit > TRACE_DEFICIT_LIMIT:
         raise TruncationOverflowError(
             f"final state lost weight {deficit:.3e} > {TRACE_DEFICIT_LIMIT:g}; "
@@ -308,7 +327,7 @@ def error_propagation(
         s_minus, _ = signal_curve(phi - h)
         return (s_plus - s_minus) / (2.0 * h)
 
-    d, _ = richardson(slope(step), slope(step / 2.0), float)
+    d, _ = correlations.richardson(slope(step), slope(step / 2.0), float)
     if abs(d) <= SLOPE_FLOOR:
         raise VanishingDerivativeError(
             f"signal slope {d:.3e} at phi={phi!r} is numerically zero; "
@@ -332,7 +351,9 @@ def fock_signal_curve(config: ProtocolConfig) -> Callable[[float], tuple[float, 
     """phi -> (signal, variance) through the exact Fock pipeline."""
 
     def curve(phi: float) -> tuple[float, float]:
-        result = run_fock(replace(config, phi=phi))
+        moved = ProtocolConfig(phi, config.n_bar, config.r, config.eta1, config.eta2,
+                               config.cutoff, config.engine)
+        result = run_fock(moved)
         return result.signal, result.variance
 
     return curve

@@ -3,7 +3,9 @@
 Each check re-derives a quantity two independent ways (closed form vs exact
 Fock oracle, closed-form kernel vs moment algebra) and reports the observed
 deviation against its budget.  ``quick`` keeps to sub-minute subsets; ``full``
-runs the complete grids.
+runs the complete grids.  The level names are the CLI's
+(:data:`qmetro.cli.VALIDATE_LEVELS`), so its parser lists them without
+loading this module.
 """
 
 from __future__ import annotations
@@ -12,13 +14,11 @@ import math
 import time
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 from . import correlations as co
 from . import fock, gaussian, protocol
-from ._lazy import LazyModule
-
-np = LazyModule("numpy")
-
-LEVELS = ("quick", "full")
+from .cli import SWEEP_COLUMNS, VALIDATE_LEVELS
 
 
 @dataclass
@@ -197,16 +197,14 @@ def check_qcrb_saturation() -> tuple[float, str]:
 
 def check_sweep_header() -> tuple[float, str]:
     """The sweep CSV schema is pinned."""
-    from .cli import SWEEP_COLUMNS
-
     golden = "n_bar,phi,eta,signal,variance,delta_phi,snl,snl_ratio"
     return (0.0 if ",".join(SWEEP_COLUMNS) == golden else 1.0), golden
 
 
 def run_checks(level: str = "quick") -> dict:
     """Run the suite and return a JSON-ready report; ``passed`` is the verdict."""
-    if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}; pick one of {LEVELS}")
+    if level not in VALIDATE_LEVELS:
+        raise ValueError(f"unknown level {level!r}; pick one of {VALIDATE_LEVELS}")
     full = level == "full"
     plan = [
         ("table-closed-form-identity", 1e-10, check_table_closed_form_identity, {}),

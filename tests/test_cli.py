@@ -62,6 +62,29 @@ class TestTableCommand:
         assert "oracle unavailable" in rows["twin_fock"]["note"]
         assert "cutoff of at least 2" in rows["twin_fock"]["note"]
 
+    @pytest.mark.parametrize("cutoff", ["-3", "0"])
+    @pytest.mark.parametrize("oracle", [("--oracle",), ()], ids=["oracle", "closed-form"])
+    def test_rejects_a_cutoff_below_one(self, capsys, cutoff, oracle):
+        code, out, err = run(capsys, "table", "--nbar", "2", *oracle, "--cutoff", cutoff)
+        assert code == 2
+        assert out == ""
+        assert "--cutoff must be >= 1" in err
+
+    @pytest.mark.parametrize("n_bar", ["6e153", "1.3e154", "1e155", "1e300"])
+    def test_refuses_an_nbar_whose_closed_forms_overflow(self, capsys, n_bar):
+        code, out, err = run(capsys, "table", "--nbar", n_bar)
+        assert code == 2
+        assert out == ""
+        assert "too large" in err and "5e+153" in err
+
+    def test_largest_nbar_gives_finite_rows(self, capsys):
+        code, out, _ = run(capsys, "table", "--nbar", "5e153", "--format", "json")
+        assert code == 0
+        rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
+        assert all(math.isfinite(row[key]) for row in rows.values() if "q" in row
+                   for key in ("q", "j", "qfi"))
+        assert rows["amplified_bell"]["j"] == pytest.approx(-0.2)
+
 
 class TestProtocolCommand:
     def test_reference_signal(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmetro import correlations as co
-from qmetro import fock
+from qmetro import fock, gaussian
 
 R1 = math.asinh(1.0)
 
@@ -129,6 +129,12 @@ class TestBenchmarks:
         with pytest.raises(ValueError):
             co.shot_noise_limit(4.0, "three-mode")
 
+    def test_single_mode_shot_noise_is_the_gaussian_one(self):
+        assert co.shot_noise_limit(3.0, "single-mode") == gaussian.shot_noise_limit(3.0)
+        for convention in co.SNL_CONVENTIONS:
+            with pytest.raises(ValueError, match="positive"):
+                co.shot_noise_limit(0.0, convention)
+
     def test_heisenberg(self):
         assert co.heisenberg_limit(4.0) == 0.25
         with pytest.raises(ValueError):
@@ -160,6 +166,15 @@ class TestTableRows:
     def test_nonpositive_n_bar(self):
         with pytest.raises(ValueError):
             co.table_row("noon", 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            co.table_row("noon", math.nan)
+
+    def test_n_bar_above_the_overflow_limit(self):
+        for family in co.ProbeFamily:
+            row = co.table_row(family, co.TABLE_NBAR_LIMIT)
+            assert all(math.isfinite(x) for x in (row.q, row.j, row.qfi)), family
+            with pytest.raises(ValueError, match="too large"):
+                co.table_row(family, 1.3e154)
 
     def test_rows_satisfy_path_symmetric_identity(self):
         for family in co.ProbeFamily:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,12 +60,14 @@ class TestProtocolConfig:
         assert not found and needed >= protocol._CUTOFF_SEARCH_LIMIT
 
     def test_squeeze_overflow_names_a_cutoff_that_works(self):
-        config = protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=0.9, eta2=0.9, cutoff=30)
+        def config(cutoff):
+            return protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=0.9, eta2=0.9, cutoff=cutoff)
+
         with pytest.raises(
             fock.TruncationOverflowError, match=r"^squeeze stage: .*use a cutoff of at least 60$"
         ):
-            protocol.run_fock(config)
-        result = protocol.run_fock(replace(config, cutoff=60))
+            protocol.run_fock(config(30))
+        result = protocol.run_fock(config(60))
         assert result.trace_deficit <= protocol.TRACE_DEFICIT_LIMIT
 
 
