@@ -7,6 +7,14 @@ identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 
+``sweep`` formats its CSV rows as it computes them, without a per-row dict:
+the text of each n_bar, phi and eta value and of each n_bar's shot-noise
+limit is formatted once per axis value, and each grid point adds only its
+signal, variance, delta_phi and snl_ratio.  ``--format json`` takes its value
+rows from the same loop.  Every row is held until the grid is done, so a
+point that fails leaves stdout and ``--out`` untouched.  ``json`` is imported
+only by the commands that write it.
+
 The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
 ``table`` without ``--oracle``) run on the standard library alone.
 ``protocol`` and ``sweep`` execute only this module, :mod:`qmetro.protocol`
@@ -20,7 +28,6 @@ oracle, and no command needs scipy.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -67,14 +74,20 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def _emit_rows(rows: list[dict], columns: tuple[str, ...], meta: dict, fmt: str,
                out_path: str | None) -> None:
     if fmt == "csv":
-        lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
-        _emit(lines, out_path)
+        lines = [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
+        _emit_csv(lines, columns, meta, out_path)
     else:
+        import json
+
         doc = {"meta": meta, "columns": list(columns), "rows": rows}
         _emit([json.dumps(doc, indent=2)], out_path)
+
+
+def _emit_csv(lines: list[str], columns: tuple[str, ...], meta: dict,
+              out_path: str | None) -> None:
+    """Write formatted data lines under the '#' meta line and the header."""
+    meta_line = "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    _emit([meta_line, ",".join(columns), *lines], out_path)
 
 
 class UsageError(ValueError):
@@ -115,6 +128,7 @@ class SweepSpec(Frozen):
             raise UsageError("--phi: sweep values must be below pi/2 (signal extremum)")
         for eta in self.eta_values:
             gaussian.check_eta(eta)
+        gaussian.check_phi(self.phi_values[0])  # the smallest: the grid increases
 
 
 # ---------------------------------------------------------------------------
@@ -255,35 +269,48 @@ def cmd_sweep(args) -> int:
         fmt=args.format,
         out_path=args.out,
     )
-    rows = []
+    # JSON rows hold values, CSV rows are finished lines (module docstring)
+    csv = spec.fmt == "csv"
+    rows: list = []
+    phis = [(phi, f"{phi!r},") for phi in spec.phi_values]
+    etas = [(eta, f"{eta!r},") for eta in spec.eta_values]
     for n_bar in spec.n_bar_values:
         snl = gaussian.shot_noise_limit(n_bar)
-        for phi in spec.phi_values:
-            for eta in spec.eta_values:
+        n_bar_text, snl_text = f"{n_bar!r},", f",{snl!r},"
+        for phi, phi_text in phis:
+            head = n_bar_text + phi_text
+            for eta, eta_text in etas:
                 # the kernel `protocol --engine gaussian` evaluates, so a
                 # single-point sweep reproduces that command exactly
                 point = gaussian.protocol_point(n_bar, phi, eta, eta)
-                rows.append({
-                    "n_bar": n_bar,
-                    "phi": phi,
-                    "eta": eta,
-                    "signal": point.signal,
-                    "variance": point.variance,
-                    "delta_phi": point.phase_error,
-                    "snl": snl,
-                    "snl_ratio": (snl / point.phase_error) if point.phase_error else None,
-                })
+                error = point.phase_error
+                ratio = snl / error if error else None
+                if not csv:
+                    rows.append(dict(zip(SWEEP_COLUMNS, (
+                        n_bar, phi, eta, point.signal, point.variance, error, snl, ratio,
+                    ))))
+                elif ratio is not None:
+                    rows.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
+                                f"{error!r}{snl_text}{ratio!r}")
+                else:
+                    rows.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
+                                f"{_fmt(error)}{snl_text}")
     meta = {
         "command": "sweep",
         "snl_convention": "single-mode 1/sqrt(4 n_bar)",
         "engine": "gaussian",
         "points": len(rows),
     }
-    _emit_rows(rows, SWEEP_COLUMNS, meta, spec.fmt, spec.out_path)
+    if csv:
+        _emit_csv(rows, SWEEP_COLUMNS, meta, spec.out_path)
+    else:
+        _emit_rows(rows, SWEEP_COLUMNS, meta, spec.fmt, spec.out_path)
     return 0
 
 
 def cmd_validate(args) -> int:
+    import json
+
     started = time.monotonic()
     report = validate.run_checks(args.level)
     doc = json.dumps(report, indent=2)

@@ -34,13 +34,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import Frozen, TruncationOverflowError, check_eta
+from .gaussian import SQUEEZE_DEFICIT_LIMIT, Frozen, TruncationOverflowError, check_eta
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 # Constructors refuse to return a state missing more weight than this.
 CONSTRUCTOR_DEFICIT_LIMIT = 1e-6
-# Squeezing refuses when the result spills more weight than this past the cutoff.
-SQUEEZE_DEFICIT_LIMIT = 1e-8
 
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10

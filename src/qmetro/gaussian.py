@@ -18,8 +18,9 @@ independent reference the kernel is checked against by the tests and by
 nothing from numpy, and Gaussian commands never import it.
 
 It is also the bottom of the package's import graph, so it holds what every
-engine shares: :func:`check_eta`, the error types and :class:`Frozen`, the
-base of the immutable value classes.
+engine shares: :func:`check_eta`, :func:`check_phi`, the squeeze budget
+``SQUEEZE_DEFICIT_LIMIT``, the error types and :class:`Frozen`, the base of
+the immutable value classes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from typing import NamedTuple
 CONJUGATE_TOL = 1e-12
 #: Uncertainty bound slack: m_n (m_n + 1) - |m_aa|^2 >= -PHYSICALITY_SLACK.
 PHYSICALITY_SLACK = 1e-10
+#: Smallest nonzero phase accepted: below it sin^2 phi and the squared terms
+#: of the variance underflow, and the phase error comes out wrong or infinite.
+PHI_FLOOR = 1e-150
+#: Squeezing refuses when the result spills more weight than this past the
+#: cutoff.  The Fock oracle enforces it (:mod:`qmetro.fock` binds the same
+#: value); the protocol's default cutoff is derived from it.
+SQUEEZE_DEFICIT_LIMIT = 1e-8
 
 HALF_PI = math.pi / 2.0
 
@@ -52,6 +60,18 @@ def check_eta(eta: float) -> None:
     """Refuse a transmissivity outside [0, 1], NaN included."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+
+
+def check_phi(phi: float) -> None:
+    """Refuse a phase strictly between 0 and ``PHI_FLOOR``.
+
+    phi = 0 stays allowed: its lossless limit is analytic.
+    """
+    if 0.0 < phi < PHI_FLOOR:
+        raise ValueError(
+            f"phi={phi!r} is below the smallest nonzero phase {PHI_FLOOR:g}, where "
+            f"sin^2 phi underflows; use phi = 0 or phi >= {PHI_FLOOR:g}"
+        )
 
 
 def shot_noise_limit(n_bar: float) -> float:
@@ -124,8 +144,9 @@ def protocol_point(
 
     The arguments are not validated here; callers check them once
     (``ProtocolConfig``, the sweep axes, the views below).  Expected:
-    n_bar >= 0, 0 <= phi <= pi/2 and 0 <= eta1, eta2 <= 1.  Raises
-    ValueError when n_bar is so large that the variance overflows a double.
+    n_bar >= 0, phi = 0 or PHI_FLOOR <= phi <= pi/2, and 0 <= eta1, eta2 <= 1.
+    Raises ValueError when n_bar is so large that the variance overflows a
+    double.
     """
     n1 = n_bar + 1.0
     sin_phi = math.sin(phi)
@@ -179,11 +200,12 @@ def phase_error(n_bar: float, phi: float, eta: float = 1.0) -> float:
     For 0 < phi < pi/2 this is sqrt(Var n) / |d signal / d phi|.  At phi = 0
     the lossless (eta = 1) analytic limit 1/sqrt(8 n (n+1)) is returned;
     with loss the slope of the signal vanishes there and the error diverges,
-    so the call is refused.
+    so the call is refused, as is 0 < phi < ``PHI_FLOOR`` (:func:`check_phi`).
     """
     _check_protocol_params(n_bar, eta)
     if n_bar == 0.0 or eta == 0.0:
         raise ValueError("n_bar and eta must be positive")
+    check_phi(phi)
     if not 0.0 <= phi < HALF_PI:
         raise SingularOperatingPointError(
             f"phi={phi!r} outside [0, pi/2): the phase error is evaluated between the "

@@ -91,6 +91,7 @@ class ProtocolConfig(Frozen):
         gaussian.check_eta(self.eta2)
         if not 0.0 <= self.phi <= math.pi / 2.0:
             raise ValueError("phi must lie in [0, pi/2]")
+        gaussian.check_phi(self.phi)
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; pick one of {ENGINES}")
         if self.cutoff is not None and self.cutoff < 2:
@@ -175,7 +176,7 @@ def default_cutoff(n_bar: float) -> int:
         needed = cutoff if found else f"more than {cutoff}"
         raise TruncationOverflowError(
             f"n_bar={n_bar!r} needs a cutoff of {needed} to keep the squeezed-vacuum tail "
-            f"below {fock.SQUEEZE_DEFICIT_LIMIT / 100.0:g}, above the default cap "
+            f"below {gaussian.SQUEEZE_DEFICIT_LIMIT / 100.0:g}, above the default cap "
             f"{DEFAULT_CUTOFF_CAP}; pass --cutoff explicitly"
         )
     return cutoff
@@ -190,7 +191,7 @@ def squeeze_cutoff(n_bar: float) -> tuple[int, bool]:
     ``_CUTOFF_SEARCH_LIMIT``; the flag tells whether the returned cutoff
     meets the limit or is only where the search stopped.
     """
-    limit = fock.SQUEEZE_DEFICIT_LIMIT / 100.0
+    limit = gaussian.SQUEEZE_DEFICIT_LIMIT / 100.0
     tanh_sq = n_bar / (n_bar + 1.0)
     p = total = 1.0 / math.sqrt(n_bar + 1.0)
     m = 0

@@ -206,6 +206,39 @@ class TestSweepCommand:
             assert code == 0
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_csv_and_json_rows_agree(self, capsys):
+        # eta 1e-320 leaves no signal slope: delta_phi and snl_ratio are empty
+        args = ("sweep", "--nbar", "1,10", "--phi", "0.001,0.3", "--eta", "1e-320,0.9,1")
+        code, csv_out, _ = run(capsys, *args)
+        assert code == 0
+        code, json_out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        doc = json.loads(json_out)
+        meta_line, header, *lines = csv_out.splitlines()
+        assert header.split(",") == doc["columns"]
+        assert len(lines) == len(doc["rows"]) == 12
+        assert f"points={len(lines)} " in meta_line
+        assert doc["meta"]["points"] == len(doc["rows"])
+        empty = 0
+        for line, row in zip(lines, doc["rows"]):
+            cells = line.split(",")
+            assert list(row) == doc["columns"]
+            assert [None if c == "" else float(c) for c in cells] == list(row.values())
+            empty += cells[5] == cells[7] == ""
+        assert empty == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_point_writes_nothing(self, capsys, tmp_path, fmt):
+        # n_bar 1e200 overflows the variance after the n_bar 1 row is computed
+        args = ("sweep", "--nbar", "1,1e200", "--phi", "0.1", "--eta", "0.9", "--format", fmt)
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert "too large" in err
+        path = tmp_path / "sweep.out"
+        code, out, _ = run(capsys, *args, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert not path.exists()
+
 
 NON_FINITE_INPUT = [
     ("protocol", "--nbar", "nan", "--phi", "0.3"),
@@ -233,6 +266,33 @@ def test_non_finite_input_is_refused(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+#: 0 < phi < 1e-150: sin^2 phi and the squared variance terms underflow, so
+#: delta_phi would come out wrong (lossless) or infinite (lossy).
+TINY_PHI_INPUT = [
+    ("protocol", "--nbar", "1", "--phi", "1e-160", "--eta", "1"),
+    ("protocol", "--nbar", "1", "--phi", "1e-310", "--eta", "1"),
+    ("protocol", "--nbar", "1", "--phi", "1e-320", "--eta", "0.9"),
+    ("protocol", "--nbar", "1", "--phi", "1e-200", "--engine", "fock"),
+    ("sweep", "--nbar", "1", "--phi", "1e-320", "--eta", "0.9"),
+    ("sweep", "--nbar", "1", "--phi", "1e-170,0.1", "--eta", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", TINY_PHI_INPUT, ids=" ".join)
+def test_tiny_phi_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "1e-150" in err
+
+
+@pytest.mark.parametrize("phi,expected", [("0", 0.25), ("1e-150", 0.25)])
+def test_smallest_accepted_phi_keeps_the_lossless_limit(capsys, phi, expected):
+    code, out, _ = run(capsys, "protocol", "--nbar", "1", "--phi", phi, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["delta_phi"] == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("count", ["2.5", "1.5", "10.01"])

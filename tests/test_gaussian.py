@@ -146,6 +146,8 @@ class TestPhaseError:
             ga.phase_error(0.0, 0.1, 0.9)
         with pytest.raises(ValueError):
             ga.phase_error(1.0, 0.1, 0.0)
+        with pytest.raises(ValueError, match="1e-150"):
+            ga.phase_error(1.0, 1e-160, 0.9)
 
     def test_transcription_against_moment_route(self):
         rng = np.random.default_rng(20240811)

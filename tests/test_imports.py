@@ -1,12 +1,15 @@
 """Import layering: Gaussian commands run no Fock code and load neither numpy
-nor ``dataclasses``; the Fock oracle needs numpy but never scipy.
+nor ``dataclasses``, and ``json`` only when they write JSON; the Fock oracle
+needs numpy but never scipy.
 
 The package registers ``qmetro.fock``, ``qmetro.correlations`` and
 ``qmetro.validate`` to load on first use, so importing the CLI runs none of
 them.  Each case runs ``qmetro.cli.main`` in a fresh interpreter and reports
 which of the heavy modules ended up in ``sys.modules`` and which engine
 modules were executed: a module registered but never run is still of the
-lazy-loader's module type.
+lazy-loader's module type.  The probe reads its arguments with
+``ast.literal_eval`` and imports ``json`` only after taking its readings, so
+that any ``json`` it sees was loaded by the CLI.
 """
 
 import json
@@ -18,15 +21,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("numpy", "scipy", "dataclasses")
+HEAVY = ("numpy", "scipy", "dataclasses", "json")
 ENGINE_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.protocol",
                   "qmetro.validate")
 LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.validate")
 
 PROBE = """
-import contextlib, io, json, sys, types
+import ast, contextlib, io, sys, types
 
-heavy, engine = json.loads(sys.argv[2])
+argvs, heavy, engine = ast.literal_eval(sys.argv[1])
 import qmetro.cli
 
 def executed():
@@ -36,14 +39,15 @@ def executed():
 after_import = [m for m in heavy if m in sys.modules]
 executed_after_import = executed()
 runs = []
-for argv in json.loads(sys.argv[1]):
+for argv in argvs:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = qmetro.cli.main(argv)
     runs.append([code, out.getvalue()])
+loaded = [m for m in heavy if m in sys.modules]
+import json
 print(json.dumps({"after_import": after_import, "executed_after_import": executed_after_import,
-                  "runs": runs, "loaded": [m for m in heavy if m in sys.modules],
-                  "executed": executed()}))
+                  "runs": runs, "loaded": loaded, "executed": executed()}))
 """
 
 # What the benchmark's tracer does right after ``import qmetro.cli``: list
@@ -76,7 +80,7 @@ def _python(code, *args):
 
 
 def _run_in_fresh_interpreter(argv):
-    return _python(PROBE, json.dumps([argv]), json.dumps([HEAVY, ENGINE_MODULES]))
+    return _python(PROBE, repr(([argv], HEAVY, ENGINE_MODULES)))
 
 
 def _data_rows(out):
@@ -84,7 +88,7 @@ def _data_rows(out):
 
 
 #: Each Gaussian command, its number of data rows, and the engine modules it
-#: executes.
+#: executes.  All write CSV, so none may load ``json``.
 GAUSSIAN_COMMANDS = (
     (["protocol", "--nbar", "15000", "--phi", "0.001", "--eta", "0.99"], 1,
      ["qmetro.gaussian", "qmetro.protocol"]),
@@ -106,6 +110,17 @@ def test_gaussian_commands_load_only_the_standard_library():
         assert len(_data_rows(out)) == rows, argv
         assert doc["loaded"] == [], argv
         assert doc["executed"] == executed, argv
+
+
+def test_refused_default_cutoff_loads_no_fock_code():
+    # the default cutoff is refused before any Fock work, so only the
+    # protocol's cutoff policy runs
+    doc = _run_in_fresh_interpreter(["protocol", "--nbar", "1e4", "--phi", "0.3",
+                                     "--engine", "fock"])
+    (code, out), = doc["runs"]
+    assert (code, out) == (2, "")
+    assert doc["loaded"] == []
+    assert doc["executed"] == ["qmetro.gaussian", "qmetro.protocol"]
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,8 @@ class TestProtocolConfig:
             protocol.ProtocolConfig(phi=0.1, n_bar=1.0, eta1=1.5)
         with pytest.raises(ValueError):
             protocol.ProtocolConfig(phi=-0.1, n_bar=1.0)
+        with pytest.raises(ValueError, match="1e-150"):
+            protocol.ProtocolConfig(phi=1e-200, n_bar=1.0)
         with pytest.raises(ValueError):
             protocol.ProtocolConfig(phi=0.1, n_bar=1.0, engine="exact")
 
