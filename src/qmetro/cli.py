@@ -10,10 +10,14 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 ``sweep`` formats its CSV rows as it computes them, without a per-row dict:
 the text of each n_bar, phi and eta value and of each n_bar's shot-noise
 limit is formatted once per axis value, and each grid point adds only its
-signal, variance, delta_phi and snl_ratio.  ``--format json`` takes its value
-rows from the same loop.  Every row is held until the grid is done, so a
-point that fails leaves stdout and ``--out`` untouched.  ``json`` is imported
-only by the commands that write it.
+signal, variance, delta_phi and snl_ratio.  Finished lines are joined into
+blocks of at most :data:`SWEEP_BLOCK_ROWS` rows as the loop goes, so the
+output text is held once, not as one string per row, and once the grid is
+done the blocks are written one at a time, with no joined document or
+encoded copy of it.  ``--format json`` takes its value rows from the same
+loop.  Nothing is written before the grid is done, so a point that fails
+leaves stdout and ``--out`` untouched.  ``json`` is imported only by the
+commands that write it.
 
 The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
 ``table`` without ``--oracle``) run on the standard library alone.
@@ -29,8 +33,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
+from collections.abc import Iterable
+from itertools import chain
 
 from . import correlations as co
 from . import gaussian, protocol, validate
@@ -46,6 +53,8 @@ PROTOCOL_COLUMNS = (
     "m_aa_re", "m_aa_im", "snl", "snl_ratio", "trace_deficit",
 )
 SWEEP_COLUMNS = ("n_bar", "phi", "eta", "signal", "variance", "delta_phi", "snl", "snl_ratio")
+#: CSV lines a sweep joins into one block of its output (module docstring)
+SWEEP_BLOCK_ROWS = 128
 VALIDATE_LEVELS = ("quick", "full")
 
 
@@ -59,14 +68,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write(fh, pieces: Iterable[str]) -> None:
+    for piece in pieces:
+        fh.write(piece)
+        fh.write("\n")
+
+
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+    """Write each piece of text, one line or a block of lines, and a newline."""
     if out_path is None:
-        sys.stdout.write(text)
+        try:
+            _write(sys.stdout, pieces)
+        except BrokenPipeError:
+            # the reader has gone (`qmetro sweep ... | head`): drop the rest
+            # quietly, and point stdout at devnull so that the interpreter's
+            # final flush does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write(fh, pieces)
         except OSError as exc:
             raise UsageError(f"cannot write {out_path}: {exc}") from exc
 
@@ -85,9 +106,10 @@ def _emit_rows(rows: list[dict], columns: tuple[str, ...], meta: dict, fmt: str,
 
 def _emit_csv(lines: list[str], columns: tuple[str, ...], meta: dict,
               out_path: str | None) -> None:
-    """Write formatted data lines under the '#' meta line and the header."""
+    """Write formatted data lines, or blocks of them, under the '#' meta line
+    and the header."""
     meta_line = "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-    _emit([meta_line, ",".join(columns), *lines], out_path)
+    _emit(chain((meta_line, ",".join(columns)), lines), out_path)
 
 
 class UsageError(ValueError):
@@ -269,9 +291,11 @@ def cmd_sweep(args) -> int:
         fmt=args.format,
         out_path=args.out,
     )
-    # JSON rows hold values, CSV rows are finished lines (module docstring)
+    # rows holds JSON value rows, or CSV lines joined into blocks of at most
+    # SWEEP_BLOCK_ROWS lines (module docstring)
     csv = spec.fmt == "csv"
     rows: list = []
+    lines: list[str] = []
     phis = [(phi, f"{phi!r},") for phi in spec.phi_values]
     etas = [(eta, f"{eta!r},") for eta in spec.eta_values]
     for n_bar in spec.n_bar_values:
@@ -289,17 +313,23 @@ def cmd_sweep(args) -> int:
                     rows.append(dict(zip(SWEEP_COLUMNS, (
                         n_bar, phi, eta, point.signal, point.variance, error, snl, ratio,
                     ))))
-                elif ratio is not None:
-                    rows.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
-                                f"{error!r}{snl_text}{ratio!r}")
+                    continue
+                if ratio is not None:
+                    lines.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
+                                 f"{error!r}{snl_text}{ratio!r}")
                 else:
-                    rows.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
-                                f"{_fmt(error)}{snl_text}")
+                    lines.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
+                                 f"{_fmt(error)}{snl_text}")
+                if len(lines) == SWEEP_BLOCK_ROWS:
+                    rows.append("\n".join(lines))
+                    lines = []
+    if lines:
+        rows.append("\n".join(lines))
     meta = {
         "command": "sweep",
         "snl_convention": "single-mode 1/sqrt(4 n_bar)",
         "engine": "gaussian",
-        "points": len(rows),
+        "points": len(spec.n_bar_values) * len(spec.phi_values) * len(spec.eta_values),
     }
     if csv:
         _emit_csv(rows, SWEEP_COLUMNS, meta, spec.out_path)

@@ -11,6 +11,7 @@ loading this module.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, asdict
 
@@ -121,7 +122,7 @@ def check_engine_equivalence(full: bool) -> tuple[float, str]:
 
 def check_phase_error_transcription(samples: int) -> tuple[float, str]:
     """Closed-form kernel's noisy phase error vs moment-algebra recomputation."""
-    rng = np.random.default_rng(20240811)
+    rng = random.Random(20240811)
     worst = 0.0
     for _ in range(samples):
         r = rng.uniform(0.1, 1.2)

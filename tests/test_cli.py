@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +243,47 @@ class TestSweepCommand:
         code, out, _ = run(capsys, *args, "--out", str(path))
         assert (code, out) == (2, "")
         assert not path.exists()
+
+
+SWEEP_PHI_10 = "0.001,0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5,1.0"
+SWEEP_ETA_10 = "0.8,0.82,0.84,0.86,0.88,0.9,0.92,0.94,0.96,0.99"
+SWEEP_ETA_1000 = ",".join(repr(0.5 + 0.0004 * i) for i in range(1000))
+
+
+@pytest.mark.parametrize("grid", [
+    ("--nbar-logspace", "1", "1e6", "100", "--phi", SWEEP_PHI_10, "--eta", SWEEP_ETA_10),
+    ("--nbar", "3", "--phi", SWEEP_PHI_10, "--eta", SWEEP_ETA_1000),
+], ids=["100x10x10", "1x10x1000"])
+def test_sweep_holds_its_output_once(tmp_path, grid):
+    # the rows are held as bounded blocks of finished text and written one
+    # block at a time: no row list, joined document or encoded copy beside them
+    path = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", *grid, "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(path.read_bytes().splitlines()) == 2 + 10**4
+    assert peak <= 1.5 * path.stat().st_size
+
+
+def test_sweep_into_a_closed_pipe_exits_quietly():
+    # the reader leaves after one line, long before the 1.2 MB of output is
+    # written: the rest is dropped without a traceback
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmetro", "sweep", "--nbar-logspace", "1", "1e6", "100",
+         "--phi", SWEEP_PHI_10, "--eta", SWEEP_ETA_10],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# command=sweep")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 NON_FINITE_INPUT = [

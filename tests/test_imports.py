@@ -1,6 +1,6 @@
 """Import layering: Gaussian commands run no Fock code and load neither numpy
 nor ``dataclasses``, and ``json`` only when they write JSON; the Fock oracle
-needs numpy but never scipy.
+needs numpy but never scipy or ``numpy.random``.
 
 The package registers ``qmetro.fock``, ``qmetro.correlations`` and
 ``qmetro.validate`` to load on first use, so importing the CLI runs none of
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("numpy", "scipy", "dataclasses", "json")
+HEAVY = ("numpy", "numpy.random", "scipy", "dataclasses", "json")
 ENGINE_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.protocol",
                   "qmetro.validate")
 LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.validate")
@@ -153,6 +153,8 @@ def test_oracle_commands_load_numpy_but_not_scipy(argv, check_output, executed):
     assert check_output(out)
     assert "numpy" in doc["loaded"]
     assert "scipy" not in doc["loaded"]
+    # validate draws its random samples from the standard library
+    assert "numpy.random" not in doc["loaded"]
     assert doc["executed"] == executed
 
 
