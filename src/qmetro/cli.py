@@ -7,10 +7,12 @@ identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 
-``sweep`` formats its CSV rows as it computes them, without a per-row dict:
-the text of each n_bar, phi and eta value and of each n_bar's shot-noise
-limit is formatted once per axis value, and each grid point adds only its
-signal, variance, delta_phi and snl_ratio.  Finished lines are joined into
+``sweep`` calls the closed-form kernel :func:`qmetro.gaussian.protocol_row`
+once per (n_bar, phi) row, for every eta at once, and formats its CSV rows
+from the plain tuples it returns, without a per-row dict: the text of each
+n_bar, phi and eta value and of each n_bar's shot-noise limit is formatted
+once per axis value, and each grid point adds only its signal, variance,
+delta_phi and snl_ratio.  Finished lines are joined into
 blocks of at most :data:`SWEEP_BLOCK_ROWS` rows as the loop goes, so the
 output text is held once, not as one string per row, and once the grid is
 done the blocks are written one at a time, with no joined document or
@@ -298,27 +300,28 @@ def cmd_sweep(args) -> int:
     lines: list[str] = []
     phis = [(phi, f"{phi!r},") for phi in spec.phi_values]
     etas = [(eta, f"{eta!r},") for eta in spec.eta_values]
+    eta_pairs = [(eta, eta) for eta in spec.eta_values]
     for n_bar in spec.n_bar_values:
         snl = gaussian.shot_noise_limit(n_bar)
         n_bar_text, snl_text = f"{n_bar!r},", f",{snl!r},"
         for phi, phi_text in phis:
             head = n_bar_text + phi_text
-            for eta, eta_text in etas:
-                # the kernel `protocol --engine gaussian` evaluates, so a
-                # single-point sweep reproduces that command exactly
-                point = gaussian.protocol_point(n_bar, phi, eta, eta)
-                error = point.phase_error
+            # the kernel `protocol --engine gaussian` evaluates, so a
+            # single-point sweep reproduces that command exactly
+            for (eta, eta_text), (signal, variance, _, _, error, _) in zip(
+                etas, gaussian.protocol_row(n_bar, phi, eta_pairs)
+            ):
                 ratio = snl / error if error else None
                 if not csv:
                     rows.append(dict(zip(SWEEP_COLUMNS, (
-                        n_bar, phi, eta, point.signal, point.variance, error, snl, ratio,
+                        n_bar, phi, eta, signal, variance, error, snl, ratio,
                     ))))
                     continue
                 if ratio is not None:
-                    lines.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
+                    lines.append(f"{head}{eta_text}{signal!r},{variance!r},"
                                  f"{error!r}{snl_text}{ratio!r}")
                 else:
-                    lines.append(f"{head}{eta_text}{point.signal!r},{point.variance!r},"
+                    lines.append(f"{head}{eta_text}{signal!r},{variance!r},"
                                  f"{_fmt(error)}{snl_text}")
                 if len(lines) == SWEEP_BLOCK_ROWS:
                     rows.append("\n".join(lines))

@@ -381,8 +381,9 @@ def _poisson_cutoff(mean: float) -> int:
 
 
 def _geometric_cutoff(mean_per_mode: float) -> int:
-    # Number distribution falls like (m/(m+1))^n; reach a ~1e-20 tail so that
-    # n^2-weighted moment sums stay good to ~1e-12.
+    # (m/(m+1))^c < e^-48: a tail below 1e-20 for a distribution that falls
+    # by m/(m+1) per photon, ~4e-12 for one that falls by it per photon pair
+    # (oracle_cutoff).
     if mean_per_mode <= 0:
         return 16
     ratio = mean_per_mode / (mean_per_mode + 1.0)
@@ -390,7 +391,22 @@ def _geometric_cutoff(mean_per_mode: float) -> int:
 
 
 def oracle_cutoff(state_id: ProbeFamily | str, n_bar: float) -> int:
-    """Default per-mode cutoff that keeps the family's tail below ~1e-14."""
+    """Default per-mode cutoff of a family's Fock realisation.
+
+    The weight each arm's number distribution leaves above the cutoff:
+
+    - two-mode squeezed vacuum: (m/(m+1))^(c+1) < e^-48 ~ 1.4e-21 per mode,
+      m = n_bar;
+    - twin squeezed vacuum and the squeezed arm of Caves (m = n_bar / 2): a
+      squeezed vacuum falls by m/(m+1) per photon *pair*, so the same
+      geometric cutoff leaves it ~erfc(sqrt 24) ~ 4.3e-12, approached from
+      below as n_bar grows (1.7e-14, 6.5e-13 and 2.6e-12 at n_bar 1, 4
+      and 20);
+    - laser, entangled coherent and the coherent arm of Caves: a Poisson
+      tail 12 standard deviations plus 18 photons above the mean, below
+      1e-30;
+    - NOON and twin Fock: none (the cutoff is the photon number).
+    """
     family = ProbeFamily(state_id)
     if family is ProbeFamily.LASER:
         return _poisson_cutoff(n_bar)
@@ -453,13 +469,24 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
 
 def _beam_splitter(state: PureState) -> PureState:
     # The beam splitter acts exactly only below the cutoff in total photon
-    # number; a probe must not rest on the clipped blocks above it.
+    # number; a probe must not rest on the clipped blocks above it.  The
+    # weight it may leave there is dropped before the split and added to the
+    # tolerance, so only complete blocks are rotated (no eigendecompositions).
     clipped, needed = fock.beam_splitter_overflow(state)
     if clipped > fock.CONSTRUCTOR_DEFICIT_LIMIT:
         raise fock.TruncationOverflowError(
             f"beam splitter at cutoff {state.cutoff}: input weight {clipped:.3e} lies in "
             f"total-photon blocks above the cutoff (limit {fock.CONSTRUCTOR_DEFICIT_LIMIT:g}); "
             f"use a cutoff of at least {needed}"
+        )
+    if clipped > 0.0:
+        import numpy as np
+
+        n = np.arange(state.cutoff + 1)
+        complete = np.add.outer(n, n) <= state.cutoff
+        state = fock.PureState(
+            np.where(complete, state.amplitudes, 0.0),
+            truncation_tol=state.truncation_tol + clipped,
         )
     return fock.beam_splitter(state)
 

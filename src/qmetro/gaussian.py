@@ -4,11 +4,14 @@ A zero-mean single-mode Gaussian state is fully described by its normally
 ordered second moments (<a^2>, <a^dag^2>, <a^dag a>).  Loss scales these
 moments and adds nothing to them, so the protocol squeeze(r), rotate(phi),
 damp(eta1), squeeze(-r), damp(eta2) has an exact closed form for general
-(eta1, eta2).  :func:`protocol_point` evaluates it with every sum made of
+(eta1, eta2).  :func:`protocol_row` evaluates it with every sum made of
 terms of one sign, so it keeps full double precision at any brightness and
-at the smallest angles.  It is the only Gaussian code on the runtime path of
-``protocol`` and ``sweep``; :func:`signal`, :func:`signal_slope`,
-:func:`phase_error` and :func:`snl_ratio` are views of it.
+at the smallest angles.  It is the one closed-form kernel and the only
+Gaussian arithmetic on the runtime path of ``protocol`` and ``sweep``: it
+takes one (n_bar, phi) and any number of (eta1, eta2) pairs, so ``sweep``
+calls it once per (n_bar, phi) row.  :func:`protocol_point` is its one-pair
+view, and :func:`signal`, :func:`signal_slope`, :func:`phase_error` and
+:func:`snl_ratio` are views of that.
 
 Squeezing, number-basis rotation and amplitude damping also act on the
 moments as 3x3 affine maps (:func:`squeeze_map`, :func:`rotation_map`,
@@ -26,6 +29,7 @@ the immutable value classes.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 #: m_adad must be the conjugate of m_aa to this absolute tolerance.
@@ -41,6 +45,8 @@ PHI_FLOOR = 1e-150
 SQUEEZE_DEFICIT_LIMIT = 1e-8
 
 HALF_PI = math.pi / 2.0
+#: Smallest normal double: a variance below it has lost its precision.
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class SingularOperatingPointError(ValueError):
@@ -124,11 +130,11 @@ class ProtocolPoint(NamedTuple):
     phase_error_is_limit: bool
 
 
-def protocol_point(
-    n_bar: float, phi: float, eta1: float = 1.0, eta2: float = 1.0
-) -> ProtocolPoint:
-    """Signal, number variance, <a^2>, signal slope and phase error in closed form.
+def protocol_row(n_bar: float, phi: float, eta_pairs) -> list[tuple]:
+    """The closed-form kernel: one (n_bar, phi) for every (eta1, eta2) pair.
 
+    Returns one plain tuple per pair, in :class:`ProtocolPoint` field order
+    (signal, variance, <a^2>, slope, phase error, phase-error-is-limit).
     With n = n_bar and s = sin^2 phi:
 
     - signal = eta2 n [(1 - eta1) + 4 eta1 (n+1) s]
@@ -140,37 +146,66 @@ def protocol_point(
     The phase error is sqrt(Var n) / |d signal / d phi|.  At phi = 0 without
     loss it is the analytic limit 1/sqrt(8 n (n+1)), flagged by
     ``phase_error_is_limit``; it is None wherever else the slope vanishes
-    (phi = 0 with loss, the signal maximum phi = pi/2, eta1 = 0 or eta2 = 0).
+    (phi = 0 with loss, the signal maximum phi = pi/2, eta1 = 0 or eta2 = 0,
+    or a slope that underflows a double).
+
+    The terms that depend on n_bar or phi alone (n + 1, sqrt(n(n+1)),
+    2n + 1, sin^2 phi and sin 2phi) are evaluated once per call, so a sweep
+    pays one call per (n_bar, phi) row and only the eta-dependent products
+    per point.  Each expression keeps the operation order of the one-point
+    form, so a row's values do not depend on which pairs it holds.
 
     The arguments are not validated here; callers check them once
     (``ProtocolConfig``, the sweep axes, the views below).  Expected:
     n_bar >= 0, phi = 0 or PHI_FLOOR <= phi <= pi/2, and 0 <= eta1, eta2 <= 1.
     Raises ValueError when n_bar is so large that the variance overflows a
-    double.
+    double, or when the slope is nonzero but the variance underflows (tiny
+    n_bar and phi), where the phase error would come out as 0.
     """
     n1 = n_bar + 1.0
     sin_phi = math.sin(phi)
     sin_sq = sin_phi * sin_phi
     sin_2phi = math.sin(2.0 * phi)
-    lost = 1.0 - eta1
-    signal = eta2 * n_bar * (lost + 4.0 * eta1 * n1 * sin_sq)
-    amplitude = eta2 * math.sqrt(n_bar * n1)
-    aa_re = amplitude * (lost + 2.0 * eta1 * (2.0 * n_bar + 1.0) * sin_sq)
-    aa_im = amplitude * eta1 * sin_2phi
-    variance = signal * signal + signal + aa_re * aa_re + aa_im * aa_im
-    if not math.isfinite(variance):
-        raise ValueError(
-            f"n_bar={n_bar!r} is too large: the photon-number variance overflows a double"
-        )
-    slope = 4.0 * eta1 * eta2 * n_bar * n1 * sin_2phi
-    error: float | None = None
-    is_limit = False
-    if slope != 0.0 and phi != HALF_PI:
-        error = math.sqrt(variance) / abs(slope)
-    elif phi == 0.0 and eta1 == 1.0 and eta2 == 1.0 and n_bar > 0.0:
-        error = 1.0 / math.sqrt(8.0 * n_bar * n1)
-        is_limit = True
-    return ProtocolPoint(signal, variance, complex(aa_re, aa_im), slope, error, is_limit)
+    root = math.sqrt(n_bar * n1)
+    two_n1 = 2.0 * n_bar + 1.0
+    off_peak = phi != HALF_PI
+    at_zero = phi == 0.0 and n_bar > 0.0
+    row = []
+    for eta1, eta2 in eta_pairs:
+        lost = 1.0 - eta1
+        signal = eta2 * n_bar * (lost + 4.0 * eta1 * n1 * sin_sq)
+        amplitude = eta2 * root
+        aa_re = amplitude * (lost + 2.0 * eta1 * two_n1 * sin_sq)
+        aa_im = amplitude * eta1 * sin_2phi
+        variance = signal * signal + signal + aa_re * aa_re + aa_im * aa_im
+        if not math.isfinite(variance):
+            raise ValueError(
+                f"n_bar={n_bar!r} is too large: the photon-number variance overflows a double"
+            )
+        slope = 4.0 * eta1 * eta2 * n_bar * n1 * sin_2phi
+        error = None
+        is_limit = False
+        if slope != 0.0:
+            if variance < _SMALLEST_NORMAL:
+                raise ValueError(
+                    f"n_bar={n_bar!r} and phi={phi!r} are too small: the photon-number "
+                    f"variance underflows a double (eta1={eta1!r}, eta2={eta2!r}), so the "
+                    "phase error would come out as 0; raise n_bar or phi"
+                )
+            if off_peak:
+                error = math.sqrt(variance) / abs(slope)
+        elif at_zero and eta1 == 1.0 and eta2 == 1.0:
+            error = 1.0 / math.sqrt(8.0 * n_bar * n1)
+            is_limit = True
+        row.append((signal, variance, complex(aa_re, aa_im), slope, error, is_limit))
+    return row
+
+
+def protocol_point(
+    n_bar: float, phi: float, eta1: float = 1.0, eta2: float = 1.0
+) -> ProtocolPoint:
+    """One operating point of :func:`protocol_row`, as a :class:`ProtocolPoint`."""
+    return ProtocolPoint._make(protocol_row(n_bar, phi, ((eta1, eta2),))[0])
 
 
 def _check_protocol_params(n_bar: float, eta: float) -> None:

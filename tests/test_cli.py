@@ -334,6 +334,24 @@ def test_tiny_phi_is_refused(capsys, argv):
     assert "1e-150" in err
 
 
+#: n_bar and phi so small that the variance underflows while the slope does
+#: not: delta_phi would come out 0.0 (the true value is ~7e99).
+TINY_VARIANCE_INPUT = [
+    ("protocol", "--nbar", "1e-200", "--phi", "1e-100", "--eta", "1"),
+    ("sweep", "--nbar", "1e-200", "--phi", "1e-100", "--eta", "1"),
+    ("sweep", "--nbar", "1e-200,1", "--phi", "1e-100,0.1", "--eta", "0.5,1"),
+]
+
+
+@pytest.mark.parametrize("argv", TINY_VARIANCE_INPUT, ids=" ".join)
+def test_underflowing_variance_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "n_bar=1e-200 and phi=1e-100" in err
+    assert "underflows" in err
+
+
 @pytest.mark.parametrize("phi,expected", [("0", 0.25), ("1e-150", 0.25)])
 def test_smallest_accepted_phi_keeps_the_lossless_limit(capsys, phi, expected):
     code, out, _ = run(capsys, "protocol", "--nbar", "1", "--phi", phi, "--format", "json")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -206,6 +207,27 @@ class TestOracleAgreement:
         assert rel_dev(row.j, oracle.j) < 1e-8
         assert rel_dev(row.qfi, oracle.qfi) < 1e-8
 
+    def test_oracle_beam_splitter_rotates_complete_blocks_only(self, monkeypatch):
+        # the probe's little weight above the cutoff in total photon number is
+        # dropped and counted in the tolerance: no clipped block is rotated
+        c = 12
+        state = fock.product(fock.coherent(1.0, c), fock.squeezed_vacuum(0.3, 0.0, c))
+        clipped, _ = fock.beam_splitter_overflow(state)
+        assert 0.0 < clipped <= fock.CONSTRUCTOR_DEFICIT_LIMIT
+        full = fock.beam_splitter(state)
+
+        def no_eigendecomposition(matrix):
+            raise AssertionError("a clipped block was diagonalised")
+
+        monkeypatch.setattr(fock, "_chiral_eigh", no_eigendecomposition)
+        out = co._beam_splitter(state)
+        n = np.arange(c + 1)
+        complete = np.add.outer(n, n) <= c
+        assert np.array_equal(out.amplitudes[complete], full.amplitudes[complete])
+        assert not out.amplitudes[~complete].any()
+        assert out.truncation_tol == state.truncation_tol + clipped
+        assert out.norm_squared == pytest.approx(state.norm_squared - clipped, abs=1e-15)
+
     def test_amplified_bell_is_formula_only(self):
         with pytest.raises(ValueError):
             co.oracle_probe("amplified_bell", 4.0)
@@ -308,3 +330,57 @@ def test_interferometer_qfi_routes_agree(state):
     stats = co.probe_statistics(state)
     generator = co.pure_state_qfi(state, "half_n_diff")
     assert abs(stats.qfi - generator) <= 1e-10 * max(1.0, abs(stats.qfi))
+
+
+# ---------------------------------------------------------------------------
+# default oracle cutoffs against each family's number-distribution tail
+# ---------------------------------------------------------------------------
+
+
+def _squeezed_tail(mean, cutoff):
+    """Weight of a squeezed vacuum of this mean photon number above the cutoff."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(mean) / (mpmath.mpf(mean) + 1)
+        p = kept = mpmath.sqrt(1 - t)  # P(0) = 1 / cosh r
+        for j in range(1, cutoff // 2 + 1):
+            p *= t * (2 * j - 1) / (2 * j)  # P(2j) / P(2j - 2)
+            kept += p
+        return 1 - kept
+
+
+def _poisson_tail(mean, cutoff):
+    with mpmath.workdps(60):
+        return mpmath.gammainc(cutoff + 1, 0, mean, regularized=True)
+
+
+TAIL_NBARS = (0.1, 1.0, 2.0, 4.0, 8.0, 20.0, 100.0)
+
+
+@pytest.mark.parametrize("n_bar", TAIL_NBARS)
+def test_oracle_cutoff_meets_each_familys_stated_tail(n_bar):
+    # the bounds of the oracle_cutoff docstring
+    c = co.oracle_cutoff("two_mode_squeezed_vacuum", n_bar)
+    assert (mpmath.mpf(n_bar) / (n_bar + 1)) ** (c + 1) < math.exp(-48.0)
+    # a squeezed vacuum falls per photon pair: the same geometric cutoff
+    # leaves it a tail below erfc(sqrt 24) ~ 4.3e-12, not e^-48
+    squeezed_bound = math.erfc(math.sqrt(24.0))
+    c = co.oracle_cutoff("twin_squeezed_vacuum", n_bar)
+    assert _squeezed_tail(n_bar / 2.0, c) < squeezed_bound
+    c = co.oracle_cutoff("caves", n_bar)
+    assert _squeezed_tail(n_bar / 2.0, c) < squeezed_bound
+    assert _poisson_tail(n_bar / 2.0, c) < 1e-30
+    for family in ("laser", "entangled_coherent"):
+        assert _poisson_tail(n_bar, co.oracle_cutoff(family, n_bar)) < 1e-30
+
+
+def test_squeezed_tail_is_the_squeezed_constructors_deficit():
+    # the tail above reads the same as the norm a truncated squeezed vacuum misses
+    c = co.oracle_cutoff("twin_squeezed_vacuum", 8.0)
+    state = fock.squeezed_vacuum(math.asinh(2.0), 0.0, c)
+    assert state.norm_deficit == pytest.approx(float(_squeezed_tail(4.0, c)), rel=1e-2)
+
+
+@pytest.mark.parametrize("family", ["noon", "twin_fock"])
+def test_number_state_families_have_no_tail(family):
+    for n_bar in (2.0, 4.0, 8.0, 20.0):
+        assert co.oracle_cutoff(family, n_bar) == n_bar

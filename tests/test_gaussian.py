@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -314,3 +315,115 @@ def test_kernel_matches_high_precision_maps_on_full_domain(n_bar, phi, eta1, eta
 def test_kernel_at_formerly_failing_points(n_bar, phi, eta):
     _assert_kernel_matches_reference(n_bar, phi, eta, eta)
     assert ga.phase_error(n_bar, phi, eta) == ga.protocol_point(n_bar, phi, eta, eta).phase_error
+
+
+# ---------------------------------------------------------------------------
+# row kernel against the one-point form, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _one_point(n_bar, phi, eta1, eta2):
+    """The closed form evaluated one point at a time, with every term formed
+    per point: the arithmetic :func:`ga.protocol_row` hoists out of its eta
+    loop, kept as the reference it must reproduce bit for bit."""
+    n1 = n_bar + 1.0
+    sin_phi = math.sin(phi)
+    sin_sq = sin_phi * sin_phi
+    sin_2phi = math.sin(2.0 * phi)
+    lost = 1.0 - eta1
+    signal = eta2 * n_bar * (lost + 4.0 * eta1 * n1 * sin_sq)
+    amplitude = eta2 * math.sqrt(n_bar * n1)
+    aa_re = amplitude * (lost + 2.0 * eta1 * (2.0 * n_bar + 1.0) * sin_sq)
+    aa_im = amplitude * eta1 * sin_2phi
+    variance = signal * signal + signal + aa_re * aa_re + aa_im * aa_im
+    if not math.isfinite(variance):
+        raise ValueError(
+            f"n_bar={n_bar!r} is too large: the photon-number variance overflows a double"
+        )
+    slope = 4.0 * eta1 * eta2 * n_bar * n1 * sin_2phi
+    error = None
+    is_limit = False
+    if slope != 0.0 and phi != HALF_PI:
+        error = math.sqrt(variance) / abs(slope)
+    elif phi == 0.0 and eta1 == 1.0 and eta2 == 1.0 and n_bar > 0.0:
+        error = 1.0 / math.sqrt(8.0 * n_bar * n1)
+        is_limit = True
+    return (signal, variance, complex(aa_re, aa_im), slope, error, is_limit)
+
+
+def _bits(fields):
+    """The exact bit patterns of a kernel tuple (-0.0 and 0.0 differ)."""
+    out = []
+    for value in fields:
+        if isinstance(value, complex):
+            out.extend((value.real.hex(), value.imag.hex()))
+        elif isinstance(value, float):
+            out.append(value.hex())
+        else:
+            out.append(value)
+    return out
+
+
+def _assert_row_is_bitwise_one_point(n_bar, phi, pairs):
+    row = ga.protocol_row(n_bar, phi, pairs)
+    assert len(row) == len(pairs)
+    for fields, (eta1, eta2) in zip(row, pairs):
+        assert type(fields) is tuple and len(fields) == len(ga.ProtocolPoint._fields)
+        expected = _one_point(n_bar, phi, eta1, eta2)
+        assert _bits(fields) == _bits(expected), (n_bar, phi, eta1, eta2)
+        assert _bits(ga.protocol_point(n_bar, phi, eta1, eta2)) == _bits(expected)
+
+
+def _random_eta(rng):
+    pick = rng.random()
+    if pick < 0.1:
+        return 1.0
+    if pick < 0.15:
+        return 0.0
+    if pick < 0.25:
+        return 10.0 ** rng.uniform(-100.0, 0.0)
+    return rng.uniform(0.5, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_kernel_is_bitwise_the_one_point_form_on_random_grids(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n_bar = 10.0 ** rng.uniform(-2.0, 10.0)
+        phi = rng.choice([0.0, HALF_PI, 10.0 ** rng.uniform(-9.0, math.log10(HALF_PI))])
+        # equal pairs, as a sweep passes them, and unequal ones
+        pairs = [(eta, eta) for eta in (_random_eta(rng) for _ in range(5))]
+        pairs += [(_random_eta(rng), _random_eta(rng)) for _ in range(5)]
+        _assert_row_is_bitwise_one_point(n_bar, phi, pairs)
+
+
+@pytest.mark.parametrize("n_bar,phi,pairs", [
+    (3.0, 0.0, [(1.0, 1.0), (0.9, 0.9), (1.0, 0.5)]),  # lossless limit, and none
+    (3.0, HALF_PI, [(1.0, 1.0), (0.7, 0.9)]),  # the signal maximum: no error
+    (3.0, 0.4, [(0.0, 0.0), (0.0, 0.8), (0.8, 0.0), (1e-320, 1e-320)]),  # no slope
+    (0.0, 0.4, [(1.0, 1.0), (0.9, 0.9)]),  # vacuum probe
+    (2.5e-3, 1e-9, [(0.3, 0.99), (0.99, 0.3), (1.0, 1.0)]),
+])
+def test_row_kernel_is_bitwise_the_one_point_form_at_edges(n_bar, phi, pairs):
+    _assert_row_is_bitwise_one_point(n_bar, phi, pairs)
+
+
+@pytest.mark.parametrize("pairs", [[(0.9, 0.9)], [(0.0, 0.0)], [(1.0, 1.0), (0.5, 0.5)]])
+def test_row_kernel_refuses_an_overflowing_nbar_like_the_one_point_form(pairs):
+    for eta1, eta2 in pairs:
+        with pytest.raises(ValueError, match="too large"):
+            _one_point(1e200, 0.3, eta1, eta2)
+    with pytest.raises(ValueError, match="too large"):
+        ga.protocol_row(1e200, 0.3, pairs)
+
+
+def test_row_kernel_refuses_an_underflowing_variance():
+    # the one-point form gives delta_phi 0.0 here; the true value is
+    # ~1/sqrt(8 n_bar) = 7e99
+    assert _one_point(1e-200, 1e-100, 1.0, 1.0)[4] == 0.0
+    with pytest.raises(ValueError, match=r"n_bar=1e-200 and phi=1e-100"):
+        ga.protocol_row(1e-200, 1e-100, [(1.0, 1.0)])
+    with pytest.raises(ValueError, match="underflows"):
+        ga.protocol_point(1e-200, 1e-100)
+    # a slope that underflows itself leaves the phase error undefined instead
+    assert ga.protocol_point(1e-300, 1e-100).phase_error is None

@@ -47,6 +47,22 @@ def test_tampered_slope_coefficient_is_caught(monkeypatch):
     assert observed > 1e-3
 
 
+def test_tampered_row_kernel_is_caught(monkeypatch):
+    # protocol_point is a view of protocol_row, the kernel sweep calls, so a
+    # slip in the row kernel's variance reaches the transcription check
+    original = gaussian.protocol_row
+
+    def tampered(n_bar, phi, eta_pairs):
+        return [
+            (s, 1.01 * v, aa, slope, None if e is None else e * math.sqrt(1.01), lim)
+            for s, v, aa, slope, e, lim in original(n_bar, phi, eta_pairs)
+        ]
+
+    monkeypatch.setattr(gaussian, "protocol_row", tampered)
+    observed, _ = validate.check_phase_error_transcription(samples=5)
+    assert observed > 1e-3
+
+
 def test_full_suite_passes():
     report = validate.run_checks("full")
     assert report["passed"] is True
