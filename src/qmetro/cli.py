@@ -152,7 +152,9 @@ class SweepSpec(Frozen):
             raise UsageError("--phi: sweep values must be below pi/2 (signal extremum)")
         for eta in self.eta_values:
             gaussian.check_eta(eta)
-        gaussian.check_phi(self.phi_values[0])  # the smallest: the grid increases
+        # the smallest values: the grids increase
+        gaussian.check_n_bar(self.n_bar_values[0])
+        gaussian.check_phi(self.phi_values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 Kets of one or two bosonic modes are dense complex amplitude tensors over the
 number basis |0>, ..., |cutoff>; density matrices, which photon loss
 produces, are single-mode.  A lossy single-mode ket can also be kept as the
-kets of its Kraus branches, rho = sum_k |phi_k><phi_k|, which the squeeze
-moves all at once; the protocol's lossy runs never form rho.  The two-mode
-probe catalogue needs only kets.  Every state records how much probability
-weight truncation is allowed to have cost it (``truncation_tol``), and every
-operation either preserves weight exactly or measures what it discarded and
-fails loudly when that exceeds its budget.  This module is the slow, exact
-oracle that the closed-form machinery elsewhere in the package is checked
-against, so correctness is preferred over speed throughout.
+kets of its Kraus branches, rho = sum_k |phi_k><phi_k|, so the protocol's
+lossy runs never form rho.  Nor do they un-squeeze it: the detector needs
+only <n>, <n^2> and <a^2>, which :func:`unsqueezed_moments` reads in the
+Heisenberg picture from the Bogoliubov map of the un-squeeze, on the
+branches padded by two levels.  No Fock operation grows its basis.  The
+two-mode probe catalogue needs only kets.  Every state records how much
+probability weight truncation is allowed to have cost it
+(``truncation_tol``), and every operation either preserves weight exactly
+or measures what it discarded and fails loudly when that exceeds its
+budget.  This module is the slow, exact oracle that the closed-form
+machinery elsewhere in the package is checked against, so correctness is
+preferred over speed throughout.
 
 All states are immutable values and all operations are pure functions; they
 are safe to call concurrently.  The module needs numpy and the standard
@@ -19,17 +23,16 @@ Gaussian commands never run it and never import numpy.  The squeeze
 unitary comes from one eigendecomposition of its generator per basis size,
 shared by every squeezing parameter, so no matrix exponential is ever
 taken.  Photon loss acts on each diagonal of a density matrix on its own
-and is evaluated one diagonal at a time.  The beam splitter's unitary on a complete total-photon
-block follows from the previous block's by a stable recursion; only the
-blocks that the cutoff clips are diagonalised.  The squeeze and beam
-splitter generators couple even levels only to odd ones, so each
-diagonalisation is one SVD of half the size.
+and is evaluated one diagonal at a time.  The beam splitter's unitary on a
+complete total-photon block follows from the previous block's by a stable
+recursion; only the blocks that the cutoff clips are diagonalised.  The
+squeeze and beam splitter generators couple even levels only to odd ones,
+so each diagonalisation is one SVD of half the size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,31 +67,27 @@ def _tol_for(deficit: float, base: float = DEFAULT_TRUNCATION_TOL) -> float:
     return max(base, deficit * (1.0 + 1e-6) + 1e-12)
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Frozen):
     """Ket over the truncated number basis of one or two modes.
 
     ``amplitudes`` has shape ``(cutoff + 1,)`` or ``(cutoff + 1, cutoff + 1)``
     and squared norm in ``[1 - truncation_tol, 1]``.
     """
 
-    amplitudes: np.ndarray
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL
+    __slots__ = ("amplitudes", "truncation_tol")
 
-    def __post_init__(self) -> None:
-        amps = _frozen(self.amplitudes)
+    def __init__(self, amplitudes: np.ndarray, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
+        amps = _frozen(amplitudes)
         if amps.ndim not in (1, 2):
             raise ValueError(f"expected a 1- or 2-mode amplitude tensor, got ndim={amps.ndim}")
         if amps.ndim == 2 and amps.shape[0] != amps.shape[1]:
             raise ValueError(f"two-mode tensor must be square, got shape {amps.shape}")
         if amps.shape[0] < 1:
             raise ValueError("cutoff must be >= 0")
-        object.__setattr__(self, "amplitudes", amps)
+        self._init(amps, truncation_tol)
         norm_sq = self.norm_squared
-        if not 1.0 - self.truncation_tol <= norm_sq <= 1.0 + 1e-12:
-            raise ValueError(
-                f"squared norm {norm_sq!r} outside [1 - {self.truncation_tol:g}, 1]"
-            )
+        if not 1.0 - truncation_tol <= norm_sq <= 1.0 + 1e-12:
+            raise ValueError(f"squared norm {norm_sq!r} outside [1 - {truncation_tol:g}, 1]")
 
     @property
     def modes(self) -> int:
@@ -107,8 +106,7 @@ class PureState:
         return max(0.0, 1.0 - self.norm_squared)
 
 
-@dataclass(frozen=True, eq=False)
-class MixedState:
+class MixedState(Frozen):
     """Single-mode density matrix over the truncated number basis.
 
     ``matrix`` has shape ``(cutoff + 1, cutoff + 1)``.  Hermiticity and trace
@@ -116,25 +114,22 @@ class MixedState:
     in :meth:`validate`.
     """
 
-    matrix: np.ndarray
-    cutoff: int
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL
+    __slots__ = ("matrix", "cutoff", "truncation_tol")
+    modes = 1
 
-    def __post_init__(self) -> None:
-        mat = _frozen(self.matrix)
-        dim = self.cutoff + 1
+    def __init__(
+        self, matrix: np.ndarray, cutoff: int, truncation_tol: float = DEFAULT_TRUNCATION_TOL
+    ):
+        mat = _frozen(matrix)
+        dim = cutoff + 1
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", mat)
+        self._init(mat, cutoff, truncation_tol)
         tr = self.trace
-        if not 1.0 - self.truncation_tol <= tr <= 1.0 + 1e-12:
-            raise ValueError(f"trace {tr!r} outside [1 - {self.truncation_tol:g}, 1]")
-
-    @property
-    def modes(self) -> int:
-        return 1
+        if not 1.0 - truncation_tol <= tr <= 1.0 + 1e-12:
+            raise ValueError(f"trace {tr!r} outside [1 - {truncation_tol:g}, 1]")
 
     @property
     def trace(self) -> float:
@@ -185,7 +180,7 @@ class BranchState(Frozen):
         return max(0.0, 1.0 - self.trace)
 
 
-State = PureState | MixedState | BranchState
+State = PureState | MixedState
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +345,8 @@ def beam_splitter(state: PureState) -> PureState:
     an eigendecomposition of the clipped generator; the input weight in such
     blocks (:func:`beam_splitter_overflow`) bounds what the result gets wrong
     there, and is added to its ``truncation_tol``.  Blocks whose input is
-    exactly zero are left zero without any work.
+    exactly zero are left zero without any work, and when every clipped
+    block is, that weight is 0 and is not measured.
     """
     if not isinstance(state, PureState) or state.modes != 2:
         raise ValueError("beam_splitter() acts on two-mode pure states")
@@ -377,7 +373,7 @@ def beam_splitter(state: PureState) -> PureState:
         w, v = _chiral_eigh(np.diag(off, 1) + np.diag(off, -1))
         rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ block)
         out[idx_a, total - idx_a] = 1j ** (total % 4) * rotated
-    clipped, _ = beam_splitter_overflow(state)
+    clipped = beam_splitter_overflow(state)[0] if occupied[c + 1 :].any() else 0.0
     return PureState(out, truncation_tol=state.truncation_tol + clipped)
 
 
@@ -522,59 +518,54 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return product.view(complex).reshape((m.shape[0],) + x.shape[1:])
 
 
-def squeeze(state: State, r: float, grow: bool = False) -> State:
-    """Single-mode squeeze exp[(r/2)(a^2 - a^dag^2)]; negative r un-squeezes.
+def squeeze(state: PureState, r: float) -> PureState:
+    """Single-mode squeeze exp[(r/2)(a^2 - a^dag^2)] of a ket; negative r un-squeezes.
 
-    Acts on a ket, or on every branch ket of a :class:`BranchState` at once.
-    By default the unitary is evaluated in a padded basis and the result
-    restricted back to the state's cutoff; weight left in the pad is the
-    truncation deficit and must stay below ``SQUEEZE_DEFICIT_LIMIT``.  With
-    ``grow=True`` the result instead keeps whatever enlarged basis it needs
-    (the working dimension doubles until the population at its edge is
-    negligible), so no weight is discarded; the output cutoff may then exceed
-    the input one.  Growth is what a readout stage wants: the input cutoff
-    describes the probe, not the inflated state the unsqueezer hands to the
-    detector.
+    The result of :func:`padded_squeeze` restricted back to the ket's cutoff:
+    the weight it held above the cutoff is the truncation deficit.
     """
-    if state.modes != 1:
-        raise ValueError("squeeze() acts on single-mode states")
-    if isinstance(state, MixedState):
-        raise ValueError("squeeze() acts on kets and branch states, not density matrices")
+    _check_single_mode_ket(state, "squeeze")
     if r == 0.0:
         return state
-    branched = isinstance(state, BranchState)
-    array = state.branches if branched else state.amplitudes
-    dim = state.cutoff + 1
-
-    work_dim = 2 * max(dim, 32)
-    while True:
-        padded = np.zeros((work_dim,) + array.shape[1:], dtype=complex)
-        padded[:dim] = array
-        out = _apply_squeeze(padded, r)
-        weights = np.abs(out) ** 2
-        if branched:
-            weights = weights.sum(axis=1)
-        edge = float(weights[-4:].sum())
-        if edge <= 0.1 * SQUEEZE_DEFICIT_LIMIT:
-            break
-        if not grow or work_dim >= 8192:
-            if grow:
-                raise TruncationOverflowError(
-                    f"squeeze(r={r:+.4f}): no convergence below dimension 8192"
-                )
-            break
-        work_dim *= 2
-
-    if grow:
-        keep, spill = _trim(weights, dim)
-    else:
-        keep = dim
-        spill = float(weights[dim:].sum())
-        _check_squeeze_spill(spill, edge, state.cutoff, r)
-    deficit = state.trace_deficit if branched else state.norm_deficit
-    return type(state)(
-        out[:keep], truncation_tol=_tol_for(deficit + spill, base=state.truncation_tol)
+    padded, spill = padded_squeeze(state, r)
+    return PureState(
+        padded.amplitudes[: state.cutoff + 1],
+        truncation_tol=_tol_for(state.norm_deficit + spill, base=state.truncation_tol),
     )
+
+
+def padded_squeeze(state: PureState, r: float) -> tuple[PureState, float]:
+    """The squeezed ket with its tail past the cutoff, and the tail's weight (the spill).
+
+    The unitary acts in a basis padded to 2 max(cutoff + 1, 32) levels.  A
+    spill above ``SQUEEZE_DEFICIT_LIMIT``, or weight at the pad's edge,
+    raises TruncationOverflowError.  The ket keeps every padded level that
+    carries weight (:func:`_trim`).
+    """
+    _check_single_mode_ket(state, "padded_squeeze")
+    dim = state.cutoff + 1
+    padded = np.zeros(2 * max(dim, 32), dtype=complex)
+    padded[:dim] = state.amplitudes
+    out = _apply_squeeze(padded, r)
+    weights = np.abs(out) ** 2
+    spill = float(weights[dim:].sum())
+    edge = float(weights[-4:].sum())
+    if spill > SQUEEZE_DEFICIT_LIMIT or edge > 0.1 * SQUEEZE_DEFICIT_LIMIT:
+        raise TruncationOverflowError(
+            f"squeeze(r={r:+.4f}) at cutoff {state.cutoff} spills weight {spill:.3e} "
+            f"past the cutoff (pad edge {edge:.3e}); increase the cutoff"
+        )
+    keep, dropped = _trim(weights, dim)
+    tol = _tol_for(state.norm_deficit + dropped, base=state.truncation_tol)
+    return PureState(out[:keep], truncation_tol=tol), spill
+
+
+def _check_single_mode_ket(state: object, caller: str) -> None:
+    if not isinstance(state, PureState) or state.modes != 1:
+        raise ValueError(
+            f"{caller}() acts on single-mode kets, not density matrices, branch states "
+            "or two-mode kets"
+        )
 
 
 def _trim(weights: np.ndarray, least: int) -> tuple[int, float]:
@@ -586,14 +577,6 @@ def _trim(weights: np.ndarray, least: int) -> tuple[int, float]:
     tail = np.cumsum(weights[::-1])[::-1]
     keep = max(least, min(weights.size, int(np.searchsorted(-tail, -1e-16)) + 1))
     return keep, float(tail[keep]) if keep < weights.size else 0.0
-
-
-def _check_squeeze_spill(spill: float, edge: float, cutoff: int, r: float) -> None:
-    if spill > SQUEEZE_DEFICIT_LIMIT or edge > 0.1 * SQUEEZE_DEFICIT_LIMIT:
-        raise TruncationOverflowError(
-            f"squeeze(r={r:+.4f}) at cutoff {cutoff} spills weight {spill:.3e} "
-            f"past the cutoff (pad edge {edge:.3e}); increase the cutoff"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +671,7 @@ def loss_branches(state: PureState, eta: float) -> BranchState:
     evaluated 64 rows at a time, so nothing of size (cutoff + 1)^2 is formed.
     """
     check_eta(eta)
-    if not isinstance(state, PureState) or state.modes != 1:
-        raise ValueError("loss_branches() acts on single-mode kets")
+    _check_single_mode_ket(state, "loss_branches")
     psi = state.amplitudes
     dim = psi.size
     dropped = 0.0
@@ -746,10 +728,7 @@ def expectation(state: State, observable: str, mode: int | None = None):
             return complex(np.sum(coeff * np.diagonal(state.matrix, offset=-2)))
         pop = np.diag(state.matrix).real
     else:
-        if isinstance(state, BranchState):
-            amps = state.branches  # every branch contributes, like a second mode
-        else:
-            amps = state.amplitudes if mode == 0 else state.amplitudes.T
+        amps = state.amplitudes if mode == 0 else state.amplitudes.T
         if observable == "a2":
             # the photon-number axis is the first; broadcast over the other one
             column = coeff.reshape((-1,) + (1,) * (amps.ndim - 1))
@@ -764,6 +743,37 @@ def expectation(state: State, observable: str, mode: int | None = None):
     if observable == "n2":
         return float((n**2) @ pop)
     return float((n * (n - 1.0)) @ pop)  # adag2a2
+
+
+def unsqueezed_moments(state: PureState | BranchState, r: float) -> tuple[float, float, complex]:
+    """<n>, <n^2> and <a^2> after the un-squeeze squeeze(-r), read in the Heisenberg picture.
+
+    squeeze(-r) sends a to b = a cosh r + a^dag sinh r, so for the kets phi_k
+    of a ket or branch state the moments are the sums over k of
+    ||b phi_k||^2, ||b^dag b phi_k||^2 and <b^dag phi_k|b phi_k>, taken on
+    phi_k padded by the two levels b^dag b raises it by: exact, and no
+    un-squeezed state is formed.
+    """
+    if isinstance(state, BranchState):
+        array = state.branches
+    else:
+        _check_single_mode_ket(state, "unsqueezed_moments")
+        array = state.amplitudes
+    padded = np.pad(array, [(0, 2)] + [(0, 0)] * (array.ndim - 1))
+    ch, sh = math.cosh(r), math.sinh(r)
+    b = _ladder(padded, ch, sh)
+    a2 = complex(np.vdot(_ladder(padded, sh, ch), b))
+    bdag_b = _ladder(b, sh, ch)
+    return float(np.vdot(b, b).real), float(np.vdot(bdag_b, bdag_b).real), a2
+
+
+def _ladder(x: np.ndarray, lower: float, upper: float) -> np.ndarray:
+    """(lower a + upper a^dag) x over the rows of x, exact while its last row is zero."""
+    root = np.sqrt(np.arange(1.0, x.shape[0])).reshape((-1,) + (1,) * (x.ndim - 1))
+    out = np.zeros_like(x)
+    out[:-1] = (lower * root) * x[1:]
+    out[1:] += (upper * root) * x[:-1]
+    return out
 
 
 def project_total_photon(state: PureState, n_total: int) -> PureState:
@@ -810,17 +820,14 @@ def fidelity(a: PureState, b: State) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ObservableMoments:
+class ObservableMoments(Frozen):
     """Per-mode number moments plus the two-mode number covariance inputs."""
 
-    mean_n: tuple[float, ...]
-    mean_n2: tuple[float, ...]
-    var_n: tuple[float, ...]
-    cross_nn: float | None
+    __slots__ = ("mean_n", "mean_n2", "var_n", "cross_nn")
 
-    def __post_init__(self) -> None:
-        for mean, mean2, var in zip(self.mean_n, self.mean_n2, self.var_n):
+    def __init__(self, mean_n: tuple, mean_n2: tuple, var_n: tuple, cross_nn: float | None):
+        self._init(mean_n, mean_n2, var_n, cross_nn)
+        for mean, mean2, var in zip(mean_n, mean_n2, var_n):
             if var < -1e-10:
                 raise ValueError(f"negative number variance {var:.3e}")
             if abs(var - (mean2 - mean**2)) > 1e-10 * max(1.0, abs(mean2)):

@@ -21,9 +21,9 @@ independent reference the kernel is checked against by the tests and by
 nothing from numpy, and Gaussian commands never import it.
 
 It is also the bottom of the package's import graph, so it holds what every
-engine shares: :func:`check_eta`, :func:`check_phi`, the squeeze budget
-``SQUEEZE_DEFICIT_LIMIT``, the error types and :class:`Frozen`, the base of
-the immutable value classes.
+engine shares: :func:`check_eta`, :func:`check_phi`, :func:`check_n_bar`,
+the squeeze budget ``SQUEEZE_DEFICIT_LIMIT``, the error types and
+:class:`Frozen`, the base of the immutable value classes.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ PHYSICALITY_SLACK = 1e-10
 #: Smallest nonzero phase accepted: below it sin^2 phi and the squared terms
 #: of the variance underflow, and the phase error comes out wrong or infinite.
 PHI_FLOOR = 1e-150
+#: Smallest mean photon number accepted: with n_bar and phi at least their
+#: floors, the slope's factor n (n+1) sin 2phi >= 2e-300 does not underflow.
+N_BAR_FLOOR = 1e-150
 #: Squeezing refuses when the result spills more weight than this past the
 #: cutoff.  The Fock oracle enforces it (:mod:`qmetro.fock` binds the same
 #: value); the protocol's default cutoff is derived from it.
@@ -77,6 +80,19 @@ def check_phi(phi: float) -> None:
         raise ValueError(
             f"phi={phi!r} is below the smallest nonzero phase {PHI_FLOOR:g}, where "
             f"sin^2 phi underflows; use phi = 0 or phi >= {PHI_FLOOR:g}"
+        )
+
+
+def check_n_bar(n_bar: float) -> None:
+    """Refuse a mean photon number below ``N_BAR_FLOOR``.
+
+    Below it the signal slope, 4 eta1 eta2 n (n+1) sin 2phi, underflows to 0
+    at small phases even without loss, and the phase error comes out empty.
+    """
+    if n_bar < N_BAR_FLOOR:
+        raise ValueError(
+            f"n_bar={n_bar!r} is below the smallest mean photon number {N_BAR_FLOOR:g}, "
+            f"where the signal slope underflows; use n_bar >= {N_BAR_FLOOR:g}"
         )
 
 

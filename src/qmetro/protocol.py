@@ -23,8 +23,6 @@ from .gaussian import Frozen, MomentVector, SingularOperatingPointError, Truncat
 if TYPE_CHECKING:
     import numpy as np
 
-    from .fock import BranchState, PureState
-
 ENGINES = ("gaussian", "fock", "both")
 
 #: run_fock refuses to report results that lost more trace than this.
@@ -34,8 +32,9 @@ DEFAULT_STEP = 1e-4
 #: Slope magnitudes below this count as a vanished derivative.
 SLOPE_FLOOR = 1e-12
 #: default_cutoff refuses to pick a cutoff above this; pass one explicitly.
-#: About the largest at which a cold lossy run at phi 0.3 takes 0.2 s (n_bar
-#: 9.1; 2-vCPU x86 VM, one BLAS thread); a larger phi grows the readout more.
+#: At it (n_bar 9.1) a cold lossy run_fock takes ~0.06 s at any phi, and
+#: 0.18 s at cutoff 800 (2-vCPU x86 VM, one BLAS thread); the readout adds no
+#: basis.  Kept at 400 so that the same inputs are refused.
 DEFAULT_CUTOFF_CAP = 400
 #: default_cutoff stops searching at this cutoff.
 _CUTOFF_SEARCH_LIMIT = 1 << 20
@@ -87,6 +86,7 @@ class ProtocolConfig(Frozen):
             raise ValueError("n_bar must be positive")
         if self.r is not None and self.r <= 0 and self.n_bar is None:
             raise ValueError("r must be positive")
+        gaussian.check_n_bar(self.n_bar_value)
         gaussian.check_eta(self.eta1)
         gaussian.check_eta(self.eta2)
         if not 0.0 <= self.phi <= math.pi / 2.0:
@@ -115,8 +115,11 @@ class ProtocolResult(Frozen):
 
     ``phase_error`` is None exactly at the signal extremum phi = pi/2 where
     the slope vanishes; ``phase_error_is_limit`` marks the analytic phi -> 0
-    lossless limit.  ``trace_deficit`` is the weight the Fock pipeline lost
-    to truncation (0 for the Gaussian engine).
+    lossless limit.  ``trace_deficit`` is, for the Fock engine, the weight
+    the probe's squeeze moves past the cutoff (kept in the padded basis, but
+    what the cutoff would have cost) plus the weight the pipeline dropped:
+    Kraus branches and padded levels of at most 1e-16 each.  It is 0 for
+    the Gaussian engine.
     """
 
     __slots__ = (
@@ -229,48 +232,42 @@ def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
 
 
 def run_fock(config: ProtocolConfig) -> ProtocolResult:
-    """Protocol as exact Fock evolution of a ket, or of Kraus-branch kets when lossy.
+    """Protocol as exact Fock evolution of the probe, read out in the Heisenberg picture.
 
-    The pipeline stays a ket while no loss has acted.  The first loss
-    splits it into one ket per number of photons lost
-    (:func:`fock.loss_branches`), which the anti-squeeze moves as one block,
-    so no density matrix is formed.  The readout loss only thins the photon
-    counts binomially, so it is applied to the readout moments
-    (:func:`_thinned`).  The number-basis rotation is applied with the same
-    orientation the moment engine uses (a -> a e^{-i phi}), so the two
-    engines agree on the complex <a^2>, not just on its modulus.
+    The probe is the squeezed vacuum of :func:`fock.padded_squeeze`, which
+    keeps its tail past the cutoff; the weight there must stay below
+    ``SQUEEZE_DEFICIT_LIMIT``.  The first loss splits the ket into one ket
+    per number of photons lost (:func:`fock.loss_branches`), so no density
+    matrix is formed.  The anti-squeeze and the readout loss act on the
+    detector's moments only: :func:`fock.unsqueezed_moments` gives them
+    after the anti-squeeze, exactly, and :func:`_thinned` applies the loss.
+    The number-basis rotation is applied with the same orientation the
+    moment engine uses (a -> a e^{-i phi}), so the two engines agree on the
+    complex <a^2>, not just on its modulus.
     """
     r, phi = config.r_value, config.phi
     cutoff = config.cutoff_value
 
     try:
-        state: PureState | BranchState = fock.squeeze(fock.vacuum(cutoff), r)
+        probe, spill = fock.padded_squeeze(fock.vacuum(cutoff), r)
     except TruncationOverflowError as exc:
         needed, found = squeeze_cutoff(config.n_bar_value)
         raise TruncationOverflowError(
             f"squeeze stage: {exc}; use a cutoff of {'at least' if found else 'more than'} "
             f"{needed}"
         ) from exc
-    state = fock.phase_shift(state, -phi)
+    state = fock.phase_shift(probe, -phi)
     if config.eta1 < 1.0:
         state = fock.loss_branches(state, config.eta1)
-    # The probe lives at the configured cutoff; the unsqueezed state handed to
-    # the detector can be much larger, so the readout stage grows its basis
-    # instead of clipping weight.
-    state = _staged(fock.squeeze, state, -r, grow=True, stage="anti-squeeze")
 
-    deficit = state.norm_deficit if isinstance(state, fock.PureState) else state.trace_deficit
+    lost = state.norm_deficit if isinstance(state, fock.PureState) else state.trace_deficit
+    deficit = spill + lost
     if deficit > TRACE_DEFICIT_LIMIT:
         raise TruncationOverflowError(
             f"final state lost weight {deficit:.3e} > {TRACE_DEFICIT_LIMIT:g}; "
             f"increase the cutoff (currently {cutoff})"
         )
-    sig, n2, m_aa = _thinned(
-        config.eta2,
-        fock.expectation(state, "n"),
-        fock.expectation(state, "n2"),
-        fock.expectation(state, "a2"),
-    )
+    sig, n2, m_aa = _thinned(config.eta2, *fock.unsqueezed_moments(state, r))
     return ProtocolResult(
         MomentVector.from_pair(m_aa, sig), sig, n2 - sig**2, None, trace_deficit=deficit
     )
@@ -284,13 +281,6 @@ def _thinned(eta: float, n: float, n2: float, a2: complex) -> tuple[float, float
     <n^2> -> eta^2 <n^2> + eta (1 - eta) <n> and <a^2> -> eta <a^2>.
     """
     return eta * n, eta * eta * n2 + eta * (1.0 - eta) * n, eta * a2
-
-
-def _staged(op, state, *args, stage: str, **kwargs):
-    try:
-        return op(state, *args, **kwargs)
-    except TruncationOverflowError as exc:
-        raise TruncationOverflowError(f"{stage} stage: {exc}") from exc
 
 
 def run_both(config: ProtocolConfig) -> ComparisonReport:

@@ -13,30 +13,30 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import correlations as co
 from . import fock, gaussian, protocol
 from .cli import SWEEP_COLUMNS, VALIDATE_LEVELS
+from .gaussian import Frozen
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    budget: float
-    observed: float
-    detail: str
-    seconds: float
+class CheckResult(Frozen):
+    """One check's verdict: its observed value against its budget."""
+
+    __slots__ = ("name", "passed", "budget", "observed", "detail", "seconds")
+
+    def __init__(
+        self, name: str, passed: bool, budget: float, observed: float, detail: str,
+        seconds: float,
+    ) -> None:
+        self._init(name, passed, budget, observed, detail, seconds)
 
     def to_dict(self) -> dict:
         # timing stays out of the report so identical invocations produce
         # byte-identical JSON; it is still shown in the human summary
-        out = asdict(self)
-        del out["seconds"]
-        return out
+        return {name: getattr(self, name) for name in self.__slots__ if name != "seconds"}
 
 
 def _table_families(n_bar: float) -> list[co.ProbeFamily]:
@@ -94,7 +94,11 @@ def check_table_oracle_entangled_coherent() -> tuple[float, str]:
 
 
 def check_engine_equivalence(full: bool) -> tuple[float, str]:
-    """Moment-map protocol vs the Fock pipeline (Kraus-branch kets when lossy) at cutoff 60."""
+    """Moment-map protocol vs the Fock pipeline at cutoff 60.
+
+    The Fock side evolves the padded probe, as Kraus-branch kets when lossy,
+    and reads the anti-squeezed moments in the Heisenberg picture.
+    """
     rs = (0.2, 0.5, 0.8814) if full else (0.5, 0.8814)
     phis = (0.05, 0.3, 1.0) if full else (0.3, 1.0)
     etas = (1.0, 0.95, 0.8) if full else (0.95,)

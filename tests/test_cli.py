@@ -335,11 +335,11 @@ def test_tiny_phi_is_refused(capsys, argv):
 
 
 #: n_bar and phi so small that the variance underflows while the slope does
-#: not: delta_phi would come out 0.0 (the true value is ~7e99).
+#: not: delta_phi would come out 0.0 (the true value is ~3.5e69).
 TINY_VARIANCE_INPUT = [
-    ("protocol", "--nbar", "1e-200", "--phi", "1e-100", "--eta", "1"),
-    ("sweep", "--nbar", "1e-200", "--phi", "1e-100", "--eta", "1"),
-    ("sweep", "--nbar", "1e-200,1", "--phi", "1e-100,0.1", "--eta", "0.5,1"),
+    ("protocol", "--nbar", "1e-140", "--phi", "1e-100", "--eta", "1"),
+    ("sweep", "--nbar", "1e-140", "--phi", "1e-100", "--eta", "1"),
+    ("sweep", "--nbar", "1e-140,1", "--phi", "1e-100,0.1", "--eta", "0.5,1"),
 ]
 
 
@@ -348,8 +348,34 @@ def test_underflowing_variance_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "n_bar=1e-200 and phi=1e-100" in err
+    assert "n_bar=1e-140 and phi=1e-100" in err
     assert "underflows" in err
+
+
+#: 0 < n_bar < 1e-150: the slope 4 n (n+1) sin 2phi underflows at small phi,
+#: so delta_phi would come out empty (the true value is ~3.5e149 at 1e-300).
+TINY_NBAR_INPUT = [
+    ("protocol", "--nbar", "1e-300", "--phi", "1e-100", "--eta", "1"),
+    ("protocol", "--nbar", "1e-200", "--phi", "1e-100", "--eta", "1"),
+    ("protocol", "--r", "1e-160", "--phi", "0.1", "--engine", "fock"),
+    ("sweep", "--nbar", "1e-300", "--phi", "1e-100", "--eta", "1"),
+    ("sweep", "--nbar", "1e-200,1", "--phi", "1e-100,0.1", "--eta", "0.5,1"),
+]
+
+
+@pytest.mark.parametrize("argv", TINY_NBAR_INPUT, ids=" ".join)
+def test_tiny_nbar_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "smallest mean photon number 1e-150" in err
+
+
+def test_smallest_accepted_nbar_gives_a_phase_error(capsys):
+    code, out, _ = run(capsys, "protocol", "--nbar", "1e-150", "--phi", "0.7", "--format",
+                       "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["delta_phi"] > 0.0
 
 
 @pytest.mark.parametrize("phi,expected", [("0", 0.25), ("1e-150", 0.25)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmetro import correlations as co
 from qmetro import fock
 
 R1 = math.asinh(1.0)  # sinh^2 r = 1
@@ -187,6 +188,25 @@ class TestBeamSplitter:
         assert fock.beam_splitter_overflow(state)[0] == 0.0
         assert fock.beam_splitter(state).truncation_tol == state.truncation_tol
 
+    def test_clipped_weight_is_measured_only_when_a_clipped_block_is_occupied(
+        self, monkeypatch
+    ):
+        calls = []
+        measure = fock.beam_splitter_overflow
+
+        def counting(state):
+            calls.append(state.cutoff)
+            return measure(state)
+
+        monkeypatch.setattr(fock, "beam_splitter_overflow", counting)
+        # the catalogue oracle measures its input once, and zeroes the
+        # clipped blocks, so the splitter itself need not measure again
+        co.oracle_probe(co.ProbeFamily.CAVES, 4.0)
+        assert len(calls) == 1
+        calls.clear()
+        fock.beam_splitter(fock.twin_fock(1, 1))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 127, 200])
     def test_matches_per_block_eigh(self, cutoff):
         # every block, complete (the recursion) and clipped (half-size SVD),
@@ -296,22 +316,93 @@ class TestSqueeze:
             fock.squeeze(fock.vacuum(12), 1.5)
 
     def test_grow_keeps_all_weight(self):
-        state = fock.squeezed_vacuum(0.9, 0.2, 64)
-        out = fock.squeeze(state, 0.9, grow=True)
-        assert out.cutoff > 64
-        assert out.norm_squared == pytest.approx(state.norm_squared, abs=1e-12)
-
-    def test_mixed_squeeze_roundtrip(self):
-        # loss leaves a coherent state coherent: every branch is along |0.8>
-        rho = fock.loss_branches(fock.coherent(1.0, 48), 0.64)
-        back = fock.squeeze(fock.squeeze(rho, 0.5), -0.5)
-        psi = fock.coherent(0.8, 48)
-        fidelity = np.sum(np.abs(psi.amplitudes.conj() @ back.branches) ** 2)
-        assert fidelity >= 1.0 - 1e-9
+        # the padded squeeze keeps the levels past the cutoff that carry
+        # weight, loses at most a 1e-16 tail, and squeeze() is its restriction
+        state = fock.squeezed_vacuum(0.5, 0.2, 64)
+        out, spill = fock.padded_squeeze(state, 0.5)
+        full = fock._apply_squeeze(np.pad(state.amplitudes, (0, 65)), 0.5)
+        keep = out.cutoff + 1
+        assert 65 < keep < 130
+        np.testing.assert_array_equal(out.amplitudes, full[:keep])
+        assert np.sum(np.abs(full[keep:]) ** 2) <= 1e-16
+        assert spill == np.sum(np.abs(full[65:]) ** 2) > 1e-10
+        restricted = fock.squeeze(state, 0.5)
+        np.testing.assert_array_equal(restricted.amplitudes, full[:65])
+        assert restricted.truncation_tol >= spill
 
     def test_refuses_density_matrices(self):
         with pytest.raises(ValueError, match="not density matrices"):
             fock.squeeze(fock.to_density(fock.vacuum(8)), 0.2)
+
+    def test_refuses_branch_states(self):
+        branches = fock.loss_branches(fock.coherent(1.0, 20), 0.5)
+        for op in (fock.squeeze, fock.padded_squeeze):
+            with pytest.raises(ValueError, match="branch states"):
+                op(branches, 0.2)
+
+
+def schrodinger_moments(state, r):
+    """<n>, <n^2> and <a^2> after squeeze(-r), by anti-squeezing the kets themselves.
+
+    The Schroedinger-picture readout, kept as the reference for the
+    Heisenberg one: every ket (or branch ket) is un-squeezed in a working
+    basis that doubles until the population at its edge is below 1e-24, and
+    the moments are read from the evolved kets.  An edge of 1e-9, which
+    bounds weight rather than fourth moments, leaves <n^2> up to 1e-7 off.
+    """
+    array = state.branches if isinstance(state, fock.BranchState) else state.amplitudes
+    dim = array.shape[0]
+    work = 2 * max(dim, 32)
+    while True:
+        padded = np.zeros((work,) + array.shape[1:], dtype=complex)
+        padded[:dim] = array
+        out = fock._apply_squeeze(padded, -r)
+        weights = np.abs(out) ** 2
+        if out.ndim == 2:
+            weights = weights.sum(axis=1)
+        if weights[-4:].sum() <= 1e-24:
+            break
+        assert work < 8192, "no convergence below dimension 8192"
+        work *= 2
+    n = np.arange(work, dtype=float)
+    coeff = np.sqrt(n[2:] * n[1:-1]).reshape((-1,) + (1,) * (out.ndim - 1))
+    return n @ weights, (n**2) @ weights, complex(np.sum(out[:-2].conj() * coeff * out[2:]))
+
+
+def unsqueeze_reference_states():
+    probe = fock.phase_shift(fock.squeezed_vacuum(0.8814, 0.0, 64), -0.3)
+    return {
+        "coherent": fock.coherent(1.0, 40),
+        "squeezed": probe,
+        "random": fock.PureState(np.pad(random_ket(np.random.default_rng(5), 6), (0, 34))),
+        "branches": fock.loss_branches(probe, 0.7),
+        "coherent-branches": fock.loss_branches(fock.coherent(1.2, 40), 0.6),
+    }
+
+
+class TestUnsqueezedMoments:
+    """The Heisenberg-picture readout against the Schroedinger one."""
+
+    @pytest.mark.parametrize("name", list(unsqueeze_reference_states()))
+    @pytest.mark.parametrize("r", [0.5, -0.5, 0.8814, 1.44])
+    def test_matches_the_schrodinger_readout(self, name, r):
+        state = unsqueeze_reference_states()[name]
+        got = fock.unsqueezed_moments(state, r)
+        for a, b in zip(got, schrodinger_moments(state, r)):
+            assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+    def test_undoing_the_squeeze_of_the_padded_probe_gives_vacuum(self):
+        # the probe's tail past its cutoff weighs ~1e-10, but <n^2> after the
+        # un-squeeze weights it by about (e^{2r} n)^2: cut off, it leaves 2e-7
+        padded, _ = fock.padded_squeeze(fock.vacuum(64), R1)
+        assert max(np.abs(fock.unsqueezed_moments(padded, R1))) <= 1e-11
+        _, n2, _ = fock.unsqueezed_moments(fock.squeeze(fock.vacuum(64), R1), R1)
+        assert n2 > 1e-7
+
+    def test_refuses_density_matrices_and_two_modes(self):
+        for state in (fock.to_density(fock.vacuum(4)), fock.noon(1, 3)):
+            with pytest.raises(ValueError):
+                fock.unsqueezed_moments(state, 0.5)
 
 
 def padded_generator(r, dim):
@@ -463,9 +554,9 @@ class TestLossBranches:
         state = fock.squeezed_vacuum(0.8814, 0.3, 64)
         branches = fock.loss_branches(state, 0.7)
         rho = fock.loss(state, 0.7)
-        for observable in ("n", "n2", "a2", "adag2a2"):
-            assert fock.expectation(branches, observable) == pytest.approx(
-                fock.expectation(rho, observable), rel=1e-13)
+        n, n2, a2 = fock.unsqueezed_moments(branches, 0.0)
+        for value, observable in zip((n, n2, a2, n2 - n), ("n", "n2", "a2", "adag2a2")):
+            assert value == pytest.approx(fock.expectation(rho, observable), rel=1e-13)
 
     def test_branch_state_is_immutable(self):
         state = fock.loss_branches(fock.coherent(1.0, 20), 0.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qmetro import cli, fock, gaussian, protocol
+from qmetro import cli, fock, gaussian, protocol, validate
 from qmetro import correlations as co
 
 
@@ -19,6 +19,10 @@ def _values():
         co.table_row("noon", 4.0),
         co.probe_statistics(fock.noon(3, 5)),
         fock.loss_branches(fock.coherent(1.0, 20), 0.5),
+        fock.coherent(1.0, 20),
+        fock.to_density(fock.coherent(1.0, 20)),
+        fock.observable_moments(fock.noon(2, 4)),
+        validate.CheckResult("sweep-schema", True, 0.5, 0.0, "pinned", 0.001),
     ]
 
 
@@ -42,3 +46,19 @@ def test_fields_are_keyword_and_positional():
     assert [getattr(a, n) for n in a.__slots__] == [getattr(b, n) for n in b.__slots__]
     with pytest.raises(TypeError):
         protocol.ProtocolConfig(0.3, 2.0, None, 0.9, 0.8, 60, "fock", "extra")
+
+
+def test_observable_moments_keep_their_validation():
+    # the fock states' checks are in tests/test_fock.py::TestStateInvariants
+    with pytest.raises(ValueError, match="negative number variance"):
+        fock.ObservableMoments((0.0,), (0.0,), (-1.0,), None)
+    with pytest.raises(ValueError, match="inconsistent"):
+        fock.ObservableMoments((1.0,), (2.0,), (0.5,), None)
+
+
+def test_check_result_reports_without_its_timing():
+    result = validate.CheckResult("sweep-schema", True, 0.5, 0.0, "pinned", 0.001)
+    assert list(result.to_dict().items()) == [
+        ("name", "sweep-schema"), ("passed", True), ("budget", 0.5), ("observed", 0.0),
+        ("detail", "pinned"),
+    ]

@@ -150,6 +150,16 @@ class TestPhaseError:
         with pytest.raises(ValueError, match="1e-150"):
             ga.phase_error(1.0, 1e-160, 0.9)
 
+    def test_n_bar_floor_keeps_the_slope_representable(self):
+        ga.check_n_bar(ga.N_BAR_FLOOR)
+        with pytest.raises(ValueError, match="1e-150"):
+            ga.check_n_bar(1e-151)
+        # at both floors the slope, 8e-300, does not underflow, so the kernel
+        # sees the underflowing variance and refuses it instead of leaving
+        # the phase error empty
+        with pytest.raises(ValueError, match="variance underflows"):
+            ga.protocol_point(ga.N_BAR_FLOOR, ga.PHI_FLOOR)
+
     def test_transcription_against_moment_route(self):
         rng = np.random.default_rng(20240811)
         for _ in range(100):

@@ -1,6 +1,6 @@
 """Import layering: Gaussian commands run no Fock code and load neither numpy
 nor ``dataclasses``, and ``json`` only when they write JSON; the Fock oracle
-needs numpy but never scipy or ``numpy.random``.
+needs numpy but never scipy, ``numpy.random`` or ``dataclasses``.
 
 The package registers ``qmetro.fock``, ``qmetro.correlations`` and
 ``qmetro.validate`` to load on first use, so importing the CLI runs none of
@@ -155,6 +155,8 @@ def test_oracle_commands_load_numpy_but_not_scipy(argv, check_output, executed):
     assert "scipy" not in doc["loaded"]
     # validate draws its random samples from the standard library
     assert "numpy.random" not in doc["loaded"]
+    # the Fock value classes are Frozen classes, not dataclasses
+    assert "dataclasses" not in doc["loaded"]
     assert doc["executed"] == executed
 
 

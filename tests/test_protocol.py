@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ class TestProtocolConfig:
             protocol.ProtocolConfig(phi=-0.1, n_bar=1.0)
         with pytest.raises(ValueError, match="1e-150"):
             protocol.ProtocolConfig(phi=1e-200, n_bar=1.0)
+        for kwargs in ({"n_bar": 1e-200}, {"r": 1e-160}):
+            with pytest.raises(ValueError, match="smallest mean photon number 1e-150"):
+                protocol.ProtocolConfig(phi=0.1, **kwargs)
         with pytest.raises(ValueError):
             protocol.ProtocolConfig(phi=0.1, n_bar=1.0, engine="exact")
 
@@ -171,29 +175,28 @@ class TestRunFock:
         for r in (0.2, 0.5, 0.8814):
             for eta in (1.0, 0.95, 0.8):
                 expected = gaussian.protocol_moments(r, 0.0, eta, eta)
-                state = fock.squeeze(fock.vacuum(60), r)
+                state, _ = fock.padded_squeeze(fock.vacuum(60), r)
                 if eta < 1.0:
                     state = fock.loss_branches(state, eta)
-                state = fock.squeeze(state, -r, grow=True)
+                n, _, a2 = fock.unsqueezed_moments(state, r)
                 # the readout loss thins the moments: <n> -> eta <n>, <a^2> -> eta <a^2>
-                m_n = eta * fock.expectation(state, "n")
-                m_aa = eta * fock.expectation(state, "a2")
+                m_n = eta * n
+                m_aa = eta * a2
                 assert abs(expected.m_n - m_n) <= 1e-6 * max(abs(m_n), 1.0)
                 assert abs(expected.m_aa - m_aa) <= 1e-6 * max(abs(m_aa), 1.0)
 
     def test_outputs_stay_gaussian(self):
         # normally ordered fourth moment factorises: <a+a+aa> = 2 m_n^2 + |m_aa|^2
         for r, phi, eta in [(0.5, 0.3, 1.0), (0.8814, 1.0, 0.95), (0.2, 0.05, 0.8)]:
-            state = fock.vacuum(60)
-            state = fock.squeeze(state, r)
+            state, _ = fock.padded_squeeze(fock.vacuum(60), r)
             state = fock.phase_shift(state, -phi)
             if eta < 1.0:
                 state = fock.loss_branches(state, eta)
-            state = fock.squeeze(state, -r, grow=True)
+            n, n2, a2 = fock.unsqueezed_moments(state, r)
             # the readout loss thins <a^dag^k a^k> to eta^k <a^dag^k a^k>
-            fourth = eta**2 * fock.expectation(state, "adag2a2")
-            m_n = eta * fock.expectation(state, "n")
-            m_aa = eta * fock.expectation(state, "a2")
+            fourth = eta**2 * (n2 - n)
+            m_n = eta * n
+            m_aa = eta * a2
             factorised = 2.0 * m_n**2 + abs(m_aa) ** 2
             assert abs(fourth - factorised) <= 1e-6 * max(abs(fourth), abs(factorised), 1.0)
 
@@ -214,22 +217,46 @@ class TestRunFock:
         np.testing.assert_allclose(after.matrix, before.matrix, atol=1e-14)
 
 
+    def test_default_cutoff_matches_the_gaussian_engine(self):
+        # the probe keeps its tail past the cutoff, whose fourth moment the
+        # readout weights by about (e^{2r} n)^2; cut off, the variance is
+        # 1.4e-6 away here
+        config = protocol.ProtocolConfig(phi=0.05, n_bar=2.0, eta1=0.95, eta2=0.8)
+        report = protocol.run_both(config)
+        assert report.cutoff == 102
+        for attr in ("signal", "variance", "moments.m_aa"):
+            assert report.rel_deviation(attr) <= 1e-9, attr
+
+    def test_large_phase_readout_is_bounded(self):
+        # the anti-squeezed output is never formed, so a large phi costs no
+        # more than a small one (it once grew an 8192-level basis: 61 s)
+        config = protocol.ProtocolConfig(phi=1.5, n_bar=9.1, eta1=0.9, eta2=0.9)
+        start = time.perf_counter()
+        report = protocol.run_both(config)
+        assert time.perf_counter() - start < 5.0
+        assert report.cutoff == 400
+        assert report.rel_deviation("variance") <= 1e-9
+
+
 def density_matrix_moments(config):
     """<n>, <n^2> and <a^2> of the protocol output, through the density matrix.
 
-    The reference for run_fock's lossy pipeline: rho after the first loss is
-    anti-squeezed as U rho U^H, with U on a working basis grown by the same
-    edge rule as fock.squeeze, and the readout loss is the channel itself.
+    The reference for run_fock's lossy pipeline: from the same padded probe,
+    rho after the first loss is anti-squeezed as U rho U^H, with U on a
+    working basis that doubles until its edge holds at most 1e-24 (an edge
+    of 1e-9 bounds weight, not fourth moments), and the readout loss is the
+    channel itself.
     """
     r = config.r_value
-    probe = fock.phase_shift(fock.squeeze(fock.vacuum(config.cutoff), r), -config.phi)
+    probe, _ = fock.padded_squeeze(fock.vacuum(config.cutoff), r)
+    probe = fock.phase_shift(probe, -config.phi)
     rho = fock.loss(probe, config.eta1).matrix
     dim = rho.shape[0]
     work = 2 * max(dim, 32)
     while True:
         u = fock._apply_squeeze(np.eye(work, dtype=complex)[:, :dim], -r)
         sigma = u @ rho @ u.conj().T
-        if np.sum(np.diag(sigma).real[-4:]) <= 0.1 * fock.SQUEEZE_DEFICIT_LIMIT:
+        if np.sum(np.diag(sigma).real[-4:]) <= 1e-24:
             break
         work *= 2
     out = fock.loss(fock.MixedState(sigma, work - 1, truncation_tol=1e-8), config.eta2)

@@ -68,6 +68,12 @@ def test_full_suite_passes():
     assert report["passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert "qcrb-saturation" in names
+    assert list(report) == ["level", "passed", "checks"]
+    for check in report["checks"]:
+        assert list(check) == ["name", "passed", "budget", "observed", "detail"]
+    # the Heisenberg readout on the padded probe leaves only rounding
+    engine = report["checks"][names.index("engine-equivalence")]
+    assert engine["observed"] <= 1e-9
 
 
 def test_headline_check_reports_values():
