@@ -2,15 +2,15 @@
 
 Covers the Mandel Q parameter, the two-mode number-correlation coefficient J,
 quantum Fisher information for pure states under number-diagonal generators,
-classical Fisher information of a measured probability curve, the usual
-estimation benchmarks (Cramer-Rao, shot-noise and Heisenberg limits), and the
+classical Fisher information of a measured probability curve, and the
 closed-form (Q, J, QFI) catalogue for the standard interferometer probe
-states together with their exact Fock-space counterparts.
+states together with their exact Fock-space counterparts.  The shot-noise
+limit the CLI reports is :func:`qmetro.gaussian.shot_noise_limit`.
 
-The closed forms (:func:`table_row`, the benchmarks, :class:`ProbeFamily`)
-use only the standard library, so ``table`` without ``--oracle`` imports no
-numpy: the functions that need it import it themselves, and
-:mod:`qmetro.fock` loads on the first oracle or state-based call.
+The closed forms (:func:`table_row`, :class:`ProbeFamily`) use only the
+standard library, so ``table`` without ``--oracle`` imports no numpy: the
+functions that need it import it themselves, and :mod:`qmetro.fock` loads on
+the first oracle or state-based call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from . import fock, gaussian
+from . import fock
 from .gaussian import Frozen
 
 if TYPE_CHECKING:
@@ -36,7 +36,6 @@ QFI_NORM_DEFICIT_LIMIT = 1e-6
 RICHARDSON_TRIGGER = 1e-4
 
 GENERATORS = ("n", "n_diff", "half_n_diff")
-SNL_CONVENTIONS = ("two-mode", "single-mode")
 
 
 class UndefinedStatisticError(ValueError):
@@ -237,31 +236,6 @@ def classical_fisher_information(
             "refined": refined,
         }
     return value
-
-
-def cramer_rao_bound(fisher_information: float) -> float:
-    """Phase-error floor 1/sqrt(F)."""
-    if fisher_information <= 0:
-        raise ValueError("Fisher information must be positive")
-    return 1.0 / math.sqrt(fisher_information)
-
-
-def shot_noise_limit(n_bar: float, convention: str = "two-mode") -> float:
-    """1/sqrt(n) for a two-mode interferometer, 1/sqrt(4n) for a single mode."""
-    if convention not in SNL_CONVENTIONS:
-        raise ValueError(f"unknown SNL convention {convention!r}; pick one of {SNL_CONVENTIONS}")
-    if convention == "single-mode":
-        return gaussian.shot_noise_limit(n_bar)
-    if n_bar <= 0:
-        raise ValueError("mean photon number must be positive")
-    return 1.0 / math.sqrt(n_bar)
-
-
-def heisenberg_limit(n_bar: float) -> float:
-    """1/n scaling floor of noiseless quantum phase estimation."""
-    if n_bar <= 0:
-        raise ValueError("mean photon number must be positive")
-    return 1.0 / n_bar
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 """Truncated Fock-space states, linear-optics unitaries, and photon loss.
 
 Kets of one or two bosonic modes are dense complex amplitude tensors over the
-number basis |0>, ..., |cutoff>; density matrices, which photon loss
-produces, are single-mode.  A lossy single-mode ket can also be kept as the
-kets of its Kraus branches, rho = sum_k |phi_k><phi_k|, so the protocol's
-lossy runs never form rho.  Nor do they un-squeeze it: the detector needs
-only <n>, <n^2> and <a^2>, which :func:`unsqueezed_moments` reads in the
-Heisenberg picture from the Bogoliubov map of the un-squeeze, on the
-branches padded by two levels.  No Fock operation grows its basis.  The
-two-mode probe catalogue needs only kets.  Every state records how much
-probability weight truncation is allowed to have cost it
-(``truncation_tol``), and every operation either preserves weight exactly
-or measures what it discarded and fails loudly when that exceeds its
-budget.  This module is the slow, exact oracle that the closed-form
-machinery elsewhere in the package is checked against, so correctness is
-preferred over speed throughout.
+number basis |0>, ..., |cutoff>.  Photon loss turns a single-mode ket into a
+mixed state, which is kept as the kets of its Kraus branches,
+rho = sum_k |phi_k><phi_k| (:class:`MixedState`), so no density matrix is
+ever formed.  Nor is the un-squeezed output: the detector needs only <n>,
+<n^2> and <a^2>, which :func:`unsqueezed_moments` reads in the Heisenberg
+picture from the Bogoliubov map of the un-squeeze, on the branches padded by
+two levels.  No Fock operation grows its basis.  The two-mode probe
+catalogue needs only kets.  Every state records how much probability weight
+truncation is allowed to have cost it (``truncation_tol``), and every
+operation either preserves weight exactly or measures what it discarded and
+fails loudly when that exceeds its budget.  This module is the slow, exact
+oracle that the closed-form machinery elsewhere in the package is checked
+against, so correctness is preferred over speed throughout.
 
 All states are immutable values and all operations are pure functions; they
 are safe to call concurrently.  The module needs numpy and the standard
@@ -22,8 +21,8 @@ library only.  The package registers it to load on first use, so the
 Gaussian commands never run it and never import numpy.  The squeeze
 unitary comes from one eigendecomposition of its generator per basis size,
 shared by every squeezing parameter, so no matrix exponential is ever
-taken.  Photon loss acts on each diagonal of a density matrix on its own
-and is evaluated one diagonal at a time.  The beam splitter's unitary on a
+taken.  The loss branches come from the Kraus matrix elements, evaluated in
+log space a band of 64 at a time.  The beam splitter's unitary on a
 complete total-photon block follows from the previous block's by a stable
 recursion; only the blocks that the cutoff clips are diagonalised.  The
 squeeze and beam splitter generators couple even levels only to odd ones,
@@ -43,11 +42,9 @@ DEFAULT_TRUNCATION_TOL = 1e-10
 # Constructors refuse to return a state missing more weight than this.
 CONSTRUCTOR_DEFICIT_LIMIT = 1e-6
 
-_HERMITICITY_TOL = 1e-12
-_EIGENVALUE_FLOOR = -1e-10
 _BS_ANGLE = math.pi / 4
 
-OBSERVABLES = ("n", "n2", "cross_nn", "a2", "adag2a2")
+OBSERVABLES = ("n", "n2", "cross_nn")
 PHASE_CONVENTIONS = ("single-mode", "relative-half")
 
 
@@ -107,51 +104,12 @@ class PureState(Frozen):
 
 
 class MixedState(Frozen):
-    """Single-mode density matrix over the truncated number basis.
-
-    ``matrix`` has shape ``(cutoff + 1, cutoff + 1)``.  Hermiticity and trace
-    are checked on construction; the (more expensive) positivity check lives
-    in :meth:`validate`.
-    """
-
-    __slots__ = ("matrix", "cutoff", "truncation_tol")
-    modes = 1
-
-    def __init__(
-        self, matrix: np.ndarray, cutoff: int, truncation_tol: float = DEFAULT_TRUNCATION_TOL
-    ):
-        mat = _frozen(matrix)
-        dim = cutoff + 1
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        self._init(mat, cutoff, truncation_tol)
-        tr = self.trace
-        if not 1.0 - truncation_tol <= tr <= 1.0 + 1e-12:
-            raise ValueError(f"trace {tr!r} outside [1 - {truncation_tol:g}, 1]")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    @property
-    def trace_deficit(self) -> float:
-        return max(0.0, 1.0 - self.trace)
-
-    def validate(self) -> None:
-        """Check positivity in addition to the constructor invariants."""
-        eigenvalues = np.linalg.eigvalsh(self.matrix)
-        if eigenvalues.min() < _EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {eigenvalues.min():.3e}")
-
-
-class BranchState(Frozen):
     """Single-mode mixed state rho = sum_k |phi_k><phi_k| held as its branch kets.
 
     ``branches`` has shape ``(cutoff + 1, K)``; column k is the unnormalised
     ket phi_k, and the squared norms sum to the trace, which must lie in
-    ``[1 - truncation_tol, 1]``.  :func:`loss_branches` makes one from a ket.
+    ``[1 - truncation_tol, 1]``.  Held this way rho is Hermitian and positive
+    by construction, and never formed.  :func:`loss` makes one from a ket.
     Immutable like the other states.
     """
 
@@ -179,8 +137,6 @@ class BranchState(Frozen):
     def trace_deficit(self) -> float:
         return max(0.0, 1.0 - self.trace)
 
-
-State = PureState | MixedState
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +270,6 @@ def product(a: PureState, b: PureState) -> PureState:
     return PureState(amps, truncation_tol=tol)
 
 
-def to_density(state: State) -> MixedState:
-    if isinstance(state, MixedState):
-        return state
-    if state.modes != 1:
-        raise ValueError("density matrices are single-mode; got a two-mode state")
-    psi = state.amplitudes
-    return MixedState(
-        np.outer(psi, psi.conj()),
-        state.cutoff,
-        truncation_tol=_tol_for(state.norm_deficit, base=state.truncation_tol),
-    )
-
-
 # ---------------------------------------------------------------------------
 # unitaries
 # ---------------------------------------------------------------------------
@@ -430,27 +373,21 @@ def beam_splitter_overflow(state: PureState) -> tuple[float, int]:
     return float(beyond[c]), int(np.argmax(beyond <= CONSTRUCTOR_DEFICIT_LIMIT))
 
 
-def _phase_factors(state: State, phi: float, convention: str) -> np.ndarray:
+def phase_shift(state: PureState, phi: float, convention: str = "single-mode") -> PureState:
+    """Diagonal number-basis phase of a ket: e^{i phi n} or e^{i phi (n_a - n_b)/2}."""
     if convention not in PHASE_CONVENTIONS:
         raise ValueError(f"unknown phase convention {convention!r}")
     n = np.arange(state.cutoff + 1)
     if convention == "single-mode":
         if state.modes != 1:
             raise ValueError("single-mode phase requires a one-mode state")
-        return np.exp(1j * phi * n)
-    if state.modes != 2:
-        raise ValueError("relative-half phase requires a two-mode state")
-    half_diff = 0.5 * (n[:, None] - n[None, :])
-    return np.exp(1j * phi * half_diff)
-
-
-def phase_shift(state: State, phi: float, convention: str = "single-mode") -> State:
-    """Diagonal number-basis phase: e^{i phi n} or e^{i phi (n_a - n_b)/2}."""
-    factors = _phase_factors(state, phi, convention)
-    if isinstance(state, PureState):
-        return PureState(factors * state.amplitudes, truncation_tol=state.truncation_tol)
-    mat = (factors[:, None] * state.matrix) * factors.conj()[None, :]
-    return MixedState(mat, state.cutoff, truncation_tol=state.truncation_tol)
+        factors = np.exp(1j * phi * n)
+    else:
+        if state.modes != 2:
+            raise ValueError("relative-half phase requires a two-mode state")
+        half_diff = 0.5 * (n[:, None] - n[None, :])
+        factors = np.exp(1j * phi * half_diff)
+    return PureState(factors * state.amplitudes, truncation_tol=state.truncation_tol)
 
 
 @lru_cache(maxsize=4)
@@ -563,8 +500,7 @@ def padded_squeeze(state: PureState, r: float) -> tuple[PureState, float]:
 def _check_single_mode_ket(state: object, caller: str) -> None:
     if not isinstance(state, PureState) or state.modes != 1:
         raise ValueError(
-            f"{caller}() acts on single-mode kets, not density matrices, branch states "
-            "or two-mode kets"
+            f"{caller}() acts on single-mode kets, not mixed states or two-mode kets"
         )
 
 
@@ -582,63 +518,6 @@ def _trim(weights: np.ndarray, least: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 # photon loss channel
 # ---------------------------------------------------------------------------
-
-
-def loss(state: State, eta: float) -> MixedState:
-    """Amplitude damping of a single mode: sigma = sum_j K_j rho K_j^dag.
-
-    The Kraus operators are ``K_j[n-j, n] = sqrt(C(n, j)) (1-eta)^{j/2}
-    eta^{(n-j)/2}``; they satisfy sum_j K_j^dag K_j = 1 exactly on the
-    truncated space (binomial identity).  The channel maps each diagonal of
-    rho on its own, so it is evaluated one diagonal at a time
-    (:func:`_loss_diagonals`) rather than as a sum over Kraus operators.
-    """
-    check_eta(eta)
-    rho = to_density(state)
-    if eta == 1.0:
-        return rho
-    if eta == 0.0:
-        out = np.zeros_like(rho.matrix)
-        out[0, 0] = rho.trace
-    else:
-        out = _loss_diagonals(rho.matrix, eta)
-    out = 0.5 * (out + out.conj().T)
-    return MixedState(
-        out, state.cutoff, truncation_tol=_tol_for(rho.trace_deficit, base=rho.truncation_tol)
-    )
-
-
-def _loss_diagonals(matrix: np.ndarray, eta: float) -> np.ndarray:
-    """The loss channel for 0 < eta < 1, diagonal by diagonal.
-
-    With B[m, n] = <m|K_{n-m}|n>, diagonal d of the output is
-    sigma[m, m + d] = sum_n B[m, n] B[m + d, n + d] rho[n, n + d], one real
-    matrix-vector product per diagonal; the diagonals below the main one
-    follow from Hermiticity.  The per-diagonal temporaries live only here.
-    """
-    dim = matrix.shape[0]
-    weights = _loss_matrix(eta, dim)
-    out = np.empty_like(matrix)
-    source, target = matrix.reshape(-1), out.reshape(-1)
-    # one buffer for every diagonal's coupling: a fresh array per diagonal
-    # leaves the allocator holding ~1 MB more at dim 402
-    buffer = np.empty(dim * dim)
-    for d in range(dim):
-        size = dim - d
-        coupling = buffer[: size * size].reshape(size, size)
-        np.multiply(weights[:size, :size], weights[d:, d:], out=coupling)
-        diagonal = _real_matmul(coupling, source[d :: dim + 1][:size])
-        target[d * dim :: dim + 1] = diagonal.conj()
-        target[d :: dim + 1][:size] = diagonal
-    return out
-
-
-def _loss_matrix(eta: float, dim: int) -> np.ndarray:
-    """B[m, n] = <m|K_{n-m}|n>, 0 for n < m: :func:`_loss_band` laid out on its superdiagonals."""
-    out = np.zeros((dim, dim))
-    for k, row in enumerate(_loss_band(eta, dim, 0, dim)):
-        out.reshape(-1)[k :: dim + 1][: dim - k] = row[: dim - k]
-    return out
 
 
 def _loss_band(eta: float, dim: int, start: int, stop: int) -> np.ndarray:
@@ -660,10 +539,13 @@ def _loss_band(eta: float, dim: int, start: int, stop: int) -> np.ndarray:
     return np.exp(log_b, out=log_b)
 
 
-def loss_branches(state: PureState, eta: float) -> BranchState:
-    """The loss channel on a single-mode ket, kept as its Kraus branches.
+def loss(state: PureState, eta: float) -> MixedState:
+    """Amplitude damping of a single-mode ket, kept as its Kraus branches.
 
-    The output is rho = sum_k |phi_k><phi_k| with phi_k = K_k psi, i.e.
+    The Kraus operators are ``K_k[n-k, n] = sqrt(C(n, k)) (1-eta)^{k/2}
+    eta^{(n-k)/2}``; they satisfy sum_k K_k^dag K_k = 1 exactly on the
+    truncated space (binomial identity).  The output is
+    rho = sum_k |phi_k><phi_k| with phi_k = K_k psi, i.e.
     phi_k[m] = B[m, m + k] psi[m + k] (:func:`_loss_band`): the ket left when
     k photons are lost, whose squared norm is the probability of that.  The
     leading branches are kept by the rule of :func:`_trim`; the dropped
@@ -671,7 +553,7 @@ def loss_branches(state: PureState, eta: float) -> BranchState:
     evaluated 64 rows at a time, so nothing of size (cutoff + 1)^2 is formed.
     """
     check_eta(eta)
-    _check_single_mode_ket(state, "loss_branches")
+    _check_single_mode_ket(state, "loss")
     psi = state.amplitudes
     dim = psi.size
     dropped = 0.0
@@ -692,7 +574,7 @@ def loss_branches(state: PureState, eta: float) -> BranchState:
         ])
         keep, dropped = _trim(weights, 1)
         branches = (_loss_band(eta, dim, 0, keep) * shifted[:keep]).T
-    return BranchState(
+    return MixedState(
         branches, truncation_tol=_tol_for(state.norm_deficit + dropped, base=state.truncation_tol)
     )
 
@@ -702,12 +584,12 @@ def loss_branches(state: PureState, eta: float) -> BranchState:
 # ---------------------------------------------------------------------------
 
 
-def expectation(state: State, observable: str, mode: int | None = None):
-    """Exact expectation value over the truncated basis.
+def expectation(state: PureState, observable: str, mode: int | None = None) -> float:
+    """Exact number moment of a ket over the truncated basis.
 
-    ``observable`` is one of ``n``, ``n2``, ``cross_nn``, ``a2`` or
-    ``adag2a2`` (the normally ordered n(n-1)).  Hermitian observables return
-    a float, ``a2`` returns a complex number.
+    ``observable`` is one of ``n``, ``n2`` (of ``mode``) or ``cross_nn``
+    (<n_a n_b> of a two-mode ket).  A mixed state's moments come from
+    :func:`unsqueezed_moments`.
     """
     if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}; pick one of {OBSERVABLES}")
@@ -720,41 +602,25 @@ def expectation(state: State, observable: str, mode: int | None = None):
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} invalid for a {state.modes}-mode state")
 
-    # <a^2> directly; otherwise the marginal populations, then one formula each.
     n = np.arange(state.cutoff + 1, dtype=float)
-    coeff = np.sqrt(n[2:] * n[1:-1])  # <n-2| a^2 |n>
-    if isinstance(state, MixedState):
-        if observable == "a2":
-            return complex(np.sum(coeff * np.diagonal(state.matrix, offset=-2)))
-        pop = np.diag(state.matrix).real
-    else:
-        amps = state.amplitudes if mode == 0 else state.amplitudes.T
-        if observable == "a2":
-            # the photon-number axis is the first; broadcast over the other one
-            column = coeff.reshape((-1,) + (1,) * (amps.ndim - 1))
-            return complex(np.sum(amps[:-2].conj() * column * amps[2:]))
-        weights = np.abs(amps) ** 2
-        if observable == "cross_nn":
-            return float(n @ weights @ n)
-        pop = weights if amps.ndim == 1 else weights.sum(axis=1)
-
-    if observable == "n":
-        return float(n @ pop)
-    if observable == "n2":
-        return float((n**2) @ pop)
-    return float((n * (n - 1.0)) @ pop)  # adag2a2
+    amps = state.amplitudes if mode == 0 else state.amplitudes.T
+    weights = np.abs(amps) ** 2
+    if observable == "cross_nn":
+        return float(n @ weights @ n)
+    pop = weights if amps.ndim == 1 else weights.sum(axis=1)
+    return float((n if observable == "n" else n**2) @ pop)
 
 
-def unsqueezed_moments(state: PureState | BranchState, r: float) -> tuple[float, float, complex]:
+def unsqueezed_moments(state: PureState | MixedState, r: float) -> tuple[float, float, complex]:
     """<n>, <n^2> and <a^2> after the un-squeeze squeeze(-r), read in the Heisenberg picture.
 
     squeeze(-r) sends a to b = a cosh r + a^dag sinh r, so for the kets phi_k
-    of a ket or branch state the moments are the sums over k of
+    of a ket or mixed state the moments are the sums over k of
     ||b phi_k||^2, ||b^dag b phi_k||^2 and <b^dag phi_k|b phi_k>, taken on
     phi_k padded by the two levels b^dag b raises it by: exact, and no
     un-squeezed state is formed.
     """
-    if isinstance(state, BranchState):
+    if isinstance(state, MixedState):
         array = state.branches
     else:
         _check_single_mode_ket(state, "unsqueezed_moments")
@@ -794,25 +660,18 @@ def project_total_photon(state: PureState, n_total: int) -> PureState:
     return PureState(projected / np.sqrt(weight))
 
 
-def number_distribution(state: State) -> np.ndarray:
-    """Photon-number probabilities: vector (one mode) or matrix (two-mode ket)."""
-    if isinstance(state, PureState):
-        return np.abs(state.amplitudes) ** 2
-    return np.diag(state.matrix).real
+def number_distribution(state: PureState) -> np.ndarray:
+    """Photon-number probabilities of a ket: vector (one mode) or matrix (two modes)."""
+    return np.abs(state.amplitudes) ** 2
 
 
-def fidelity(a: PureState, b: State) -> float:
-    """|<a|b>|^2 against a ket, or <a|rho|a> against a density matrix."""
-    if not isinstance(a, PureState):
-        raise ValueError("first argument must be a pure state")
-    psi = a.amplitudes.reshape(-1)
-    if isinstance(b, PureState):
-        if b.amplitudes.shape != a.amplitudes.shape:
-            raise ValueError("states live on different truncated bases")
-        return float(abs(np.vdot(psi, b.amplitudes.reshape(-1))) ** 2)
-    if (b.cutoff, b.modes) != (a.cutoff, a.modes):
+def fidelity(a: PureState, b: PureState) -> float:
+    """|<a|b>|^2 of two kets on the same truncated basis."""
+    if not isinstance(a, PureState) or not isinstance(b, PureState):
+        raise ValueError("fidelity() takes two kets")
+    if b.amplitudes.shape != a.amplitudes.shape:
         raise ValueError("states live on different truncated bases")
-    return float((psi.conj() @ b.matrix @ psi).real)
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +693,7 @@ class ObservableMoments(Frozen):
                 raise ValueError("variance inconsistent with first and second moments")
 
 
-def observable_moments(state: State) -> ObservableMoments:
+def observable_moments(state: PureState) -> ObservableMoments:
     mean_n, mean_n2, var_n = [], [], []
     for mode in range(state.modes):
         m1 = expectation(state, "n", mode)

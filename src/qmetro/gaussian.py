@@ -350,13 +350,6 @@ class AffineMap(Frozen):
         m_aa, m_adad, m_n = (x + t for x, t in zip(out, self.translation))
         return MomentVector(m_aa, m_adad, m_n.real)
 
-    def then(self, other: "AffineMap") -> "AffineMap":
-        """The composite map 'apply self, then other'."""
-        columns = tuple(zip(*self.matrix))
-        matrix = tuple(zip(*(_matvec(other.matrix, column) for column in columns)))
-        moved = _matvec(other.matrix, self.translation)
-        return AffineMap(matrix, tuple(x + t for x, t in zip(moved, other.translation)))
-
 
 def squeeze_map(r: float) -> AffineMap:
     """Moment map of exp[(r/2)(a^2 - a^dag^2)] (mode map a -> a ch r - a^dag sh r)."""

@@ -48,7 +48,9 @@ class ProtocolConfig(Frozen):
     """One protocol operating point.
 
     Exactly one of ``n_bar`` (mean probe photons sinh^2 r) and ``r`` may be
-    given, or both if they agree.  ``cutoff`` only affects the Fock engine;
+    given, or both if they agree.  ``r`` must be positive: the Gaussian
+    engine reads only n_bar, so a negative r would squeeze the Fock probe
+    along the other axis.  ``cutoff`` only affects the Fock engine;
     when omitted, :func:`default_cutoff` supplies it (:attr:`cutoff_value`).
     """
 
@@ -72,6 +74,8 @@ class ProtocolConfig(Frozen):
         if self.n_bar is None and self.r is None:
             raise ValueError("give n_bar or r")
         if self.r is not None:
+            if self.r <= 0:
+                raise ValueError("r must be positive")
             try:
                 implied = math.sinh(self.r) ** 2
             except OverflowError:
@@ -84,8 +88,6 @@ class ProtocolConfig(Frozen):
                 )
         if self.n_bar is not None and self.n_bar <= 0:
             raise ValueError("n_bar must be positive")
-        if self.r is not None and self.r <= 0 and self.n_bar is None:
-            raise ValueError("r must be positive")
         gaussian.check_n_bar(self.n_bar_value)
         gaussian.check_eta(self.eta1)
         gaussian.check_eta(self.eta2)
@@ -237,10 +239,11 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
     The probe is the squeezed vacuum of :func:`fock.padded_squeeze`, which
     keeps its tail past the cutoff; the weight there must stay below
     ``SQUEEZE_DEFICIT_LIMIT``.  The first loss splits the ket into one ket
-    per number of photons lost (:func:`fock.loss_branches`), so no density
-    matrix is formed.  The anti-squeeze and the readout loss act on the
-    detector's moments only: :func:`fock.unsqueezed_moments` gives them
-    after the anti-squeeze, exactly, and :func:`_thinned` applies the loss.
+    per number of photons lost (:func:`fock.loss`, a :class:`fock.MixedState`
+    of Kraus branches), so no density matrix is formed.  The anti-squeeze
+    and the readout loss act on the detector's moments only:
+    :func:`fock.unsqueezed_moments` gives them after the anti-squeeze,
+    exactly, and :func:`_thinned` applies the loss.
     The number-basis rotation is applied with the same orientation the
     moment engine uses (a -> a e^{-i phi}), so the two engines agree on the
     complex <a^2>, not just on its modulus.
@@ -258,7 +261,7 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
         ) from exc
     state = fock.phase_shift(probe, -phi)
     if config.eta1 < 1.0:
-        state = fock.loss_branches(state, config.eta1)
+        state = fock.loss(state, config.eta1)
 
     lost = state.norm_deficit if isinstance(state, fock.PureState) else state.trace_deficit
     deficit = spill + lost
@@ -334,18 +337,6 @@ def gaussian_signal_curve(config: ProtocolConfig) -> Callable[[float], tuple[flo
     def curve(phi: float) -> tuple[float, float]:
         moments = gaussian.protocol_moments(r, phi, eta1, eta2)
         return moments.m_n, gaussian.number_variance(moments)
-
-    return curve
-
-
-def fock_signal_curve(config: ProtocolConfig) -> Callable[[float], tuple[float, float]]:
-    """phi -> (signal, variance) through the exact Fock pipeline."""
-
-    def curve(phi: float) -> tuple[float, float]:
-        moved = ProtocolConfig(phi, config.n_bar, config.r, config.eta1, config.eta2,
-                               config.cutoff, config.engine)
-        result = run_fock(moved)
-        return result.signal, result.variance
 
     return curve
 

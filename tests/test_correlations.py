@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmetro import correlations as co
-from qmetro import fock, gaussian
+from qmetro import fock
 
 R1 = math.asinh(1.0)
 
@@ -114,32 +114,6 @@ class TestClassicalFisher:
         assert value == pytest.approx(1.0, rel=1e-8)
         assert info["skipped_count"] == 1
         assert info["skipped_mass"] == 0.0
-
-
-class TestBenchmarks:
-    def test_cramer_rao(self):
-        assert co.cramer_rao_bound(16.0) == 0.25
-        with pytest.raises(ValueError):
-            co.cramer_rao_bound(0.0)
-
-    def test_shot_noise_conventions(self):
-        assert co.shot_noise_limit(1.5e4, "single-mode") == pytest.approx(
-            1.0 / math.sqrt(6e4)
-        )
-        assert co.shot_noise_limit(4.0, "two-mode") == 0.5
-        with pytest.raises(ValueError):
-            co.shot_noise_limit(4.0, "three-mode")
-
-    def test_single_mode_shot_noise_is_the_gaussian_one(self):
-        assert co.shot_noise_limit(3.0, "single-mode") == gaussian.shot_noise_limit(3.0)
-        for convention in co.SNL_CONVENTIONS:
-            with pytest.raises(ValueError, match="positive"):
-                co.shot_noise_limit(0.0, convention)
-
-    def test_heisenberg(self):
-        assert co.heisenberg_limit(4.0) == 0.25
-        with pytest.raises(ValueError):
-            co.heisenberg_limit(0.0)
 
 
 class TestTableRows:

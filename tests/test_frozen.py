@@ -18,9 +18,8 @@ def _values():
         cli.SweepSpec((1.0,), (0.1,), (0.9,), "csv", None),
         co.table_row("noon", 4.0),
         co.probe_statistics(fock.noon(3, 5)),
-        fock.loss_branches(fock.coherent(1.0, 20), 0.5),
+        fock.loss(fock.coherent(1.0, 20), 0.5),
         fock.coherent(1.0, 20),
-        fock.to_density(fock.coherent(1.0, 20)),
         fock.observable_moments(fock.noon(2, 4)),
         validate.CheckResult("sweep-schema", True, 0.5, 0.0, "pinned", 0.001),
     ]

@@ -67,14 +67,6 @@ class TestMaps:
         with pytest.raises(ValueError):
             ga.AffineMap(matrix, np.zeros(3))
 
-    def test_composition_matches_sequential(self):
-        v = ga.MomentVector.from_pair(0.2 + 0.1j, 0.5)
-        chained = ga.squeeze_map(0.4).then(ga.rotation_map(0.7))
-        sequential = ga.rotation_map(0.7)(ga.squeeze_map(0.4)(v))
-        out = chained(v)
-        assert out.m_aa == pytest.approx(sequential.m_aa, rel=1e-13)
-        assert out.m_n == pytest.approx(sequential.m_n, rel=1e-13)
-
 
 class TestProtocolMoments:
     def test_lossless_zero_phase_returns_vacuum(self):
@@ -191,6 +183,12 @@ class TestSnlRatio:
 
     def test_opaque_channel_kills_sensitivity(self):
         assert ga.snl_ratio(100.0, 1e-3, 1e-4) < 1e-2
+
+    def test_single_mode_shot_noise_limit(self):
+        # the one shot-noise convention: 1/sqrt(4 n_bar) for a single mode
+        assert ga.shot_noise_limit(1.5e4) == pytest.approx(1.0 / math.sqrt(6e4))
+        with pytest.raises(ValueError, match="positive"):
+            ga.shot_noise_limit(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from qmetro import cli, fock, gaussian, protocol
 from qmetro import correlations as co
+from test_fock import density, density_moments, kraus_loss
 
 R1 = math.asinh(1.0)
 
@@ -22,6 +23,16 @@ class TestProtocolConfig:
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ValueError):
             protocol.ProtocolConfig(phi=0.1, n_bar=1.0, r=0.5)
+
+    def test_negative_r_rejected_even_with_a_matching_n_bar(self):
+        # the Gaussian engine reads only n_bar, so a negative r that matches
+        # it would have the Fock engine squeeze along the other axis: its
+        # <a^2> came out negated (moment_aa_deviation 2.0)
+        with pytest.raises(ValueError, match="r must be positive"):
+            protocol.ProtocolConfig(phi=0.3, n_bar=math.sinh(0.5) ** 2, r=-0.5)
+        for r in (-0.5, 0.0):
+            with pytest.raises(ValueError, match="r must be positive"):
+                protocol.ProtocolConfig(phi=0.3, r=r)
 
     def test_conversion(self):
         config = protocol.ProtocolConfig(phi=0.1, r=0.5)
@@ -177,7 +188,7 @@ class TestRunFock:
                 expected = gaussian.protocol_moments(r, 0.0, eta, eta)
                 state, _ = fock.padded_squeeze(fock.vacuum(60), r)
                 if eta < 1.0:
-                    state = fock.loss_branches(state, eta)
+                    state = fock.loss(state, eta)
                 n, _, a2 = fock.unsqueezed_moments(state, r)
                 # the readout loss thins the moments: <n> -> eta <n>, <a^2> -> eta <a^2>
                 m_n = eta * n
@@ -191,7 +202,7 @@ class TestRunFock:
             state, _ = fock.padded_squeeze(fock.vacuum(60), r)
             state = fock.phase_shift(state, -phi)
             if eta < 1.0:
-                state = fock.loss_branches(state, eta)
+                state = fock.loss(state, eta)
             n, n2, a2 = fock.unsqueezed_moments(state, r)
             # the readout loss thins <a^dag^k a^k> to eta^k <a^dag^k a^k>
             fourth = eta**2 * (n2 - n)
@@ -213,8 +224,9 @@ class TestRunFock:
         # placing the first loss before or after the phase shift is equivalent
         state = fock.squeezed_vacuum(0.6, 0.0, 40)
         after = fock.loss(fock.phase_shift(state, 0.37), 0.8)
-        before = fock.phase_shift(fock.loss(state, 0.8), 0.37)
-        np.testing.assert_allclose(after.matrix, before.matrix, atol=1e-14)
+        phase = np.exp(0.37j * np.arange(41))
+        before = (phase[:, None] * density(fock.loss(state, 0.8))) * phase.conj()
+        np.testing.assert_allclose(density(after), before, atol=1e-14)
 
 
     def test_default_cutoff_matches_the_gaussian_engine(self):
@@ -244,13 +256,12 @@ def density_matrix_moments(config):
     The reference for run_fock's lossy pipeline: from the same padded probe,
     rho after the first loss is anti-squeezed as U rho U^H, with U on a
     working basis that doubles until its edge holds at most 1e-24 (an edge
-    of 1e-9 bounds weight, not fourth moments), and the readout loss is the
-    channel itself.
+    of 1e-9 bounds weight, not fourth moments), and both losses are the
+    Kraus sum of ``test_fock.kraus_loss``.
     """
     r = config.r_value
     probe, _ = fock.padded_squeeze(fock.vacuum(config.cutoff), r)
-    probe = fock.phase_shift(probe, -config.phi)
-    rho = fock.loss(probe, config.eta1).matrix
+    rho = kraus_loss(density(fock.phase_shift(probe, -config.phi)), config.eta1)
     dim = rho.shape[0]
     work = 2 * max(dim, 32)
     while True:
@@ -259,8 +270,7 @@ def density_matrix_moments(config):
         if np.sum(np.diag(sigma).real[-4:]) <= 1e-24:
             break
         work *= 2
-    out = fock.loss(fock.MixedState(sigma, work - 1, truncation_tol=1e-8), config.eta2)
-    return tuple(fock.expectation(out, observable) for observable in ("n", "n2", "a2"))
+    return density_moments(kraus_loss(sigma, config.eta2))
 
 
 def rel(a, b):
@@ -285,10 +295,9 @@ def test_readout_thinning_matches_the_loss_channel(eta):
     for dim in (1, 5, 40):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = a @ a.conj().T
-        rho = fock.MixedState(rho / np.trace(rho).real, dim - 1)
-        observables = ("n", "n2", "a2")
-        before = [fock.expectation(rho, o) for o in observables]
-        after = [fock.expectation(fock.loss(rho, eta), o) for o in observables]
+        rho = rho / np.trace(rho).real
+        before = density_moments(rho)
+        after = density_moments(kraus_loss(rho, eta))
         for thinned, exact in zip(protocol._thinned(eta, *before), after):
             assert abs(thinned - exact) <= 1e-13 * max(abs(exact), 1.0)
 
@@ -334,7 +343,13 @@ class TestErrorPropagation:
 
     def test_fock_curve_route(self):
         config = protocol.ProtocolConfig(phi=0.2, r=0.5, eta1=0.9, eta2=0.9, cutoff=48)
-        propagated = protocol.error_propagation(protocol.fock_signal_curve(config), 0.2)
+
+        def fock_curve(phi):
+            moved = protocol.ProtocolConfig(phi, r=0.5, eta1=0.9, eta2=0.9, cutoff=48)
+            result = protocol.run_fock(moved)
+            return result.signal, result.variance
+
+        propagated = protocol.error_propagation(fock_curve, 0.2)
         closed = gaussian.phase_error(config.n_bar_value, 0.2, 0.9)
         assert propagated == pytest.approx(closed, rel=1e-5)
 
