@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmetro import correlations as co
-from qmetro import fock
+from qmetro import fock, gaussian
 
 R1 = math.asinh(1.0)
 
@@ -114,6 +114,21 @@ class TestClassicalFisher:
         assert value == pytest.approx(1.0, rel=1e-8)
         assert info["skipped_count"] == 1
         assert info["skipped_mass"] == 0.0
+
+
+class TestBenchmarks:
+    def test_shot_noise_conventions(self):
+        # one convention, the single-mode 1/sqrt(4 n_bar) the CLI reports;
+        # correlations carries no second one
+        assert gaussian.shot_noise_limit(1.5e4) == pytest.approx(1.0 / math.sqrt(6e4))
+        assert gaussian.shot_noise_limit(4.0) == 0.25
+        assert not hasattr(co, "shot_noise_limit")
+        assert not hasattr(co, "SNL_CONVENTIONS")
+
+    def test_single_mode_shot_noise_is_the_gaussian_one(self):
+        for n_bar in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                gaussian.shot_noise_limit(n_bar)
 
 
 class TestTableRows:

@@ -184,12 +184,6 @@ class TestSnlRatio:
     def test_opaque_channel_kills_sensitivity(self):
         assert ga.snl_ratio(100.0, 1e-3, 1e-4) < 1e-2
 
-    def test_single_mode_shot_noise_limit(self):
-        # the one shot-noise convention: 1/sqrt(4 n_bar) for a single mode
-        assert ga.shot_noise_limit(1.5e4) == pytest.approx(1.0 / math.sqrt(6e4))
-        with pytest.raises(ValueError, match="positive"):
-            ga.shot_noise_limit(0.0)
-
 
 # ---------------------------------------------------------------------------
 # randomized properties
