@@ -4,8 +4,11 @@ Covers the Mandel Q parameter, the two-mode number-correlation coefficient J,
 quantum Fisher information for pure states under number-diagonal generators,
 classical Fisher information of a measured probability curve, and the
 closed-form (Q, J, QFI) catalogue for the standard interferometer probe
-states together with their exact Fock-space counterparts.  The shot-noise
-limit the CLI reports is :func:`qmetro.gaussian.shot_noise_limit`.
+states together with their exact Fock-space counterparts.  A two-mode ket's
+number statistics (means, variances, covariance, hence Q, J and the QFI)
+are read here, by :func:`probe_statistics`, in one pass over its weights.
+The shot-noise limit the CLI reports is
+:func:`qmetro.gaussian.shot_noise_limit`.
 
 The closed forms (:func:`table_row`, :class:`ProbeFamily`) use only the
 standard library, so ``table`` without ``--oracle`` imports no numpy: the
@@ -109,29 +112,38 @@ class ProbeStatistics(Frozen):
     def n_bar(self) -> float:
         return self.mean_n_a + self.mean_n_b
 
-    @classmethod
-    def from_state(cls, state: PureState) -> "ProbeStatistics":
-        if state.modes != 2:
-            raise ValueError("probe statistics need a two-mode state")
-        moments = fock.observable_moments(state)
-        mean_a, mean_b = moments.mean_n
-        var_a, var_b = moments.var_n
-        cov = moments.cross_nn - mean_a * mean_b
-        return cls(
-            mean_n_a=mean_a,
-            mean_n_b=mean_b,
-            var_n_a=var_a,
-            var_n_b=var_b,
-            cov_nn=cov,
-            q_a=mandel_q(mean_a, var_a) if mean_a > 0 else None,
-            q_b=mandel_q(mean_b, var_b) if mean_b > 0 else None,
-            j=mode_correlation(var_a, var_b, cov),
-            qfi=var_a + var_b - 2.0 * cov,
-        )
-
 
 def probe_statistics(state: PureState) -> ProbeStatistics:
-    return ProbeStatistics.from_state(state)
+    """Number statistics of a two-mode ket, from its weights W = |psi[n_a, n_b]|^2.
+
+    Each mode's <n> and <n^2> come from the row sums of W (mode a) or of W^T
+    (mode b), and <n_a n_b> = n W n.
+    """
+    if state.modes != 2:
+        raise ValueError("probe statistics need a two-mode state")
+    import numpy as np
+
+    weights = np.abs(state.amplitudes) ** 2
+    n = np.arange(state.cutoff + 1, dtype=float)
+
+    def moments(pop: np.ndarray) -> tuple[float, float]:
+        mean = float(n @ pop)
+        return mean, float(n**2 @ pop) - mean**2
+
+    mean_a, var_a = moments(weights.sum(axis=1))
+    mean_b, var_b = moments(weights.T.sum(axis=1))
+    cov = float(n @ weights @ n) - mean_a * mean_b
+    return ProbeStatistics(
+        mean_n_a=mean_a,
+        mean_n_b=mean_b,
+        var_n_a=var_a,
+        var_n_b=var_b,
+        cov_nn=cov,
+        q_a=mandel_q(mean_a, var_a) if mean_a > 0 else None,
+        q_b=mandel_q(mean_b, var_b) if mean_b > 0 else None,
+        j=mode_correlation(var_a, var_b, cov),
+        qfi=var_a + var_b - 2.0 * cov,
+    )
 
 
 def pure_state_qfi(state: PureState, generator: str) -> float:

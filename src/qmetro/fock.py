@@ -7,13 +7,15 @@ rho = sum_k |phi_k><phi_k| (:class:`MixedState`), so no density matrix is
 ever formed.  Nor is the un-squeezed output: the detector needs only <n>,
 <n^2> and <a^2>, which :func:`unsqueezed_moments` reads in the Heisenberg
 picture from the Bogoliubov map of the un-squeeze, on the branches padded by
-two levels.  No Fock operation grows its basis.  The two-mode probe
-catalogue needs only kets.  Every state records how much probability weight
-truncation is allowed to have cost it (``truncation_tol``), and every
-operation either preserves weight exactly or measures what it discarded and
-fails loudly when that exceeds its budget.  This module is the slow, exact
-oracle that the closed-form machinery elsewhere in the package is checked
-against, so correctness is preferred over speed throughout.
+two levels.  No Fock operation grows its basis.  The squeeze, phase and
+loss act on one mode; two-mode kets are the probe catalogue's, and their
+number statistics are read by :func:`qmetro.correlations.probe_statistics`.
+Every state records how much probability weight truncation is allowed to
+have cost it (``truncation_tol``), and every operation either preserves
+weight exactly or measures what it discarded and fails loudly when that
+exceeds its budget.  This module is the slow, exact oracle that the
+closed-form machinery elsewhere in the package is checked against, so
+correctness is preferred over speed throughout.
 
 All states are immutable values and all operations are pure functions; they
 are safe to call concurrently.  The module needs numpy and the standard
@@ -43,9 +45,6 @@ DEFAULT_TRUNCATION_TOL = 1e-10
 CONSTRUCTOR_DEFICIT_LIMIT = 1e-6
 
 _BS_ANGLE = math.pi / 4
-
-OBSERVABLES = ("n", "n2", "cross_nn")
-PHASE_CONVENTIONS = ("single-mode", "relative-half")
 
 
 class EmptyProjectionError(ValueError):
@@ -138,27 +137,15 @@ class MixedState(Frozen):
         return max(0.0, 1.0 - self.trace)
 
 
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
 
-def vacuum(cutoff: int, modes: int = 1) -> PureState:
-    if modes == 1:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-    else:
-        amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-        amps[0, 0] = 1.0
-    return PureState(amps)
-
-
-def number_state(n: int, cutoff: int) -> PureState:
-    if not 0 <= n <= cutoff:
-        raise ValueError(f"photon number {n} outside [0, {cutoff}]")
+def vacuum(cutoff: int) -> PureState:
+    """Single-mode vacuum |0>."""
     amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[n] = 1.0
+    amps[0] = 1.0
     return PureState(amps)
 
 
@@ -373,20 +360,10 @@ def beam_splitter_overflow(state: PureState) -> tuple[float, int]:
     return float(beyond[c]), int(np.argmax(beyond <= CONSTRUCTOR_DEFICIT_LIMIT))
 
 
-def phase_shift(state: PureState, phi: float, convention: str = "single-mode") -> PureState:
-    """Diagonal number-basis phase of a ket: e^{i phi n} or e^{i phi (n_a - n_b)/2}."""
-    if convention not in PHASE_CONVENTIONS:
-        raise ValueError(f"unknown phase convention {convention!r}")
-    n = np.arange(state.cutoff + 1)
-    if convention == "single-mode":
-        if state.modes != 1:
-            raise ValueError("single-mode phase requires a one-mode state")
-        factors = np.exp(1j * phi * n)
-    else:
-        if state.modes != 2:
-            raise ValueError("relative-half phase requires a two-mode state")
-        half_diff = 0.5 * (n[:, None] - n[None, :])
-        factors = np.exp(1j * phi * half_diff)
+def phase_shift(state: PureState, phi: float) -> PureState:
+    """Number-basis phase e^{i phi n} of a single-mode ket."""
+    _check_single_mode_ket(state, "phase_shift")
+    factors = np.exp(1j * phi * np.arange(state.cutoff + 1))
     return PureState(factors * state.amplitudes, truncation_tol=state.truncation_tol)
 
 
@@ -584,33 +561,6 @@ def loss(state: PureState, eta: float) -> MixedState:
 # ---------------------------------------------------------------------------
 
 
-def expectation(state: PureState, observable: str, mode: int | None = None) -> float:
-    """Exact number moment of a ket over the truncated basis.
-
-    ``observable`` is one of ``n``, ``n2`` (of ``mode``) or ``cross_nn``
-    (<n_a n_b> of a two-mode ket).  A mixed state's moments come from
-    :func:`unsqueezed_moments`.
-    """
-    if observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}; pick one of {OBSERVABLES}")
-    if observable == "cross_nn":
-        if state.modes != 2:
-            raise ValueError("cross_nn needs a two-mode state")
-    elif state.modes == 2 and mode is None:
-        raise ValueError(f"observable {observable!r} on a two-mode state needs a mode index")
-    mode = 0 if mode is None else mode
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} invalid for a {state.modes}-mode state")
-
-    n = np.arange(state.cutoff + 1, dtype=float)
-    amps = state.amplitudes if mode == 0 else state.amplitudes.T
-    weights = np.abs(amps) ** 2
-    if observable == "cross_nn":
-        return float(n @ weights @ n)
-    pop = weights if amps.ndim == 1 else weights.sum(axis=1)
-    return float((n if observable == "n" else n**2) @ pop)
-
-
 def unsqueezed_moments(state: PureState | MixedState, r: float) -> tuple[float, float, complex]:
     """<n>, <n^2> and <a^2> after the un-squeeze squeeze(-r), read in the Heisenberg picture.
 
@@ -672,34 +622,3 @@ def fidelity(a: PureState, b: PureState) -> float:
     if b.amplitudes.shape != a.amplitudes.shape:
         raise ValueError("states live on different truncated bases")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# moment bundle
-# ---------------------------------------------------------------------------
-
-
-class ObservableMoments(Frozen):
-    """Per-mode number moments plus the two-mode number covariance inputs."""
-
-    __slots__ = ("mean_n", "mean_n2", "var_n", "cross_nn")
-
-    def __init__(self, mean_n: tuple, mean_n2: tuple, var_n: tuple, cross_nn: float | None):
-        self._init(mean_n, mean_n2, var_n, cross_nn)
-        for mean, mean2, var in zip(mean_n, mean_n2, var_n):
-            if var < -1e-10:
-                raise ValueError(f"negative number variance {var:.3e}")
-            if abs(var - (mean2 - mean**2)) > 1e-10 * max(1.0, abs(mean2)):
-                raise ValueError("variance inconsistent with first and second moments")
-
-
-def observable_moments(state: PureState) -> ObservableMoments:
-    mean_n, mean_n2, var_n = [], [], []
-    for mode in range(state.modes):
-        m1 = expectation(state, "n", mode)
-        m2 = expectation(state, "n2", mode)
-        mean_n.append(m1)
-        mean_n2.append(m2)
-        var_n.append(m2 - m1**2)
-    cross = expectation(state, "cross_nn") if state.modes == 2 else None
-    return ObservableMoments(tuple(mean_n), tuple(mean_n2), tuple(var_n), cross)

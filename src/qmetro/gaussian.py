@@ -224,9 +224,17 @@ def protocol_point(
     return ProtocolPoint._make(protocol_row(n_bar, phi, ((eta1, eta2),))[0])
 
 
-def _check_protocol_params(n_bar: float, eta: float) -> None:
+def _check_protocol_params(n_bar: float, phi: float, eta: float) -> None:
+    """Refuse a point outside the kernel's domain, naming the parameter.
+
+    n_bar must be finite and >= 0, phi in [0, pi/2] and not below
+    ``PHI_FLOOR`` unless 0 (:func:`check_phi`), and eta in [0, 1].
+    """
     if not 0.0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar!r}")
+    if not 0.0 <= phi <= HALF_PI:
+        raise ValueError(f"phi={phi!r} outside [0, pi/2]")
+    check_phi(phi)
     check_eta(eta)
 
 
@@ -235,13 +243,13 @@ def signal(n_bar: float, phi: float, eta: float = 1.0) -> float:
 
     With eta = 1 this reduces to 4 n (n+1) sin^2(phi).
     """
-    _check_protocol_params(n_bar, eta)
+    _check_protocol_params(n_bar, phi, eta)
     return protocol_point(n_bar, phi, eta, eta).signal
 
 
 def signal_slope(n_bar: float, phi: float, eta: float = 1.0) -> float:
     """d signal / d phi = 4 eta^2 n (n+1) sin 2phi."""
-    _check_protocol_params(n_bar, eta)
+    _check_protocol_params(n_bar, phi, eta)
     return protocol_point(n_bar, phi, eta, eta).slope
 
 
@@ -251,17 +259,11 @@ def phase_error(n_bar: float, phi: float, eta: float = 1.0) -> float:
     For 0 < phi < pi/2 this is sqrt(Var n) / |d signal / d phi|.  At phi = 0
     the lossless (eta = 1) analytic limit 1/sqrt(8 n (n+1)) is returned;
     with loss the slope of the signal vanishes there and the error diverges,
-    so the call is refused, as is 0 < phi < ``PHI_FLOOR`` (:func:`check_phi`).
+    so the call is refused, as it is at the signal maximum phi = pi/2.
     """
-    _check_protocol_params(n_bar, eta)
+    _check_protocol_params(n_bar, phi, eta)
     if n_bar == 0.0 or eta == 0.0:
         raise ValueError("n_bar and eta must be positive")
-    check_phi(phi)
-    if not 0.0 <= phi < HALF_PI:
-        raise SingularOperatingPointError(
-            f"phi={phi!r} outside [0, pi/2): the phase error is evaluated between the "
-            "signal minimum and maximum, where its slope is nonzero"
-        )
     error = protocol_point(n_bar, phi, eta, eta).phase_error
     if error is None:
         raise SingularOperatingPointError(

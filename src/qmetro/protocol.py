@@ -47,11 +47,11 @@ class VanishingDerivativeError(ValueError):
 class ProtocolConfig(Frozen):
     """One protocol operating point.
 
-    Exactly one of ``n_bar`` (mean probe photons sinh^2 r) and ``r`` may be
-    given, or both if they agree.  ``r`` must be positive: the Gaussian
-    engine reads only n_bar, so a negative r would squeeze the Fock probe
-    along the other axis.  ``cutoff`` only affects the Fock engine;
-    when omitted, :func:`default_cutoff` supplies it (:attr:`cutoff_value`).
+    Exactly one of ``n_bar`` (mean probe photons sinh^2 r) and ``r`` is
+    given; the other is derived from it.  ``r`` must be positive: a negative
+    r would squeeze the Fock probe along the other axis.  ``cutoff`` only
+    affects the Fock engine; when omitted, :func:`default_cutoff` supplies
+    it (:attr:`cutoff_value`).
     """
 
     __slots__ = ("phi", "n_bar", "r", "eta1", "eta2", "cutoff", "engine")
@@ -71,24 +71,17 @@ class ProtocolConfig(Frozen):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.n_bar is None and self.r is None:
-            raise ValueError("give n_bar or r")
-        if self.r is not None:
-            if self.r <= 0:
-                raise ValueError("r must be positive")
-            try:
-                implied = math.sinh(self.r) ** 2
-            except OverflowError:
-                raise ValueError(f"r={self.r!r} is too large: sinh^2 r overflows") from None
-            if self.n_bar is not None and abs(implied - self.n_bar) > 1e-10 * max(
-                1.0, abs(self.n_bar)
-            ):
-                raise ValueError(
-                    f"n_bar={self.n_bar} inconsistent with r={self.r} (sinh^2 r = {implied})"
-                )
+        if (self.n_bar is None) == (self.r is None):
+            raise ValueError("give exactly one of n_bar and r")
+        if self.r is not None and self.r <= 0:
+            raise ValueError("r must be positive")
         if self.n_bar is not None and self.n_bar <= 0:
             raise ValueError("n_bar must be positive")
-        gaussian.check_n_bar(self.n_bar_value)
+        try:
+            n_bar = self.n_bar_value
+        except OverflowError:
+            raise ValueError(f"r={self.r!r} is too large: sinh^2 r overflows") from None
+        gaussian.check_n_bar(n_bar)
         gaussian.check_eta(self.eta1)
         gaussian.check_eta(self.eta2)
         if not 0.0 <= self.phi <= math.pi / 2.0:

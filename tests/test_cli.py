@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -442,3 +443,27 @@ def test_squeeze_overflow_names_the_cutoff_it_needs(capsys):
     assert out == ""
     assert "squeeze stage" in err
     assert f"use a cutoff of at least {protocol.squeeze_cutoff(10.0)[0]}" in err
+
+
+def test_snl_ratio_curves_script_writes_its_four_files(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "snl_ratio_curves.py"
+    spec = importlib.util.spec_from_file_location("snl_ratio_curves", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.run(tmp_path, points=5)
+    files = {
+        "ratio_eta0.99.csv": {"0.99"},
+        "ratio_eta0.95.csv": {"0.95"},
+        "ratio_eta0.90.csv": {"0.9"},
+        "error_vs_nbar_phi1e-3.csv": {"0.9", "0.95", "0.99"},
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name, etas in files.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0].startswith("# command=sweep")
+        rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+        # 5 n_bar points times 3 phases (ratio files) or 3 etas (error file)
+        assert len(rows) == 15
+        assert {row["eta"] for row in rows} == etas
+        assert all(float(row["snl_ratio"]) > 0.0 for row in rows)
+    assert capsys.readouterr().out.count("wrote ") == 4

@@ -52,6 +52,63 @@ class TestModeCorrelation:
         assert stats.j is None
 
 
+def expectation(state, observable, mode=0):
+    """One number moment of a two-mode ket from its own pass over the weights."""
+    n = np.arange(state.cutoff + 1, dtype=float)
+    weights = np.abs(state.amplitudes if mode == 0 else state.amplitudes.T) ** 2
+    if observable == "cross_nn":
+        return float(n @ weights @ n)
+    return float((n if observable == "n" else n**2) @ weights.sum(axis=1))
+
+
+def reference_statistics(state):
+    """probe_statistics by five separate expectation values, one per moment."""
+    means, variances = [], []
+    for mode in (0, 1):
+        m1 = expectation(state, "n", mode)
+        m2 = expectation(state, "n2", mode)
+        means.append(m1)
+        variances.append(m2 - m1**2)
+    (mean_a, mean_b), (var_a, var_b) = means, variances
+    cov = expectation(state, "cross_nn") - mean_a * mean_b
+    return co.ProbeStatistics(
+        mean_a, mean_b, var_a, var_b, cov,
+        co.mandel_q(mean_a, var_a) if mean_a > 0 else None,
+        co.mandel_q(mean_b, var_b) if mean_b > 0 else None,
+        co.mode_correlation(var_a, var_b, cov),
+        var_a + var_b - 2.0 * cov,
+    )
+
+
+def bits(stats):
+    values = [getattr(stats, name) for name in stats.__slots__]
+    return [None if v is None else float.hex(v) for v in values]
+
+
+class TestProbeStatistics:
+    @pytest.mark.parametrize("n_bar", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("family", sorted(set(co.ProbeFamily) - co.FORMULA_ONLY))
+    def test_catalogue_matches_the_expectation_route_bit_for_bit(self, family, n_bar):
+        try:
+            state = co.oracle_probe(family, n_bar)
+        except ValueError:
+            pytest.skip(f"{family.value} has no Fock realisation at n_bar {n_bar}")
+        assert bits(co.probe_statistics(state)) == bits(reference_statistics(state))
+
+    def test_random_kets_match_the_expectation_route_bit_for_bit(self):
+        rng = np.random.default_rng(20240811)
+        for _ in range(300):
+            size = int(rng.integers(1, 25))
+            raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            state = fock.PureState(raw / np.linalg.norm(raw))
+            assert bits(co.probe_statistics(state)) == bits(reference_statistics(state))
+
+    def test_needs_a_two_mode_ket(self):
+        for state in (fock.vacuum(4), fock.loss(fock.vacuum(4), 0.5)):
+            with pytest.raises(ValueError, match="two-mode"):
+                co.probe_statistics(state)
+
+
 class TestPureStateQfi:
     def test_noon_reaches_squared_scaling(self):
         assert co.pure_state_qfi(fock.noon(4, 6), "half_n_diff") == pytest.approx(16.0)
@@ -248,11 +305,13 @@ class TestOracleAgreement:
         # photon counting after an extra half phase cannot beat the quantum bound
         state = co.oracle_probe("twin_fock", 2.0)
         qfi = co.pure_state_qfi(state, "half_n_diff")
+        n = np.arange(state.cutoff + 1)
+        half_diff = 0.5 * (n[:, None] - n[None, :])
 
         def curve(phi):
-            return fock.number_distribution(
-                fock.beam_splitter(fock.phase_shift(state, phi, "relative-half"))
-            ).reshape(-1)
+            # the relative phase e^{i phi (n_a - n_b)/2}
+            shifted = fock.PureState(np.exp(1j * phi * half_diff) * state.amplitudes)
+            return fock.number_distribution(fock.beam_splitter(shifted)).reshape(-1)
 
         fisher = co.classical_fisher_information(curve, 0.4)
         assert fisher <= qfi + 1e-6

@@ -72,7 +72,7 @@ class TestSqueezedVacuum:
 
     def test_mean_occupation_is_sinh_squared(self):
         state = fock.squeezed_vacuum(R1, 0.0, 80)
-        assert fock.expectation(state, "n") == pytest.approx(1.0, abs=1e-9)
+        assert fock.unsqueezed_moments(state, 0.0)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_phase_matches_number_rotation(self):
         direct = fock.squeezed_vacuum(0.7, 0.4, 40)
@@ -90,7 +90,7 @@ class TestTwoModeConstructors:
         assert state.amplitudes[4, 0] == pytest.approx(1 / math.sqrt(2))
         assert state.amplitudes[0, 4] == pytest.approx(1 / math.sqrt(2))
         assert np.count_nonzero(state.amplitudes) == 2
-        assert fock.expectation(fock.noon(2, 4), "n", 0) == pytest.approx(1.0)
+        assert co.probe_statistics(fock.noon(2, 4)).mean_n_a == pytest.approx(1.0)
 
     def test_noon_needs_room(self):
         with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ class TestBeamSplitter:
         assert abs(out.amplitudes[1, 1]) < 1e-13
 
     def test_vacuum_invariant(self):
-        out = fock.beam_splitter(fock.vacuum(5, modes=2))
+        out = fock.beam_splitter(fock.product(fock.vacuum(5), fock.vacuum(5)))
         assert out.amplitudes[0, 0] == pytest.approx(1.0)
 
     def test_coherent_identity(self):
@@ -271,21 +271,15 @@ class TestPhaseShift:
         np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
     def test_two_photon_sign_flip(self):
-        out = fock.phase_shift(fock.number_state(2, 4), math.pi / 2)
+        out = fock.phase_shift(ket({2: 1.0}, 4), math.pi / 2)
         assert out.amplitudes[2] == pytest.approx(-1.0)
 
-    def test_relative_half_phase(self):
-        state = ket({(3, 0): 1.0}, 5, modes=2)
-        out = fock.phase_shift(state, 0.4, "relative-half")
-        assert out.amplitudes[3, 0] == pytest.approx(np.exp(1j * 0.4 * 1.5))
-
     def test_convention_mode_mismatch(self):
-        with pytest.raises(ValueError):
-            fock.phase_shift(fock.vacuum(4), 0.1, "relative-half")
-        with pytest.raises(ValueError):
-            fock.phase_shift(fock.noon(1, 3), 0.1, "single-mode")
-        with pytest.raises(ValueError):
-            fock.phase_shift(fock.loss(fock.vacuum(4), 0.5), 0.1, "relative-half")
+        # the phase is single-mode: a two-mode ket or a mixed state is refused
+        # as squeeze and loss refuse them, not by an AttributeError
+        for state in (fock.loss(fock.vacuum(4), 0.5), fock.noon(1, 3)):
+            with pytest.raises(ValueError, match=r"phase_shift\(\) acts on single-mode kets"):
+                fock.phase_shift(state, 0.1)
 
 
 class TestSqueeze:
@@ -503,7 +497,7 @@ class TestLoss:
         # trace of every number state, which it sends to Binomial(n, eta)
         for eta in (0.0, 0.3, 0.77, 1.0):
             for n in range(15):
-                out = fock.loss(fock.number_state(n, 14), eta)
+                out = fock.loss(ket({n: 1.0}, 14), eta)
                 assert out.trace == pytest.approx(1.0, abs=1e-12)
                 binomial = [math.comb(n, k) * eta**k * (1 - eta) ** (n - k) for k in range(n + 1)]
                 np.testing.assert_allclose(
@@ -567,17 +561,21 @@ class TestLossBranches:
 
 
 class TestMeasurements:
+    # single-mode moments are read by unsqueezed_moments at r = 0, two-mode
+    # ones by correlations.probe_statistics
+
     def test_mean_photon_squeezed(self):
-        assert fock.expectation(fock.squeezed_vacuum(R1, 0.0, 80), "n") == pytest.approx(
-            1.0, abs=1e-9
-        )
+        n, _, _ = fock.unsqueezed_moments(fock.squeezed_vacuum(R1, 0.0, 80), 0.0)
+        assert n == pytest.approx(1.0, abs=1e-9)
 
     def test_vacuum_second_moment(self):
-        assert fock.expectation(fock.vacuum(6), "n2") == 0.0
+        assert fock.unsqueezed_moments(fock.vacuum(6), 0.0)[1] == 0.0
 
     def test_cross_nn_on_even_pair(self):
         state = ket({(2, 0): 1 / math.sqrt(2), (0, 2): 1 / math.sqrt(2)}, 4, modes=2)
-        assert fock.expectation(state, "cross_nn") == 0.0
+        stats = co.probe_statistics(state)
+        # <n_a n_b> = 0, so the covariance is -<n_a><n_b>
+        assert stats.cov_nn + stats.mean_n_a * stats.mean_n_b == 0.0
 
     def test_a_squared_on_squeezed(self):
         # <a^2> of a squeezed vacuum is -cosh(r) sinh(r)
@@ -586,15 +584,10 @@ class TestMeasurements:
         _, _, a2 = fock.unsqueezed_moments(state, 0.0)
         assert a2 == pytest.approx(expected, rel=1e-10)
 
-    def test_unknown_observable(self):
-        with pytest.raises(ValueError):
-            fock.expectation(fock.vacuum(4), "x")
-
     def test_observable_moments_bundle(self):
-        moments = fock.observable_moments(fock.noon(2, 4))
-        assert moments.mean_n == pytest.approx((1.0, 1.0))
-        assert moments.cross_nn == 0.0
-        assert moments.var_n[0] == pytest.approx(1.0)
+        stats = co.probe_statistics(fock.noon(2, 4))
+        assert (stats.mean_n_a, stats.mean_n_b) == pytest.approx((1.0, 1.0))
+        assert stats.var_n_a == pytest.approx(1.0)
 
 
 class TestProjection:
@@ -645,10 +638,6 @@ class TestStateInvariants:
 
 
 class TestArgumentValidation:
-    def test_number_state_range(self):
-        with pytest.raises(ValueError):
-            fock.number_state(5, 4)
-
     def test_product_needs_matching_cutoffs(self):
         with pytest.raises(ValueError):
             fock.product(fock.vacuum(4), fock.vacuum(5))
@@ -658,14 +647,6 @@ class TestArgumentValidation:
     def test_squeeze_rejects_two_modes(self):
         with pytest.raises(ValueError):
             fock.squeeze(fock.noon(1, 3), 0.2)
-
-    def test_expectation_mode_handling(self):
-        with pytest.raises(ValueError):
-            fock.expectation(fock.vacuum(3), "cross_nn")
-        with pytest.raises(ValueError):
-            fock.expectation(fock.noon(1, 3), "n")  # needs a mode index
-        with pytest.raises(ValueError):
-            fock.expectation(fock.noon(1, 3), "n", mode=2)
 
     @pytest.mark.parametrize(
         "route",

@@ -20,7 +20,6 @@ def _values():
         co.probe_statistics(fock.noon(3, 5)),
         fock.loss(fock.coherent(1.0, 20), 0.5),
         fock.coherent(1.0, 20),
-        fock.observable_moments(fock.noon(2, 4)),
         validate.CheckResult("sweep-schema", True, 0.5, 0.0, "pinned", 0.001),
     ]
 
@@ -48,11 +47,20 @@ def test_fields_are_keyword_and_positional():
 
 
 def test_observable_moments_keep_their_validation():
-    # the fock states' checks are in tests/test_fock.py::TestStateInvariants
-    with pytest.raises(ValueError, match="negative number variance"):
-        fock.ObservableMoments((0.0,), (0.0,), (-1.0,), None)
-    with pytest.raises(ValueError, match="inconsistent"):
-        fock.ObservableMoments((1.0,), (2.0,), (0.5,), None)
+    # the moments' checks live in ProbeStatistics; the fock states' checks
+    # are in tests/test_fock.py::TestStateInvariants
+    fields = {
+        "mean_n_a": 1.0, "mean_n_b": 1.0, "var_n_a": 1.0, "var_n_b": 1.0, "cov_nn": -1.0,
+        "q_a": 0.0, "q_b": 0.0, "j": -1.0, "qfi": 4.0,
+    }
+    co.ProbeStatistics(**fields)
+    for change, match in (
+        ({"var_n_b": -1e-9}, "negative number variance"),
+        ({"j": -1.0 - 1e-9}, "Cauchy-Schwarz"),
+        ({"qfi": -1e-9}, "negative quantum Fisher information"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            co.ProbeStatistics(**{**fields, **change})
 
 
 def test_check_result_reports_without_its_timing():

@@ -106,6 +106,14 @@ class TestSignalAndVariance:
         assert ga.signal(1.0, 0.0, 1.0) == 0.0
         assert ga.signal(1.0, math.pi / 2, 0.5) == pytest.approx(2.25)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 1e-200, 3.0, -0.5])
+    @pytest.mark.parametrize("view", [ga.signal, ga.signal_slope], ids=["signal", "slope"])
+    def test_views_refuse_a_phase_outside_the_kernels_domain(self, view, phi):
+        # refused by name, not by an n_bar overflow, a math domain error or a
+        # variance underflow, and never evaluated outside [0, pi/2]
+        with pytest.raises(ValueError, match=f"phi={phi!r}"):
+            view(1.0, phi)
+
     def test_vacuum_variance(self):
         assert ga.number_variance(ga.MomentVector.vacuum()) == 0.0
 

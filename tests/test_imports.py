@@ -164,7 +164,7 @@ def test_lazy_modules_show_their_functions_to_vars():
     doc = _python(TRACER_PROBE, json.dumps(LAZY_MODULES))
     expected = {
         "qmetro.correlations": ("table_row", "oracle_row", "classical_fisher_information"),
-        "qmetro.fock": ("squeeze", "loss", "expectation", "beam_splitter"),
+        "qmetro.fock": ("squeeze", "loss", "unsqueezed_moments", "beam_splitter"),
         "qmetro.validate": ("run_checks", "check_engine_equivalence"),
     }
     for name, (lazy, functions, executed) in doc.items():

@@ -16,19 +16,20 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             protocol.ProtocolConfig(phi=0.1)
 
-    def test_consistent_pair_accepted(self):
-        config = protocol.ProtocolConfig(phi=0.1, n_bar=1.0, r=R1)
-        assert config.n_bar_value == pytest.approx(1.0)
+    def test_consistent_pair_refused(self):
+        # exactly one of the two, as the CLI requires
+        with pytest.raises(ValueError, match="exactly one of n_bar and r"):
+            protocol.ProtocolConfig(phi=0.1, n_bar=1.0, r=R1)
 
     def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one of n_bar and r"):
             protocol.ProtocolConfig(phi=0.1, n_bar=1.0, r=0.5)
 
     def test_negative_r_rejected_even_with_a_matching_n_bar(self):
-        # the Gaussian engine reads only n_bar, so a negative r that matches
-        # it would have the Fock engine squeeze along the other axis: its
-        # <a^2> came out negated (moment_aa_deviation 2.0)
-        with pytest.raises(ValueError, match="r must be positive"):
+        # a negative r would have the Fock engine squeeze along the other
+        # axis: paired with a matching n_bar, which the Gaussian engine read,
+        # its <a^2> once came out negated (moment_aa_deviation 2.0)
+        with pytest.raises(ValueError, match="exactly one of n_bar and r"):
             protocol.ProtocolConfig(phi=0.3, n_bar=math.sinh(0.5) ** 2, r=-0.5)
         for r in (-0.5, 0.0):
             with pytest.raises(ValueError, match="r must be positive"):
