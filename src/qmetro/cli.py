@@ -57,6 +57,7 @@ PROTOCOL_COLUMNS = (
 SWEEP_COLUMNS = ("n_bar", "phi", "eta", "signal", "variance", "delta_phi", "snl", "snl_ratio")
 #: CSV lines a sweep joins into one block of its output (module docstring)
 SWEEP_BLOCK_ROWS = 128
+ENGINES = ("gaussian", "fock", "both")
 VALIDATE_LEVELS = ("quick", "full")
 
 
@@ -228,7 +229,7 @@ def _protocol_record(engine: str, config: protocol.ProtocolConfig,
 def cmd_protocol(args) -> int:
     config = _protocol_config(args)
     rows = []
-    if config.engine == "both":
+    if args.engine == "both":
         report = protocol.run_both(config)
         rows.append(_protocol_record("gaussian", config, report.gaussian_result, None))
         rows.append(_protocol_record("fock", config, report.fock_result, report.cutoff))
@@ -238,7 +239,7 @@ def cmd_protocol(args) -> int:
             "m_aa_rel_dev": report.moment_aa_deviation(),
         }
         meta = {"command": "protocol", **{k: _fmt(v) for k, v in deviations.items()}}
-    elif config.engine == "fock":
+    elif args.engine == "fock":
         result = protocol.run_fock(config)
         rows.append(_protocol_record("fock", config, result, config.cutoff_value))
         meta = {"command": "protocol"}
@@ -265,7 +266,6 @@ def _protocol_config(args) -> protocol.ProtocolConfig:
             eta1=eta1,
             eta2=eta2,
             cutoff=args.cutoff,
-            engine=args.engine,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proto.add_argument("--eta1", type=float, default=None, help="transmissivity after the phase")
     p_proto.add_argument("--eta2", type=float, default=None, help="transmissivity at the detector")
     p_proto.add_argument("--cutoff", type=int, default=None, help="Fock cutoff (Fock engine only)")
-    p_proto.add_argument("--engine", choices=protocol.ENGINES, default="gaussian")
+    p_proto.add_argument("--engine", choices=ENGINES, default="gaussian")
     add_io(p_proto)
     p_proto.set_defaults(fn=cmd_protocol)
 

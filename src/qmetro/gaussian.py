@@ -1,10 +1,10 @@
 """Closed-form Gaussian engine for the squeeze / rotate / lose / unsqueeze loop.
 
 A zero-mean single-mode Gaussian state is fully described by its normally
-ordered second moments (<a^2>, <a^dag^2>, <a^dag a>).  Loss scales these
-moments and adds nothing to them, so the protocol squeeze(r), rotate(phi),
-damp(eta1), squeeze(-r), damp(eta2) has an exact closed form for general
-(eta1, eta2).  :func:`protocol_row` evaluates it with every sum made of
+ordered second moments <a^2> and <a^dag a> (<a^dag^2> is the conjugate of
+<a^2>).  Loss scales these moments and adds nothing to them, so the protocol
+squeeze(r), rotate(phi), damp(eta1), squeeze(-r), damp(eta2) has an exact
+closed form for general (eta1, eta2).  :func:`protocol_row` evaluates it with every sum made of
 terms of one sign, so it keeps full double precision at any brightness and
 at the smallest angles.  It is the one closed-form kernel and the only
 Gaussian arithmetic on the runtime path of ``protocol`` and ``sweep``: it
@@ -13,12 +13,13 @@ calls it once per (n_bar, phi) row.  :func:`protocol_point` is its one-pair
 view, and :func:`signal`, :func:`signal_slope`, :func:`phase_error` and
 :func:`snl_ratio` are views of that.
 
-Squeezing, number-basis rotation and amplitude damping also act on the
-moments as 3x3 affine maps (:func:`squeeze_map`, :func:`rotation_map`,
-:func:`loss_map`).  Their composition, :func:`protocol_moments`, is the
-independent reference the kernel is checked against by the tests and by
-``validate``.  The module uses only the standard library: 3x3 algebra gains
-nothing from numpy, and Gaussian commands never import it.
+The independent reference the kernel is checked against, by the tests and
+by ``validate``, is a forward-mode pass (:func:`_protocol_pass`): it pushes
+(<a^2>, <a^dag a>) and their phi-derivative from the vacuum through the five
+stages one at a time.  :func:`protocol_moments` and
+:func:`phase_error_from_moments` are its views.  The module uses only the
+standard library: two moments gain nothing from numpy, and Gaussian
+commands never import it.
 
 It is also the bottom of the package's import graph, so it holds what every
 engine shares: :func:`check_eta`, :func:`check_phi`, :func:`check_n_bar`,
@@ -32,8 +33,6 @@ import math
 import sys
 from typing import NamedTuple
 
-#: m_adad must be the conjugate of m_aa to this absolute tolerance.
-CONJUGATE_TOL = 1e-12
 #: Uncertainty bound slack: m_n (m_n + 1) - |m_aa|^2 >= -PHYSICALITY_SLACK.
 PHYSICALITY_SLACK = 1e-10
 #: Smallest nonzero phase accepted: below it sin^2 phi and the squared terms
@@ -227,11 +226,14 @@ def protocol_point(
 def _check_protocol_params(n_bar: float, phi: float, eta: float) -> None:
     """Refuse a point outside the kernel's domain, naming the parameter.
 
-    n_bar must be finite and >= 0, phi in [0, pi/2] and not below
-    ``PHI_FLOOR`` unless 0 (:func:`check_phi`), and eta in [0, 1].
+    n_bar must be finite and >= 0 and not below ``N_BAR_FLOOR`` unless 0
+    (:func:`check_n_bar`), phi in [0, pi/2] and not below ``PHI_FLOOR``
+    unless 0 (:func:`check_phi`), and eta in [0, 1].
     """
     if not 0.0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar!r}")
+    if n_bar > 0.0:
+        check_n_bar(n_bar)
     if not 0.0 <= phi <= HALF_PI:
         raise ValueError(f"phi={phi!r} outside [0, pi/2]")
     check_phi(phi)
@@ -282,19 +284,20 @@ def snl_ratio(n_bar: float, phi: float, eta: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# moment-map reference
+# forward-mode moment reference
 # ---------------------------------------------------------------------------
 
 
 class MomentVector(Frozen):
-    """Normally ordered second moments (<a^2>, <a^dag^2>, <a^dag a>)."""
+    """Normally ordered second moments <a^2> and <a^dag a>.
 
-    __slots__ = ("m_aa", "m_adad", "m_n")
+    <a^dag^2> is the conjugate of <a^2>, read as :attr:`m_adad`.
+    """
 
-    def __init__(self, m_aa: complex, m_adad: complex, m_n: float) -> None:
-        self._init(m_aa, m_adad, m_n)
-        if abs(self.m_adad - self.m_aa.conjugate()) > CONJUGATE_TOL * max(1.0, abs(self.m_aa)):
-            raise ValueError("<a^dag^2> must be the conjugate of <a^2>")
+    __slots__ = ("m_aa", "m_n")
+
+    def __init__(self, m_aa: complex, m_n: float) -> None:
+        self._init(m_aa, m_n)
         if self.m_n < -1e-12:
             raise ValueError(f"negative occupation {self.m_n!r}")
         # slack scales with the bound itself so bright-probe rounding passes
@@ -305,100 +308,47 @@ class MomentVector(Frozen):
                 f"({abs(self.m_aa)**2!r} vs {bound!r})"
             )
 
-    @classmethod
-    def vacuum(cls) -> "MomentVector":
-        return cls(0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_pair(cls, m_aa: complex, m_n: float) -> "MomentVector":
-        m_aa = complex(m_aa)
-        return cls(m_aa, m_aa.conjugate(), float(m_n))
+    @property
+    def m_adad(self) -> complex:
+        return self.m_aa.conjugate()
 
 
-def _matvec(matrix: tuple, vector: tuple) -> tuple:
-    return tuple(row[0] * vector[0] + row[1] * vector[1] + row[2] * vector[2] for row in matrix)
+def _squeeze(r: float, aa: complex, n: float, d_aa: complex, d_n: float) -> tuple:
+    """Squeeze(r) on (<a^2>, <n>), and by its linear part on their phi-derivative.
 
-
-class AffineMap(Frozen):
-    """v -> matrix @ v + translation on moment vectors.
-
-    ``matrix`` is three rows of three complex entries and ``translation``
-    three complex entries; any nested sequence of numbers is accepted.  A
-    valid map sends conjugate-paired inputs to conjugate-paired outputs,
-    which pins its structure: row 1 is the conjugate of row 0 with the first
-    two columns swapped, and row 2 maps to a real occupation.
+    The mode map is a -> a ch r - a^dag sh r; squeeze(-r) undoes it.
     """
-
-    __slots__ = ("matrix", "translation")
-
-    def __init__(self, matrix, translation) -> None:
-        m = tuple(tuple(complex(x) for x in row) for row in matrix)
-        t = tuple(complex(x) for x in translation)
-        if len(m) != 3 or any(len(row) != 3 for row in m) or len(t) != 3:
-            raise ValueError("matrix must be 3x3 and translation of length 3")
-        if (
-            max(abs(m[1][j] - m[0][k].conjugate()) for j, k in ((0, 1), (1, 0), (2, 2)))
-            > CONJUGATE_TOL
-            or abs(t[1] - t[0].conjugate()) > CONJUGATE_TOL
-            or abs(m[2][0] - m[2][1].conjugate()) > CONJUGATE_TOL
-            or abs(m[2][2].imag) > CONJUGATE_TOL
-            or abs(t[2].imag) > CONJUGATE_TOL
-        ):
-            raise ValueError("map does not preserve conjugate pairing of the moments")
-        self._init(m, t)
-
-    def __call__(self, v: MomentVector) -> MomentVector:
-        out = _matvec(self.matrix, (v.m_aa, v.m_adad, v.m_n))
-        m_aa, m_adad, m_n = (x + t for x, t in zip(out, self.translation))
-        return MomentVector(m_aa, m_adad, m_n.real)
-
-
-def squeeze_map(r: float) -> AffineMap:
-    """Moment map of exp[(r/2)(a^2 - a^dag^2)] (mode map a -> a ch r - a^dag sh r)."""
     c, s = math.cosh(r), math.sinh(r)
     s2, c2 = math.sinh(2.0 * r), math.cosh(2.0 * r)
-    matrix = (
-        (c * c, s * s, -s2),
-        (s * s, c * c, -s2),
-        (-c * s, -c * s, c2),
+    cc, ss, cs = c * c, s * s, c * s
+    return (
+        cc * aa + ss * aa.conjugate() - s2 * n - cs,
+        (-cs * aa - cs * aa.conjugate() + c2 * n).real + ss,
+        cc * d_aa + ss * d_aa.conjugate() - s2 * d_n,
+        (-cs * d_aa - cs * d_aa.conjugate() + c2 * d_n).real,
     )
-    return AffineMap(matrix, (-c * s, -c * s, s * s))
 
 
-def rotation_map(phi: float) -> AffineMap:
-    """Moment map of the number-basis rotation with mode map a -> a e^{-i phi}."""
+def _protocol_pass(r: float, phi: float, eta1: float, eta2: float) -> tuple[MomentVector, float]:
+    """Moments after squeeze(r), rotate(phi), damp(eta1), squeeze(-r), damp(eta2), and d<n>/d phi.
+
+    (<a^2>, <n>) start at the vacuum.  Only the rotation a -> a e^{-i phi}
+    depends on phi, so the derivative starts there and is carried through
+    the linear part of each later stage; loss scales both moments by eta.
+    """
+    check_eta(eta1)
+    check_eta(eta2)
+    aa, n, _, _ = _squeeze(r, 0j, 0.0, 0j, 0.0)
     turn = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
-    return AffineMap(((turn, 0, 0), (0, turn.conjugate(), 0), (0, 0, 1)), (0, 0, 0))
-
-
-def loss_map(eta: float) -> AffineMap:
-    """Moment map of transmissivity-eta damping: uniform scaling by eta."""
-    check_eta(eta)
-    return AffineMap(((eta, 0, 0), (0, eta, 0), (0, 0, eta)), (0, 0, 0))
+    d_aa = -2j * turn * aa
+    aa = turn * aa
+    aa, n, d_aa, d_n = _squeeze(-r, eta1 * aa, eta1 * n, eta1 * d_aa, 0.0)
+    return MomentVector(eta2 * aa, eta2 * n), eta2 * d_n
 
 
 def protocol_moments(r: float, phi: float, eta1: float = 1.0, eta2: float = 1.0) -> MomentVector:
     """Moments after squeeze(r), rotate(phi), damp(eta1), squeeze(-r), damp(eta2)."""
-    v = MomentVector.vacuum()
-    for step in (squeeze_map(r), rotation_map(phi), loss_map(eta1), squeeze_map(-r), loss_map(eta2)):
-        v = step(v)
-    return v
-
-
-def protocol_slope(r: float, phi: float, eta1: float = 1.0, eta2: float = 1.0) -> float:
-    """d<n>/d phi of :func:`protocol_moments`, by the map algebra.
-
-    Only the rotation depends on phi, and the maps after it are affine, so
-    the derivative of the output moments is the rotation's derivative applied
-    to the squeezed vacuum, then carried through the later maps' matrices.
-    """
-    v = squeeze_map(r)(MomentVector.vacuum())
-    turn = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
-    # d/dphi of rotation_map(phi): <a^2> -> -2i e^{-2i phi} <a^2>, <n> fixed
-    d = (-2j * turn * v.m_aa, 2j * turn.conjugate() * v.m_adad, 0.0)
-    for step in (loss_map(eta1), squeeze_map(-r), loss_map(eta2)):
-        d = _matvec(step.matrix, d)
-    return d[2].real
+    return _protocol_pass(r, phi, eta1, eta2)[0]
 
 
 def number_variance(moments: MomentVector) -> float:
@@ -408,16 +358,14 @@ def number_variance(moments: MomentVector) -> float:
 
 
 def phase_error_from_moments(n_bar: float, phi: float, eta: float = 1.0) -> float:
-    """Phase error recomputed as sqrt(Var n)/|d signal/d phi|, both from the maps.
+    """Phase error recomputed as sqrt(Var n)/|d signal/d phi|, both from the moment pass.
 
     Independent route used to guard the closed-form kernel against
     transcription slips; the two must agree to high accuracy.
     """
     if n_bar <= 0:
         raise ValueError("n_bar must be positive")
-    r = math.asinh(math.sqrt(n_bar))
-    slope = protocol_slope(r, phi, eta, eta)
+    moments, slope = _protocol_pass(math.asinh(math.sqrt(n_bar)), phi, eta, eta)
     if slope == 0.0:
         raise SingularOperatingPointError("signal slope vanishes at this operating point")
-    moments = protocol_moments(r, phi, eta, eta)
     return math.sqrt(number_variance(moments)) / abs(slope)

@@ -2,7 +2,11 @@
 
 Runs the protocol in either engine (closed-form Gaussian moments or the exact
 truncated Fock oracle), propagates phase estimates by error propagation, and
-packages cross-engine comparisons.  Runs are pure functions of their config,
+packages cross-engine comparisons.  A :class:`ProtocolConfig` holds only the
+operating point; the caller picks the engine by calling :func:`run_gaussian`,
+:func:`run_fock` or :func:`run_both`.  Error propagation differences the
+Gaussian signal of :func:`gaussian.protocol_moments`, the forward-mode moment
+pass, not the closed-form kernel.  Runs are pure functions of their config,
 so concurrent evaluation of many configs is safe.
 
 The Gaussian path needs this module and :mod:`qmetro.gaussian` only:
@@ -22,8 +26,6 @@ from .gaussian import Frozen, MomentVector, SingularOperatingPointError, Truncat
 
 if TYPE_CHECKING:
     import numpy as np
-
-ENGINES = ("gaussian", "fock", "both")
 
 #: run_fock refuses to report results that lost more trace than this.
 TRACE_DEFICIT_LIMIT = 1e-8
@@ -54,7 +56,7 @@ class ProtocolConfig(Frozen):
     it (:attr:`cutoff_value`).
     """
 
-    __slots__ = ("phi", "n_bar", "r", "eta1", "eta2", "cutoff", "engine")
+    __slots__ = ("phi", "n_bar", "r", "eta1", "eta2", "cutoff")
 
     def __init__(
         self,
@@ -64,9 +66,8 @@ class ProtocolConfig(Frozen):
         eta1: float = 1.0,
         eta2: float = 1.0,
         cutoff: int | None = None,
-        engine: str = "gaussian",
     ) -> None:
-        self._init(phi, n_bar, r, eta1, eta2, cutoff, engine)
+        self._init(phi, n_bar, r, eta1, eta2, cutoff)
         for name in ("n_bar", "r", "phi", "eta1", "eta2"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -87,8 +88,6 @@ class ProtocolConfig(Frozen):
         if not 0.0 <= self.phi <= math.pi / 2.0:
             raise ValueError("phi must lie in [0, pi/2]")
         gaussian.check_phi(self.phi)
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; pick one of {ENGINES}")
         if self.cutoff is not None and self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
 
@@ -218,7 +217,7 @@ def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
         )
     point = gaussian.protocol_point(config.n_bar_value, phi, eta1, eta2)
     return ProtocolResult(
-        MomentVector.from_pair(point.m_aa, point.signal),
+        MomentVector(point.m_aa, point.signal),
         point.signal,
         point.variance,
         point.phase_error,
@@ -265,7 +264,7 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
         )
     sig, n2, m_aa = _thinned(config.eta2, *fock.unsqueezed_moments(state, r))
     return ProtocolResult(
-        MomentVector.from_pair(m_aa, sig), sig, n2 - sig**2, None, trace_deficit=deficit
+        MomentVector(m_aa, sig), sig, n2 - sig**2, None, trace_deficit=deficit
     )
 
 
@@ -324,7 +323,7 @@ def error_propagation(
 
 
 def gaussian_signal_curve(config: ProtocolConfig) -> Callable[[float], tuple[float, float]]:
-    """phi -> (signal, variance) through the moment maps at fixed (r, etas)."""
+    """phi -> (signal, variance) through the forward-mode moment pass at fixed (r, etas)."""
     r, eta1, eta2 = config.r_value, config.eta1, config.eta2
 
     def curve(phi: float) -> tuple[float, float]:

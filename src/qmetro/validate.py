@@ -125,7 +125,7 @@ def check_engine_equivalence(full: bool) -> tuple[float, str]:
 
 
 def check_phase_error_transcription(samples: int) -> tuple[float, str]:
-    """Closed-form kernel's noisy phase error vs moment-algebra recomputation."""
+    """Closed-form kernel's noisy phase error vs the forward-mode moment pass."""
     rng = random.Random(20240811)
     worst = 0.0
     for _ in range(samples):

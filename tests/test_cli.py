@@ -131,6 +131,12 @@ class TestProtocolCommand:
         code, _, err = run(capsys, "protocol", "--phi", "0.1")
         assert code == 2
 
+    def test_unknown_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["protocol", "--nbar", "1", "--phi", "0.1", "--engine", "exact"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'exact'" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_deterministic_output(self, capsys, tmp_path):

@@ -10,8 +10,7 @@ def _values():
     config = protocol.ProtocolConfig(phi=0.1, n_bar=1.0)
     result = protocol.run_gaussian(config)
     return [
-        gaussian.MomentVector.vacuum(),
-        gaussian.loss_map(0.5),
+        gaussian.MomentVector(0.0, 0.0),
         config,
         result,
         protocol.ComparisonReport(config, result, result, 60),
@@ -39,11 +38,13 @@ def test_assignment_raises(value):
 
 
 def test_fields_are_keyword_and_positional():
-    a = protocol.ProtocolConfig(0.3, 2.0, None, 0.9, 0.8, 60, "fock")
-    b = protocol.ProtocolConfig(phi=0.3, n_bar=2.0, eta1=0.9, eta2=0.8, cutoff=60, engine="fock")
+    a = protocol.ProtocolConfig(0.3, 2.0, None, 0.9, 0.8, 60)
+    b = protocol.ProtocolConfig(phi=0.3, n_bar=2.0, eta1=0.9, eta2=0.8, cutoff=60)
     assert [getattr(a, n) for n in a.__slots__] == [getattr(b, n) for n in b.__slots__]
     with pytest.raises(TypeError):
-        protocol.ProtocolConfig(0.3, 2.0, None, 0.9, 0.8, 60, "fock", "extra")
+        protocol.ProtocolConfig(0.3, 2.0, None, 0.9, 0.8, 60, "extra")
+    with pytest.raises(TypeError):
+        protocol.ProtocolConfig(phi=0.3, n_bar=2.0, engine="fock")
 
 
 def test_observable_moments_keep_their_validation():

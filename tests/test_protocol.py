@@ -51,8 +51,6 @@ class TestProtocolConfig:
         for kwargs in ({"n_bar": 1e-200}, {"r": 1e-160}):
             with pytest.raises(ValueError, match="smallest mean photon number 1e-150"):
                 protocol.ProtocolConfig(phi=0.1, **kwargs)
-        with pytest.raises(ValueError):
-            protocol.ProtocolConfig(phi=0.1, n_bar=1.0, engine="exact")
 
     def test_default_cutoff_policy(self):
         # the smallest even cutoff whose squeezed-vacuum tail is <= 1e-10

@@ -34,7 +34,7 @@ def test_tampered_phase_error_coefficient_is_caught(monkeypatch):
 
 
 def test_tampered_slope_coefficient_is_caught(monkeypatch):
-    # the reference route takes its slope from the moment maps, not from the
+    # the reference route takes its slope from the moment pass, not from the
     # kernel, so a slip in 4 eta1 eta2 n (n+1) sin 2phi cannot cancel out
     original = gaussian.protocol_point
 
