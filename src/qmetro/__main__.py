@@ -1,5 +1,7 @@
+"""``python -m qmetro``: the same entry point as the ``qmetro`` script, :func:`qmetro.cli.run`."""
+
 import sys
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+sys.exit(run())

@@ -1,7 +1,6 @@
 """Photon-statistics correlation parameters and Fisher-information tools.
 
 Covers the Mandel Q parameter, the two-mode number-correlation coefficient J,
-quantum Fisher information for pure states under number-diagonal generators,
 classical Fisher information of a measured probability curve, and the
 closed-form (Q, J, QFI) catalogue for the standard interferometer probe
 states together with their exact Fock-space counterparts.  A two-mode ket's
@@ -32,13 +31,9 @@ if TYPE_CHECKING:
 
 #: Outcomes with probability below this are skipped by the Fisher sum.
 FISHER_PROBABILITY_FLOOR = 1e-12
-#: Maximum norm deficit a state may carry into a QFI evaluation.
-QFI_NORM_DEFICIT_LIMIT = 1e-6
 #: Relative disagreement of the two half-step estimates that triggers
 #: Richardson extrapolation in the finite-difference routines.
 RICHARDSON_TRIGGER = 1e-4
-
-GENERATORS = ("n", "n_diff", "half_n_diff")
 
 
 class UndefinedStatisticError(ValueError):
@@ -144,37 +139,6 @@ def probe_statistics(state: PureState) -> ProbeStatistics:
         j=mode_correlation(var_a, var_b, cov),
         qfi=var_a + var_b - 2.0 * cov,
     )
-
-
-def pure_state_qfi(state: PureState, generator: str) -> float:
-    """4 Var(G) for a number-diagonal generator G.
-
-    ``generator``: ``n`` (one mode), ``n_diff`` = n_a - n_b, or
-    ``half_n_diff`` = (n_a - n_b)/2 (the interferometer convention).
-    """
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}; pick one of {GENERATORS}")
-    if state.norm_deficit > QFI_NORM_DEFICIT_LIMIT:
-        raise ValueError(
-            f"state norm deficit {state.norm_deficit:.3e} too large for a QFI evaluation"
-        )
-    import numpy as np
-
-    weights = np.abs(state.amplitudes) ** 2
-    n = np.arange(state.cutoff + 1, dtype=float)
-    if generator == "n":
-        if state.modes != 1:
-            raise ValueError("generator 'n' needs a one-mode state")
-        values = n
-    else:
-        if state.modes != 2:
-            raise ValueError(f"generator {generator!r} needs a two-mode state")
-        values = n[:, None] - n[None, :]
-        if generator == "half_n_diff":
-            values = 0.5 * values
-    mean = float(np.sum(values * weights))
-    mean_sq = float(np.sum(values**2 * weights))
-    return 4.0 * (mean_sq - mean**2)
 
 
 def path_symmetric_qfi(n_bar: float, q: float, j: float) -> float:

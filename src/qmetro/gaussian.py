@@ -343,7 +343,16 @@ def _protocol_pass(r: float, phi: float, eta1: float, eta2: float) -> tuple[Mome
     d_aa = -2j * turn * aa
     aa = turn * aa
     aa, n, d_aa, d_n = _squeeze(-r, eta1 * aa, eta1 * n, eta1 * d_aa, 0.0)
-    return MomentVector(eta2 * aa, eta2 * n), eta2 * d_n
+    try:
+        return MomentVector(eta2 * aa, eta2 * n), eta2 * d_n
+    except ValueError as exc:
+        # the pass is exact in real arithmetic, so only rounding breaks the bound
+        raise ValueError(
+            f"the float moment pass cancels at r={r!r}, phi={phi!r}: <n> is a "
+            f"difference of terms ~{math.sinh(2.0 * r) ** 2 / 2.0:.1e}, so rounding left "
+            "unphysical moments; for a bright probe near phi = 0 with little loss, use "
+            "the closed form gaussian.phase_error"
+        ) from exc
 
 
 def protocol_moments(r: float, phi: float, eta1: float = 1.0, eta2: float = 1.0) -> MomentVector:

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import math
@@ -276,21 +277,77 @@ def test_sweep_holds_its_output_once(tmp_path, grid):
     assert peak <= 1.5 * path.stat().st_size
 
 
+def _subprocess_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's qmetro."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
+
+
 def test_sweep_into_a_closed_pipe_exits_quietly():
     # the reader leaves after one line, long before the 1.2 MB of output is
     # written: the rest is dropped without a traceback
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
     proc = subprocess.Popen(
         [sys.executable, "-m", "qmetro", "sweep", "--nbar-logspace", "1", "1e6", "100",
          "--phi", SWEEP_PHI_10, "--eta", SWEEP_ETA_10],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
     assert proc.stdout.readline().startswith(b"# command=sweep")
     proc.stdout.close()
     assert proc.wait(timeout=120) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+#: Runs ``python -m qmetro`` on argv[2:] and, from an atexit handler, writes
+#: the collector's freeze count at interpreter exit to the file argv[1].
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+
+path = sys.argv[1]
+
+@atexit.register
+def record():
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+sys.argv = ["qmetro", *sys.argv[2:]]
+runpy.run_module("qmetro", run_name="__main__", alter_sys=True)
+"""
+
+
+ENTRY_POINT_CASES = [
+    (("protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9"), 0),
+    (("protocol", "--nbar", "nan", "--phi", "0.3"), 2),  # UsageError
+    (("protocol", "--phi", "0.1"), 2),  # UsageError: neither --nbar nor --r
+    (("protocol", "--nbar", "1", "--phi", "0.1", "--engine", "exact"), 2),  # argparse exits
+    (("--help",), 0),  # argparse exits
+]
+
+
+@pytest.mark.parametrize(("argv", "expected_code"), ENTRY_POINT_CASES,
+                         ids=[" ".join(argv) for argv, _ in ENTRY_POINT_CASES])
+def test_module_entry_point_freezes_the_heap_at_exit(argv, expected_code, tmp_path, capsys):
+    # the process entry point freezes every live object before shutdown, on
+    # every way out of main, and changes neither the exit code nor stdout
+    count_file = tmp_path / "freeze_count"
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, str(count_file), *argv],
+        capture_output=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == expected_code, proc.stderr
+    assert int(count_file.read_text()) > 0
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected_code
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_main_leaves_the_collector_untouched(capsys):
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, "protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9")
+    assert code == 0
+    assert gc.get_freeze_count() == before
 
 
 NON_FINITE_INPUT = [

@@ -250,8 +250,9 @@ def test_phase_error_never_improves_with_more_loss(n_bar, phi):
 # ---------------------------------------------------------------------------
 
 HALF_PI = math.pi / 2
-#: Relative tolerance of the kernel against the 50-digit reference.
-KERNEL_TOL = 1e-14
+#: Relative tolerance of the kernel against the 50-digit reference: 8 eps
+#: (1.8e-15), over a worst case of 4.7 eps seen on 6000 random points.
+KERNEL_TOL = 8 * 2**-52
 
 
 def _mp_protocol(n_bar, phi, eta1, eta2):

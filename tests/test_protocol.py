@@ -326,6 +326,12 @@ class TestErrorPropagation:
             1.0 / math.sqrt(240.0), rel=1e-4
         )
 
+    def test_bright_probe_refusal_names_the_cancellation(self):
+        # <n> ~ 0.04 is a difference of terms ~1e6, so rounding breaks the bound
+        curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=1e-4, n_bar=1e3))
+        with pytest.raises(ValueError, match=r"cancels.*gaussian\.phase_error"):
+            protocol.error_propagation(curve, 1e-4)
+
     def test_extremum_has_no_information(self):
         curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=0.3, n_bar=1.0))
         with pytest.raises(protocol.VanishingDerivativeError):
