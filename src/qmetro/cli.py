@@ -262,17 +262,9 @@ def _protocol_config(args) -> protocol.ProtocolConfig:
         raise UsageError("give --eta or --eta1/--eta2, not both")
     eta1 = args.eta if args.eta is not None else (args.eta1 if args.eta1 is not None else 1.0)
     eta2 = args.eta if args.eta is not None else (args.eta2 if args.eta2 is not None else 1.0)
-    try:
-        return protocol.ProtocolConfig(
-            phi=args.phi,
-            n_bar=args.nbar,
-            r=args.r,
-            eta1=eta1,
-            eta2=eta2,
-            cutoff=args.cutoff,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return protocol.ProtocolConfig(
+        phi=args.phi, n_bar=args.nbar, r=args.r, eta1=eta1, eta2=eta2, cutoff=args.cutoff
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -426,9 +418,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SingularOperatingPointError as exc:
         print(f"error: singular operating point: {exc}", file=sys.stderr)
         return 2

@@ -179,15 +179,14 @@ def classical_fisher_information(
     prob_curve: Callable[[float], np.ndarray],
     phi: float,
     step: float = 1e-4,
-    full_output: bool = False,
-):
+) -> float:
     """Fisher information sum_i (dp_i/dphi)^2 / p_i by central differences.
 
     Derivatives are estimated at ``step`` and ``step/2``; when the two
     estimates differ by more than ``RICHARDSON_TRIGGER`` relative, the
     Richardson combination (4 F_{h/2} - F_h)/3 of the derivative estimates is
     used.  Outcomes with probability below ``FISHER_PROBABILITY_FLOOR`` are
-    skipped; their total mass is reported via ``full_output``.
+    skipped.
     """
     import numpy as np
 
@@ -196,7 +195,6 @@ def classical_fisher_information(
     points = _probability_stencil(prob_curve, phi, step)
     p0 = points[phi]
     mask = p0 >= FISHER_PROBABILITY_FLOOR
-    skipped_mass = float(p0[~mask].sum())
 
     d_h = (points[phi + step] - points[phi - step]) / (2.0 * step)
     d_h2 = (points[phi + step / 2] - points[phi - step / 2]) / step
@@ -204,14 +202,7 @@ def classical_fisher_information(
     def fisher(d: np.ndarray) -> float:
         return float(np.sum(d[mask] ** 2 / p0[mask]))
 
-    value, refined = richardson(d_h, d_h2, fisher)
-    if full_output:
-        return value, {
-            "skipped_mass": skipped_mass,
-            "skipped_count": int(np.sum(~mask)),
-            "refined": refined,
-        }
-    return value
+    return richardson(d_h, d_h2, fisher)[0]
 
 
 # ---------------------------------------------------------------------------

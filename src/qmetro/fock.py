@@ -20,15 +20,17 @@ correctness is preferred over speed throughout.
 All states are immutable values and all operations are pure functions; they
 are safe to call concurrently.  The module needs numpy and the standard
 library only.  The package registers it to load on first use, so the
-Gaussian commands never run it and never import numpy.  The squeeze
-unitary comes from one eigendecomposition of its generator per basis size,
-shared by every squeezing parameter, so no matrix exponential is ever
-taken.  The loss branches come from the Kraus matrix elements, evaluated in
-log space a band of 64 at a time.  The beam splitter's unitary on a
-complete total-photon block follows from the previous block's by a stable
-recursion; only the blocks that the cutoff clips are diagonalised.  The
-squeeze and beam splitter generators couple even levels only to odd ones,
-so each diagonalisation is one SVD of half the size.
+Gaussian commands never run it and never import numpy.  The protocol's
+probe, a squeezed vacuum, comes from its closed-form amplitudes
+(:func:`padded_squeezed_vacuum`), so a protocol run diagonalises nothing.
+The squeeze of a general ket (:func:`squeeze`) is the oracle's independent
+numerical route: its unitary comes from one eigendecomposition of the
+generator per basis size, shared by every squeezing parameter, so no
+matrix exponential is ever taken.  The loss branches come from the Kraus
+matrix elements, evaluated in log space a band of 64 at a time.  The beam
+splitter's unitary on a complete total-photon block follows from the
+previous block's by a stable recursion; only the blocks that the cutoff
+clips are diagonalised.
 """
 
 from __future__ import annotations
@@ -177,6 +179,12 @@ def squeezed_vacuum(r: float, phi: float, cutoff: int) -> PureState:
     which is what exp[(r/2)(a^2 - a^dag^2)] produces from vacuum followed by a
     number-basis phase rotation.
     """
+    amps = _squeezed_vacuum_amplitudes(r, phi, cutoff)
+    deficit = _check_constructor_deficit(amps, f"squeezed_vacuum(r={r}, cutoff={cutoff})")
+    return PureState(amps, truncation_tol=_tol_for(deficit))
+
+
+def _squeezed_vacuum_amplitudes(r: float, phi: float, cutoff: int) -> np.ndarray:
     if r < 0:
         raise ValueError("squeezing magnitude r must be >= 0 (the axis is set by phi)")
     if cutoff < 2 and r > 0:
@@ -190,8 +198,31 @@ def squeezed_vacuum(r: float, phi: float, cutoff: int) -> PureState:
         amps[two_j] = (
             -amps[two_j - 2] * t * rot * np.sqrt(two_j * (two_j - 1)) / two_j
         )
-    deficit = _check_constructor_deficit(amps, f"squeezed_vacuum(r={r}, cutoff={cutoff})")
-    return PureState(amps, truncation_tol=_tol_for(deficit))
+    return amps
+
+
+def padded_squeezed_vacuum(r: float, cutoff: int) -> tuple[PureState, float]:
+    """The protocol's probe: the squeezed vacuum with its tail past the cutoff, and its weight.
+
+    The closed-form amplitudes of :func:`squeezed_vacuum` are evaluated on
+    2 max(cutoff + 1, 32) levels.  A weight past the cutoff (the spill)
+    above ``SQUEEZE_DEFICIT_LIMIT`` raises TruncationOverflowError.  The ket
+    keeps every padded level that carries weight (:func:`_trim`); the weight
+    it lacks, the dropped tail and what lies past the padded levels, counts
+    in its ``truncation_tol``.
+    """
+    dim = cutoff + 1
+    amps = _squeezed_vacuum_amplitudes(r, 0.0, 2 * max(dim, 32) - 1)
+    weights = np.abs(amps) ** 2
+    spill = float(weights[dim:].sum())
+    if spill > SQUEEZE_DEFICIT_LIMIT:
+        raise TruncationOverflowError(
+            f"squeeze(r={r:+.4f}) at cutoff {cutoff} spills weight {spill:.3e} "
+            "past the cutoff; increase the cutoff"
+        )
+    keep, _ = _trim(weights, dim)
+    missing = max(0.0, 1.0 - float(weights[:keep].sum()))
+    return PureState(amps[:keep], truncation_tol=_tol_for(missing)), spill
 
 
 def noon(n: int, cutoff: int) -> PureState:
@@ -293,14 +324,14 @@ def beam_splitter(state: PureState) -> PureState:
             idx_a = np.arange(total + 1)
             gauge = _gauge(total + 1)
             block = gauge.conj() * amps[idx_a, total - idx_a]
-            rotated = _real_matmul(orthogonal, block)
+            rotated = orthogonal @ block
             out[idx_a, total - idx_a] = 1j ** (total % 4) * gauge * rotated
     for total in (np.flatnonzero(occupied[c + 1 :]) + c + 1).tolist():
         idx_a = np.arange(total - c, c + 1)
         block = amps[idx_a, total - idx_a]
         n_a = idx_a[:-1]
         off = np.sqrt((n_a + 1.0) * (total - n_a))
-        w, v = _chiral_eigh(np.diag(off, 1) + np.diag(off, -1))
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
         rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ block)
         out[idx_a, total - idx_a] = 1j ** (total % 4) * rotated
     clipped = beam_splitter_overflow(state)[0] if occupied[c + 1 :].any() else 0.0
@@ -382,30 +413,12 @@ def _squeeze_eigen(dim: int) -> tuple:
     for parity in (0, 1):
         n = np.arange(parity, dim, 2, dtype=float)
         off = 0.5 * np.sqrt(n[1:] * (n[1:] - 1.0))
-        w, v = _chiral_eigh(np.diag(off, 1) + np.diag(off, -1))
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
         gauge = _gauge(n.size)
         for array in (w, v, gauge):
             array.flags.writeable = False
         chains.append((w, v, gauge))
     return tuple(chains)
-
-
-def _chiral_eigh(t: np.ndarray) -> tuple:
-    """Eigendecomposition of a real symmetric matrix that couples even indices only to odd ones.
-
-    With the even indices first it reads [[0, C], [C^T, 0]], so the SVD
-    C = U S V^T gives it: eigenvalues +-s with eigenvectors (u, +-v)/sqrt2,
-    and 0 with (u, 0) for each column of U beyond those of V.  One SVD of
-    half the size costs about a third of ``eigh`` on the whole.
-    """
-    u, s, vt = np.linalg.svd(t[0::2, 1::2])
-    pairs = s.size
-    v = np.zeros(t.shape)
-    v[0::2, : 2 * pairs] = np.tile(u[:, :pairs], 2) / math.sqrt(2.0)
-    v[1::2, :pairs] = vt.T / math.sqrt(2.0)
-    v[1::2, pairs : 2 * pairs] = -v[1::2, :pairs]
-    v[0::2, 2 * pairs :] = u[:, pairs:]
-    return np.concatenate([s, -s, np.zeros(t.shape[0] - 2 * pairs)]), v
 
 
 def _gauge(size: int) -> np.ndarray:
@@ -418,45 +431,24 @@ def _apply_squeeze(block: np.ndarray, r: float) -> np.ndarray:
     out = np.empty_like(block)
     column = (-1,) + (1,) * (block.ndim - 1)
     for parity, (w, v, gauge) in enumerate(_squeeze_eigen(block.shape[0])):
-        x = _real_matmul(v.T, gauge.conj().reshape(column) * block[parity::2])
+        x = v.T @ (gauge.conj().reshape(column) * block[parity::2])
         x *= np.exp(1j * r * w).reshape(column)
-        out[parity::2] = gauge.reshape(column) * _real_matmul(v, x)
+        out[parity::2] = gauge.reshape(column) * (v @ x)
     return out
-
-
-def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # m @ x for real m and complex x as one real product over the interleaved
-    # real and imaginary parts (half the work of a complex product).
-    x = np.ascontiguousarray(x)
-    product = m @ x.reshape(x.shape[0], -1).view(float)
-    return product.view(complex).reshape((m.shape[0],) + x.shape[1:])
 
 
 def squeeze(state: PureState, r: float) -> PureState:
     """Single-mode squeeze exp[(r/2)(a^2 - a^dag^2)] of a ket; negative r un-squeezes.
 
-    The result of :func:`padded_squeeze` restricted back to the ket's cutoff:
-    the weight it held above the cutoff is the truncation deficit.
+    The unitary acts in a basis padded to 2 max(cutoff + 1, 32) levels, and
+    the result is restricted back to the ket's cutoff: the weight it held
+    above the cutoff (the spill) is the truncation deficit.  A spill above
+    ``SQUEEZE_DEFICIT_LIMIT``, or weight at the pad's edge, raises
+    TruncationOverflowError.
     """
     _check_single_mode_ket(state, "squeeze")
     if r == 0.0:
         return state
-    padded, spill = padded_squeeze(state, r)
-    return PureState(
-        padded.amplitudes[: state.cutoff + 1],
-        truncation_tol=_tol_for(state.norm_deficit + spill, base=state.truncation_tol),
-    )
-
-
-def padded_squeeze(state: PureState, r: float) -> tuple[PureState, float]:
-    """The squeezed ket with its tail past the cutoff, and the tail's weight (the spill).
-
-    The unitary acts in a basis padded to 2 max(cutoff + 1, 32) levels.  A
-    spill above ``SQUEEZE_DEFICIT_LIMIT``, or weight at the pad's edge,
-    raises TruncationOverflowError.  The ket keeps every padded level that
-    carries weight (:func:`_trim`).
-    """
-    _check_single_mode_ket(state, "padded_squeeze")
     dim = state.cutoff + 1
     padded = np.zeros(2 * max(dim, 32), dtype=complex)
     padded[:dim] = state.amplitudes
@@ -469,9 +461,9 @@ def padded_squeeze(state: PureState, r: float) -> tuple[PureState, float]:
             f"squeeze(r={r:+.4f}) at cutoff {state.cutoff} spills weight {spill:.3e} "
             f"past the cutoff (pad edge {edge:.3e}); increase the cutoff"
         )
-    keep, dropped = _trim(weights, dim)
-    tol = _tol_for(state.norm_deficit + dropped, base=state.truncation_tol)
-    return PureState(out[:keep], truncation_tol=tol), spill
+    return PureState(
+        out[:dim], truncation_tol=_tol_for(state.norm_deficit + spill, base=state.truncation_tol)
+    )
 
 
 def _check_single_mode_ket(state: object, caller: str) -> None:

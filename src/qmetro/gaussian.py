@@ -71,10 +71,14 @@ def check_eta(eta: float) -> None:
 
 
 def check_phi(phi: float) -> None:
-    """Refuse a phase strictly between 0 and ``PHI_FLOOR``.
+    """Refuse a phase that is not finite, outside [0, pi/2], or between 0 and ``PHI_FLOOR``.
 
     phi = 0 stays allowed: its lossless limit is analytic.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi={phi!r} is not a finite number")
+    if not 0.0 <= phi <= HALF_PI:
+        raise ValueError(f"phi={phi!r} outside [0, pi/2]")
     if 0.0 < phi < PHI_FLOOR:
         raise ValueError(
             f"phi={phi!r} is below the smallest nonzero phase {PHI_FLOOR:g}, where "
@@ -234,8 +238,6 @@ def _check_protocol_params(n_bar: float, phi: float, eta: float) -> None:
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar!r}")
     if n_bar > 0.0:
         check_n_bar(n_bar)
-    if not 0.0 <= phi <= HALF_PI:
-        raise ValueError(f"phi={phi!r} outside [0, pi/2]")
     check_phi(phi)
     check_eta(eta)
 
@@ -298,6 +300,8 @@ class MomentVector(Frozen):
 
     def __init__(self, m_aa: complex, m_n: float) -> None:
         self._init(m_aa, m_n)
+        if not all(map(math.isfinite, (m_aa.real, m_aa.imag, m_n))):
+            raise ValueError(f"non-finite moments <a^2>={m_aa!r}, <n>={m_n!r}")
         if self.m_n < -1e-12:
             raise ValueError(f"negative occupation {self.m_n!r}")
         # slack scales with the bound itself so bright-probe rounding passes
@@ -336,6 +340,9 @@ def _protocol_pass(r: float, phi: float, eta1: float, eta2: float) -> tuple[Mome
     depends on phi, so the derivative starts there and is carried through
     the linear part of each later stage; loss scales both moments by eta.
     """
+    for name, value in (("r", r), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     check_eta(eta1)
     check_eta(eta2)
     aa, n, _, _ = _squeeze(r, 0j, 0.0, 0j, 0.0)
@@ -346,6 +353,8 @@ def _protocol_pass(r: float, phi: float, eta1: float, eta2: float) -> tuple[Mome
     try:
         return MomentVector(eta2 * aa, eta2 * n), eta2 * d_n
     except ValueError as exc:
+        if not math.isfinite(abs(aa) + n):  # overflow: MomentVector names it
+            raise
         # the pass is exact in real arithmetic, so only rounding breaks the bound
         raise ValueError(
             f"the float moment pass cancels at r={r!r}, phi={phi!r}: <n> is a "
@@ -372,8 +381,8 @@ def phase_error_from_moments(n_bar: float, phi: float, eta: float = 1.0) -> floa
     Independent route used to guard the closed-form kernel against
     transcription slips; the two must agree to high accuracy.
     """
-    if n_bar <= 0:
-        raise ValueError("n_bar must be positive")
+    if not 0.0 < n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and positive, got {n_bar!r}")
     moments, slope = _protocol_pass(math.asinh(math.sqrt(n_bar)), phi, eta, eta)
     if slope == 0.0:
         raise SingularOperatingPointError("signal slope vanishes at this operating point")

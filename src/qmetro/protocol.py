@@ -68,7 +68,7 @@ class ProtocolConfig(Frozen):
         cutoff: int | None = None,
     ) -> None:
         self._init(phi, n_bar, r, eta1, eta2, cutoff)
-        for name in ("n_bar", "r", "phi", "eta1", "eta2"):
+        for name in ("n_bar", "r", "eta1", "eta2"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -85,8 +85,6 @@ class ProtocolConfig(Frozen):
         gaussian.check_n_bar(n_bar)
         gaussian.check_eta(self.eta1)
         gaussian.check_eta(self.eta2)
-        if not 0.0 <= self.phi <= math.pi / 2.0:
-            raise ValueError("phi must lie in [0, pi/2]")
         gaussian.check_phi(self.phi)
         if self.cutoff is not None and self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
@@ -228,8 +226,9 @@ def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
 def run_fock(config: ProtocolConfig) -> ProtocolResult:
     """Protocol as exact Fock evolution of the probe, read out in the Heisenberg picture.
 
-    The probe is the squeezed vacuum of :func:`fock.padded_squeeze`, which
-    keeps its tail past the cutoff; the weight there must stay below
+    The probe is the closed-form squeezed vacuum of
+    :func:`fock.padded_squeezed_vacuum`, which keeps its tail past the
+    cutoff; the weight there must stay below
     ``SQUEEZE_DEFICIT_LIMIT``.  The first loss splits the ket into one ket
     per number of photons lost (:func:`fock.loss`, a :class:`fock.MixedState`
     of Kraus branches), so no density matrix is formed.  The anti-squeeze
@@ -244,7 +243,7 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
     cutoff = config.cutoff_value
 
     try:
-        probe, spill = fock.padded_squeeze(fock.vacuum(cutoff), r)
+        probe, spill = fock.padded_squeezed_vacuum(r, cutoff)
     except TruncationOverflowError as exc:
         needed, found = squeeze_cutoff(config.n_bar_value)
         raise TruncationOverflowError(
@@ -342,12 +341,9 @@ def lossless_output_distribution(config: ProtocolConfig) -> Callable[[float], np
     if config.eta1 != 1.0 or config.eta2 != 1.0:
         raise ValueError("the distribution curve is for the lossless protocol")
     r = config.r_value
-    cutoff = config.cutoff_value
+    probe = fock.squeezed_vacuum(r, 0.0, config.cutoff_value)
 
     def curve(phi: float) -> np.ndarray:
-        state = fock.squeeze(fock.vacuum(cutoff), r)
-        state = fock.phase_shift(state, -phi)
-        state = fock.squeeze(state, -r)
-        return fock.number_distribution(state)
+        return fock.number_distribution(fock.squeeze(fock.phase_shift(probe, -phi), -r))
 
     return curve

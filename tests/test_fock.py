@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,23 +209,12 @@ class TestBeamSplitter:
 
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 127, 200])
     def test_matches_per_block_eigh(self, cutoff):
-        # every block, complete (the recursion) and clipped (half-size SVD),
+        # every block, complete (the recursion) and clipped (eigh),
         # is applied to a random input; the clipped windows have every length
         # from 1 to the cutoff, odd and even
         amps = random_ket(np.random.default_rng(cutoff), (cutoff + 1, cutoff + 1))
         out = fock.beam_splitter(fock.PureState(amps)).amplitudes
         assert np.max(np.abs(out - eigh_beam_splitter(amps))) <= 1e-13
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 8, 63, 64, 255])
-    def test_chiral_eigh_decomposes_odd_and_even_chains(self, size):
-        # a zero-diagonal tridiagonal matrix, like the clipped generators
-        off = np.sqrt(np.arange(1.0, size) * np.arange(size - 1.0, 0.0, -1.0))
-        t = np.diag(off, 1) + np.diag(off, -1)
-        w, v = fock._chiral_eigh(t)
-        assert np.max(np.abs(v.T @ v - np.eye(size))) <= 1e-13
-        scale = max(1.0, np.max(t))
-        assert np.max(np.abs((v * w) @ v.T - t)) <= 1e-13 * scale
-        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(t), atol=1e-12 * scale)
 
     def test_complete_blocks_are_orthogonal_up_to_total_400(self):
         for total, rot in enumerate(fock._multiplets(400)):
@@ -301,17 +291,13 @@ class TestSqueeze:
         with pytest.raises(fock.TruncationOverflowError):
             fock.squeeze(fock.vacuum(12), 1.5)
 
-    def test_grow_keeps_all_weight(self):
-        # the padded squeeze keeps the levels past the cutoff that carry
-        # weight, loses at most a 1e-16 tail, and squeeze() is its restriction
+    def test_keeps_the_padded_weight_past_the_cutoff_as_the_spill(self):
+        # squeeze() applies the unitary on 2 (cutoff + 1) levels and keeps
+        # the first cutoff + 1; the weight above them is its truncation deficit
         state = fock.squeezed_vacuum(0.5, 0.2, 64)
-        out, spill = fock.padded_squeeze(state, 0.5)
         full = fock._apply_squeeze(np.pad(state.amplitudes, (0, 65)), 0.5)
-        keep = out.cutoff + 1
-        assert 65 < keep < 130
-        np.testing.assert_array_equal(out.amplitudes, full[:keep])
-        assert np.sum(np.abs(full[keep:]) ** 2) <= 1e-16
-        assert spill == np.sum(np.abs(full[65:]) ** 2) > 1e-10
+        spill = np.sum(np.abs(full[65:]) ** 2)
+        assert spill > 1e-10
         restricted = fock.squeeze(state, 0.5)
         np.testing.assert_array_equal(restricted.amplitudes, full[:65])
         assert restricted.truncation_tol >= spill
@@ -323,9 +309,48 @@ class TestSqueeze:
 
     def test_refuses_branch_states(self):
         mixed = fock.loss(fock.coherent(1.0, 20), 0.5)
-        for op in (fock.squeeze, fock.padded_squeeze):
-            with pytest.raises(ValueError, match="not mixed states"):
-                op(mixed, 0.2)
+        with pytest.raises(ValueError, match="not mixed states"):
+            fock.squeeze(mixed, 0.2)
+
+
+def mp_squeezed_vacuum(r, size):
+    """c_{2j} = (-1)^j sqrt((2j)!) / (2^j j!) tanh(r)^j / sqrt(cosh r), to 40 digits."""
+    out = np.zeros(size, dtype=complex)
+    with mpmath.workdps(40):
+        t = mpmath.tanh(mpmath.mpf(r))
+        c = 1 / mpmath.sqrt(mpmath.cosh(mpmath.mpf(r)))
+        for j in range((size + 1) // 2):
+            out[2 * j] = float(c)
+            c *= -t * mpmath.sqrt((2 * j + 1) * (2 * j + 2)) / (2 * j + 2)
+    return out
+
+
+class TestPaddedSqueezedVacuum:
+    def test_keeps_all_weight(self):
+        # the probe keeps the levels past the cutoff that carry weight, loses
+        # at most a 1e-16 tail, and counts the weight past the cutoff as spill
+        out, spill = fock.padded_squeezed_vacuum(0.95, 64)
+        full = fock.squeezed_vacuum(0.95, 0.0, 129).amplitudes
+        keep = out.cutoff + 1
+        assert 65 < keep < 130
+        np.testing.assert_array_equal(out.amplitudes, full[:keep])
+        assert np.sum(np.abs(full[keep:]) ** 2) <= 1e-16
+        assert spill == np.sum(np.abs(full[65:]) ** 2) > 1e-10
+        assert out.truncation_tol >= 1.0 - out.norm_squared
+
+    @pytest.mark.parametrize("n_bar,cutoff", [(2.0, 100), (4.5, 200)])
+    def test_matches_the_exact_amplitudes(self, n_bar, cutoff):
+        # the tail past the cutoff as well: the readout's fourth moment
+        # weights it by about (e^{2r} n)^2
+        r = math.asinh(math.sqrt(n_bar))
+        probe, spill = fock.padded_squeezed_vacuum(r, cutoff)
+        assert 0.0 < spill <= fock.SQUEEZE_DEFICIT_LIMIT
+        exact = mp_squeezed_vacuum(r, probe.cutoff + 1)
+        assert np.max(np.abs(probe.amplitudes - exact)) <= 1e-15
+
+    def test_refuses_a_spill_over_the_budget(self):
+        with pytest.raises(fock.TruncationOverflowError, match="at cutoff 12 spills weight"):
+            fock.padded_squeezed_vacuum(1.5, 12)
 
 
 def schrodinger_moments(state, r):
@@ -381,7 +406,7 @@ class TestUnsqueezedMoments:
     def test_undoing_the_squeeze_of_the_padded_probe_gives_vacuum(self):
         # the probe's tail past its cutoff weighs ~1e-10, but <n^2> after the
         # un-squeeze weights it by about (e^{2r} n)^2: cut off, it leaves 2e-7
-        padded, _ = fock.padded_squeeze(fock.vacuum(64), R1)
+        padded, _ = fock.padded_squeezed_vacuum(R1, 64)
         assert max(np.abs(fock.unsqueezed_moments(padded, R1))) <= 1e-11
         _, n2, _ = fock.unsqueezed_moments(fock.squeeze(fock.vacuum(64), R1), R1)
         assert n2 > 1e-7

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qmetro import cli, fock, gaussian, protocol, validate
+from qmetro import cli, fock, gaussian, protocol
 from qmetro import correlations as co
 
 
@@ -19,7 +19,6 @@ def _values():
         co.probe_statistics(fock.noon(3, 5)),
         fock.loss(fock.coherent(1.0, 20), 0.5),
         fock.coherent(1.0, 20),
-        validate.CheckResult("sweep-schema", True, 0.5, 0.0, "pinned", 0.001),
     ]
 
 
@@ -63,10 +62,3 @@ def test_observable_moments_keep_their_validation():
         with pytest.raises(ValueError, match=match):
             co.ProbeStatistics(**{**fields, **change})
 
-
-def test_check_result_reports_without_its_timing():
-    result = validate.CheckResult("sweep-schema", True, 0.5, 0.0, "pinned", 0.001)
-    assert list(result.to_dict().items()) == [
-        ("name", "sweep-schema"), ("passed", True), ("budget", 0.5), ("observed", 0.0),
-        ("detail", "pinned"),
-    ]

@@ -29,6 +29,13 @@ class TestMomentVector:
         with pytest.raises(ValueError, match="negative occupation"):
             ga.MomentVector(0.0, -1e-9)
 
+    @pytest.mark.parametrize("m_aa,m_n", [(math.nan, 1.0), (complex(0.0, math.inf), 1.0),
+                                          (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_moments_refused(self, m_aa, m_n):
+        # NaN fails every comparison, so the bounds alone would let it through
+        with pytest.raises(ValueError, match="non-finite moments"):
+            ga.MomentVector(m_aa, m_n)
+
 
 class TestStages:
     def test_squeeze_identity_at_zero(self):
@@ -148,6 +155,21 @@ class TestPhaseError:
             ga.phase_error(1.0, 0.1, 0.0)
         with pytest.raises(ValueError, match="1e-150"):
             ga.phase_error(1.0, 1e-160, 0.9)
+
+    @pytest.mark.parametrize("n_bar,phi,name,pass_name", [
+        (math.nan, 0.3, "n_bar", "r"), (math.inf, 0.3, "n_bar", "r"),
+        (1.0, math.inf, "phi", "phi"), (1.0, math.nan, "phi", "phi"),
+    ])
+    def test_moment_route_refuses_non_finite_input_by_name(self, n_bar, phi, name, pass_name):
+        # not a NaN result, nor a bare "math domain error"
+        with pytest.raises(ValueError, match=f"^{name} must be (a )?finite"):
+            ga.phase_error_from_moments(n_bar, phi, 0.9)
+        with pytest.raises(ValueError, match=f"^{pass_name} must be a finite number"):
+            ga.protocol_moments(math.asinh(math.sqrt(n_bar)), phi, 0.9, 0.9)
+
+    def test_moment_route_names_an_overflow(self):
+        with pytest.raises(ValueError, match="non-finite moments"):
+            ga.phase_error_from_moments(1e300, 0.3, 0.9)
 
     def test_n_bar_floor_keeps_the_slope_representable(self):
         ga.check_n_bar(ga.N_BAR_FLOOR)

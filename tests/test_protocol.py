@@ -44,8 +44,12 @@ class TestProtocolConfig:
     def test_ranges(self):
         with pytest.raises(ValueError):
             protocol.ProtocolConfig(phi=0.1, n_bar=1.0, eta1=1.5)
-        with pytest.raises(ValueError):
-            protocol.ProtocolConfig(phi=-0.1, n_bar=1.0)
+        # gaussian.check_phi owns the phase domain
+        outside, infinite = r"outside \[0, pi/2\]", "is not a finite number"
+        for phi, match in ((-0.1, outside), (2.0, outside), (math.nan, infinite),
+                           (math.inf, infinite)):
+            with pytest.raises(ValueError, match=rf"^phi={phi!r} {match}"):
+                protocol.ProtocolConfig(phi=phi, n_bar=1.0)
         with pytest.raises(ValueError, match="1e-150"):
             protocol.ProtocolConfig(phi=1e-200, n_bar=1.0)
         for kwargs in ({"n_bar": 1e-200}, {"r": 1e-160}):
@@ -185,7 +189,7 @@ class TestRunFock:
         for r in (0.2, 0.5, 0.8814):
             for eta in (1.0, 0.95, 0.8):
                 expected = gaussian.protocol_moments(r, 0.0, eta, eta)
-                state, _ = fock.padded_squeeze(fock.vacuum(60), r)
+                state, _ = fock.padded_squeezed_vacuum(r, 60)
                 if eta < 1.0:
                     state = fock.loss(state, eta)
                 n, _, a2 = fock.unsqueezed_moments(state, r)
@@ -198,7 +202,7 @@ class TestRunFock:
     def test_outputs_stay_gaussian(self):
         # normally ordered fourth moment factorises: <a+a+aa> = 2 m_n^2 + |m_aa|^2
         for r, phi, eta in [(0.5, 0.3, 1.0), (0.8814, 1.0, 0.95), (0.2, 0.05, 0.8)]:
-            state, _ = fock.padded_squeeze(fock.vacuum(60), r)
+            state, _ = fock.padded_squeezed_vacuum(r, 60)
             state = fock.phase_shift(state, -phi)
             if eta < 1.0:
                 state = fock.loss(state, eta)
@@ -238,6 +242,21 @@ class TestRunFock:
         for attr in ("signal", "variance", "moments.m_aa"):
             assert report.rel_deviation(attr) <= 1e-9, attr
 
+    @pytest.mark.parametrize("cutoff", [60, None])
+    @pytest.mark.parametrize("eta", [1.0, 0.9])
+    def test_runs_without_an_eigendecomposition(self, monkeypatch, eta, cutoff):
+        # the probe is the closed-form squeezed vacuum and the readout is
+        # read in the Heisenberg picture, so no matrix is diagonalised
+        def refuse(*args, **kwargs):
+            raise AssertionError("the protocol diagonalised a matrix")
+
+        fock._squeeze_eigen.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        config = protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=eta, eta2=eta, cutoff=cutoff)
+        report = protocol.run_both(config)
+        assert report.rel_deviation("variance") <= 1e-9
+
     def test_large_phase_readout_is_bounded(self):
         # the anti-squeezed output is never formed, so a large phi costs no
         # more than a small one (it once grew an 8192-level basis: 61 s)
@@ -259,7 +278,7 @@ def density_matrix_moments(config):
     Kraus sum of ``test_fock.kraus_loss``.
     """
     r = config.r_value
-    probe, _ = fock.padded_squeeze(fock.vacuum(config.cutoff), r)
+    probe, _ = fock.padded_squeezed_vacuum(r, config.cutoff)
     rho = kraus_loss(density(fock.phase_shift(probe, -config.phi)), config.eta1)
     dim = rho.shape[0]
     work = 2 * max(dim, 32)

@@ -1,6 +1,6 @@
 import math
 
-from qmetro import gaussian, validate
+from qmetro import fock, gaussian, validate
 
 
 def test_quick_suite_structure_and_verdict():
@@ -11,6 +11,7 @@ def test_quick_suite_structure_and_verdict():
     assert "table-oracle-agreement" in names
     assert "engine-equivalence" in names
     assert "noisy-phase-error-transcription" in names
+    assert "squeeze-closed-form" in names
     for check in report["checks"]:
         assert check["observed"] <= check["budget"]
 
@@ -85,3 +86,14 @@ def test_headline_check_reports_values():
 def test_projection_check():
     observed, _ = validate.check_two_photon_projection()
     assert observed < 1e-10
+
+
+def test_squeeze_closed_form_check_catches_a_wrong_unitary(monkeypatch):
+    # the protocol's probe no longer goes through the numerical squeeze, so
+    # this check keeps the unitary under the quick suite
+    observed, _ = validate.check_squeeze_closed_form()
+    assert observed <= 1e-12
+    original = fock._apply_squeeze
+    monkeypatch.setattr(fock, "_apply_squeeze", lambda block, r: original(block, 1.001 * r))
+    observed, _ = validate.check_squeeze_closed_form()
+    assert observed > 1e-6
