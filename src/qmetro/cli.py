@@ -24,6 +24,10 @@ loop.  Nothing is written before the grid is done, so a point that fails
 leaves stdout and ``--out`` untouched.  ``json`` is imported only by the
 commands that write it.
 
+``protocol`` takes a row's cutoff from its result, so the default cutoff is
+resolved once, by the Fock run; ``--engine both`` adds the engines'
+:func:`qmetro.gaussian.relative_deviation` to the meta line.
+
 The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
 ``table`` without ``--oracle``) run on the standard library alone.
 ``protocol`` and ``sweep`` execute only this module, :mod:`qmetro.protocol`
@@ -47,7 +51,7 @@ from itertools import chain
 
 from . import correlations as co
 from . import gaussian, protocol, validate
-from .gaussian import Frozen, SingularOperatingPointError, TruncationOverflowError
+from .gaussian import SingularOperatingPointError, TruncationOverflowError
 
 TABLE_COLUMNS = (
     "state_id", "n_bar", "q", "j", "qfi",
@@ -130,36 +134,22 @@ def _parse_grid(raw: str, name: str) -> list[float]:
         raise UsageError(f"--{name}: expected comma-separated numbers, got {raw!r}") from exc
 
 
-class SweepSpec(Frozen):
-    """Axes and output destination of one sweep invocation."""
-
-    __slots__ = ("n_bar_values", "phi_values", "eta_values", "fmt", "out_path")
-
-    def __init__(
-        self,
-        n_bar_values: tuple[float, ...],
-        phi_values: tuple[float, ...],
-        eta_values: tuple[float, ...],
-        fmt: str,
-        out_path: str | None,
-    ) -> None:
-        self._init(n_bar_values, phi_values, eta_values, fmt, out_path)
-        for name, values in (
-            ("nbar", self.n_bar_values), ("phi", self.phi_values), ("eta", self.eta_values),
-        ):
-            if not values:
-                raise UsageError(f"--{name}: empty grid")
-            if not all(0.0 < v < math.inf for v in values):
-                raise UsageError(f"--{name}: values must be finite and positive")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise UsageError(f"--{name}: grid must be strictly increasing")
-        if any(v >= math.pi / 2 for v in self.phi_values):
-            raise UsageError("--phi: sweep values must be below pi/2 (signal extremum)")
-        for eta in self.eta_values:
-            gaussian.check_eta(eta)
-        # the smallest values: the grids increase
-        gaussian.check_n_bar(self.n_bar_values[0])
-        gaussian.check_phi(self.phi_values[0])
+def _check_sweep_axes(n_bars: list[float], phis: list[float], etas: list[float]) -> None:
+    """Refuse sweep axes that are empty, not finite and positive, or not increasing."""
+    for name, values in (("nbar", n_bars), ("phi", phis), ("eta", etas)):
+        if not values:
+            raise UsageError(f"--{name}: empty grid")
+        if not all(0.0 < v < math.inf for v in values):
+            raise UsageError(f"--{name}: values must be finite and positive")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise UsageError(f"--{name}: grid must be strictly increasing")
+    if any(v >= math.pi / 2 for v in phis):
+        raise UsageError("--phi: sweep values must be below pi/2 (signal extremum)")
+    for eta in etas:
+        gaussian.check_eta(eta)
+    # the smallest values: the grids increase
+    gaussian.check_n_bar(n_bars[0])
+    gaussian.check_phi(phis[0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +158,6 @@ class SweepSpec(Frozen):
 
 
 def cmd_table(args) -> int:
-    if args.nbar is None or not 0.0 < args.nbar < math.inf:
-        raise UsageError("--nbar must be a finite positive number")
     if args.cutoff is not None and args.cutoff < 1:
         raise UsageError("--cutoff must be >= 1")
     co.check_table_n_bar(args.nbar)
@@ -207,7 +195,7 @@ def cmd_table(args) -> int:
 
 
 def _protocol_record(engine: str, config: protocol.ProtocolConfig,
-                     result: protocol.ProtocolResult, cutoff) -> dict:
+                     result: protocol.ProtocolResult) -> dict:
     n_bar = config.n_bar_value
     snl = gaussian.shot_noise_limit(n_bar)
     return {
@@ -217,7 +205,7 @@ def _protocol_record(engine: str, config: protocol.ProtocolConfig,
         "phi": config.phi,
         "eta1": config.eta1,
         "eta2": config.eta2,
-        "cutoff": cutoff,
+        "cutoff": result.cutoff,
         "signal": result.signal,
         "variance": result.variance,
         "delta_phi": result.phase_error,
@@ -235,23 +223,21 @@ def cmd_protocol(args) -> int:
     rows = []
     if args.engine == "both":
         report = protocol.run_both(config)
-        rows.append(_protocol_record("gaussian", config, report.gaussian_result, None))
-        rows.append(_protocol_record("fock", config, report.fock_result, report.cutoff))
+        rows.append(_protocol_record("gaussian", config, report.gaussian_result))
+        rows.append(_protocol_record("fock", config, report.fock_result))
         deviations = {
             "signal_rel_dev": report.rel_deviation("signal"),
             "variance_rel_dev": report.rel_deviation("variance"),
-            "m_aa_rel_dev": report.moment_aa_deviation(),
+            "m_aa_rel_dev": report.rel_deviation("moments.m_aa"),
         }
         meta = {"command": "protocol", **{k: _fmt(v) for k, v in deviations.items()}}
     elif args.engine == "fock":
-        result = protocol.run_fock(config)
-        rows.append(_protocol_record("fock", config, result, config.cutoff_value))
+        rows.append(_protocol_record("fock", config, protocol.run_fock(config)))
         meta = {"command": "protocol"}
     else:
-        rows.append(_protocol_record("gaussian", config, protocol.run_gaussian(config), None))
+        rows.append(_protocol_record("gaussian", config, protocol.run_gaussian(config)))
         meta = {"command": "protocol"}
-    columns = PROTOCOL_COLUMNS
-    _emit_rows(rows, columns, meta, args.format, args.out)
+    _emit_rows(rows, PROTOCOL_COLUMNS, meta, args.format, args.out)
     return 0
 
 
@@ -284,22 +270,18 @@ def cmd_sweep(args) -> int:
         n_bars = [lo * (hi / lo) ** (i / max(count - 1, 1)) for i in range(count)]
     else:
         raise UsageError("give --nbar or --nbar-logspace")
-    spec = SweepSpec(
-        n_bar_values=tuple(n_bars),
-        phi_values=tuple(_parse_grid(args.phi, "phi")),
-        eta_values=tuple(_parse_grid(args.eta, "eta")),
-        fmt=args.format,
-        out_path=args.out,
-    )
+    phi_values = _parse_grid(args.phi, "phi")
+    eta_values = _parse_grid(args.eta, "eta")
+    _check_sweep_axes(n_bars, phi_values, eta_values)
     # rows holds JSON value rows, or CSV lines joined into blocks of at most
     # SWEEP_BLOCK_ROWS lines (module docstring)
-    csv = spec.fmt == "csv"
+    csv = args.format == "csv"
     rows: list = []
     lines: list[str] = []
-    phis = [(phi, f"{phi!r},") for phi in spec.phi_values]
-    etas = [(eta, f"{eta!r},") for eta in spec.eta_values]
-    eta_pairs = [(eta, eta) for eta in spec.eta_values]
-    for n_bar in spec.n_bar_values:
+    phis = [(phi, f"{phi!r},") for phi in phi_values]
+    etas = [(eta, f"{eta!r},") for eta in eta_values]
+    eta_pairs = [(eta, eta) for eta in eta_values]
+    for n_bar in n_bars:
         snl = gaussian.shot_noise_limit(n_bar)
         n_bar_text, snl_text = f"{n_bar!r},", f",{snl!r},"
         for phi, phi_text in phis:
@@ -330,12 +312,12 @@ def cmd_sweep(args) -> int:
         "command": "sweep",
         "snl_convention": "single-mode 1/sqrt(4 n_bar)",
         "engine": "gaussian",
-        "points": len(spec.n_bar_values) * len(spec.phi_values) * len(spec.eta_values),
+        "points": len(n_bars) * len(phi_values) * len(eta_values),
     }
     if csv:
-        _emit_csv(rows, SWEEP_COLUMNS, meta, spec.out_path)
+        _emit_csv(rows, SWEEP_COLUMNS, meta, args.out)
     else:
-        _emit_rows(rows, SWEEP_COLUMNS, meta, spec.fmt, spec.out_path)
+        _emit_rows(rows, SWEEP_COLUMNS, meta, args.format, args.out)
     return 0
 
 

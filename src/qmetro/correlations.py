@@ -3,9 +3,12 @@
 Covers the Mandel Q parameter, the two-mode number-correlation coefficient J,
 classical Fisher information of a measured probability curve, and the
 closed-form (Q, J, QFI) catalogue for the standard interferometer probe
-states together with their exact Fock-space counterparts.  A two-mode ket's
-number statistics (means, variances, covariance, hence Q, J and the QFI)
-are read here, by :func:`probe_statistics`, in one pass over its weights.
+states together with their exact Fock-space counterparts.  It also holds
+the package's one finite-difference derivative, :func:`central_derivative`,
+which the Fisher information and :func:`qmetro.protocol.error_propagation`
+both take.  A two-mode ket's number statistics (means, variances,
+covariance, hence Q, J and the QFI) are read here, by
+:func:`probe_statistics`, in one pass over its weights.
 The shot-noise limit the CLI reports is
 :func:`qmetro.gaussian.shot_noise_limit`.
 
@@ -22,7 +25,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import fock
-from .gaussian import Frozen
+from .gaussian import Frozen, relative_deviation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,8 +34,10 @@ if TYPE_CHECKING:
 
 #: Outcomes with probability below this are skipped by the Fisher sum.
 FISHER_PROBABILITY_FLOOR = 1e-12
+#: Step (radians) of :func:`central_derivative`'s wider central difference.
+DERIVATIVE_STEP = 1e-4
 #: Relative disagreement of the two half-step estimates that triggers
-#: Richardson extrapolation in the finite-difference routines.
+#: Richardson extrapolation in :func:`central_derivative`.
 RICHARDSON_TRIGGER = 1e-4
 
 
@@ -40,23 +45,22 @@ class UndefinedStatisticError(ValueError):
     """A statistic was requested where it is undefined (e.g. Q at <n> = 0)."""
 
 
-def relative_deviation(a: complex, b: complex) -> float:
-    """|a - b| / max(|a|, |b|, 1): relative above magnitude 1, absolute below it."""
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
+def central_derivative(curve: Callable, phi: float, measure: Callable):
+    """``measure`` of d curve / d phi, by central differences with a Richardson refinement.
 
-
-def richardson(d_h, d_h2, measure: Callable):
-    """Refine central differences taken at steps h and h/2.
-
-    Returns ``(value, refined)``.  When ``measure`` of the two estimates
-    differs by more than ``RICHARDSON_TRIGGER`` relative, the value is
-    ``measure`` of the Richardson combination (4 d_{h/2} - d_h)/3; otherwise
-    it is ``measure(d_h2)``.
+    The differences are taken at ``DERIVATIVE_STEP`` (h) and at h/2.  When
+    ``measure`` of the two estimates differs by more than
+    ``RICHARDSON_TRIGGER`` relative, the result is ``measure`` of their
+    Richardson combination (4 d_{h/2} - d_h)/3; otherwise it is ``measure``
+    of the h/2 estimate.  ``curve`` may return a float or a numpy array.
     """
+    h = DERIVATIVE_STEP
+    d_h = (curve(phi + h) - curve(phi - h)) / (2.0 * h)
+    d_h2 = (curve(phi + h / 2.0) - curve(phi - h / 2.0)) / h
     m_h, m_h2 = measure(d_h), measure(d_h2)
     if abs(m_h - m_h2) > RICHARDSON_TRIGGER * max(abs(m_h2), 1e-300):
-        return measure((4.0 * d_h2 - d_h) / 3.0), True
-    return m_h2, False
+        return measure((4.0 * d_h2 - d_h) / 3.0)
+    return m_h2
 
 
 def mandel_q(mean_n: float, var_n: float) -> float:
@@ -155,54 +159,39 @@ def path_symmetric_qfi(n_bar: float, q: float, j: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _probability_stencil(
-    prob_curve: Callable[[float], np.ndarray], phi: float, step: float
-) -> dict[float, np.ndarray]:
-    import numpy as np
+def classical_fisher_information(prob_curve: Callable[[float], np.ndarray], phi: float) -> float:
+    """Fisher information sum_i (dp_i/dphi)^2 / p_i, by :func:`central_derivative`.
 
-    points = {}
-    for x in (phi, phi + step, phi - step, phi + step / 2, phi - step / 2):
-        p = np.asarray(prob_curve(x), dtype=float)
-        if p.min() < -1e-14:
-            raise ValueError(f"negative probability {p.min():.3e} at phi={x!r}")
-        points[x] = np.clip(p, 0.0, None)
-    sums = [p.sum() for p in points.values()]
-    if max(sums) - min(sums) > 1e-8:
-        raise ValueError(
-            "probability curve does not conserve total probability over the stencil "
-            f"(spread {max(sums) - min(sums):.3e})"
-        )
-    return points
-
-
-def classical_fisher_information(
-    prob_curve: Callable[[float], np.ndarray],
-    phi: float,
-    step: float = 1e-4,
-) -> float:
-    """Fisher information sum_i (dp_i/dphi)^2 / p_i by central differences.
-
-    Derivatives are estimated at ``step`` and ``step/2``; when the two
-    estimates differ by more than ``RICHARDSON_TRIGGER`` relative, the
-    Richardson combination (4 F_{h/2} - F_h)/3 of the derivative estimates is
-    used.  Outcomes with probability below ``FISHER_PROBABILITY_FLOOR`` are
-    skipped.
+    Each probability vector the differences read is checked: no entry below
+    -1e-14 (the rest of the rounding is clipped to 0), and a total within
+    1e-8 of the one at ``phi``.  Outcomes with probability below
+    ``FISHER_PROBABILITY_FLOOR`` at ``phi`` are skipped.
     """
     import numpy as np
 
-    if step <= 0:
-        raise ValueError("step must be positive")
-    points = _probability_stencil(prob_curve, phi, step)
-    p0 = points[phi]
+    def nonnegative(x: float) -> np.ndarray:
+        p = np.asarray(prob_curve(x), dtype=float)
+        if p.min() < -1e-14:
+            raise ValueError(f"negative probability {p.min():.3e} at phi={x!r}")
+        return np.clip(p, 0.0, None)
+
+    p0 = nonnegative(phi)
+    total = p0.sum()
     mask = p0 >= FISHER_PROBABILITY_FLOOR
 
-    d_h = (points[phi + step] - points[phi - step]) / (2.0 * step)
-    d_h2 = (points[phi + step / 2] - points[phi - step / 2]) / step
+    def probabilities(x: float) -> np.ndarray:
+        p = nonnegative(x)
+        if abs(p.sum() - total) > 1e-8:
+            raise ValueError(
+                f"probability curve does not conserve total probability: {p.sum()!r} at "
+                f"phi={x!r} against {total!r} at phi={phi!r}"
+            )
+        return p
 
     def fisher(d: np.ndarray) -> float:
         return float(np.sum(d[mask] ** 2 / p0[mask]))
 
-    return richardson(d_h, d_h2, fisher)[0]
+    return central_derivative(probabilities, phi, fisher)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +241,9 @@ class TableRow(Frozen):
 
 
 def check_table_n_bar(n_bar: float) -> None:
-    """Refuse an n_bar outside (0, TABLE_NBAR_LIMIT], NaN included."""
-    if not n_bar > 0:
-        raise ValueError("n_bar must be positive")
+    """Refuse an n_bar that is not finite and positive, or above TABLE_NBAR_LIMIT."""
+    if not 0.0 < n_bar < math.inf:
+        raise ValueError(f"n_bar must be a finite positive number, got {n_bar!r}")
     if n_bar > TABLE_NBAR_LIMIT:
         raise ValueError(
             f"n_bar={n_bar!r} is too large: the closed forms overflow a double above "
@@ -374,8 +363,7 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
     family = ProbeFamily(state_id)
     if family in FORMULA_ONLY:
         raise ValueError(f"{family.value} has no Fock construction; its row is formula-only")
-    if n_bar <= 0:
-        raise ValueError("n_bar must be positive")
+    check_table_n_bar(n_bar)
     c = cutoff if cutoff is not None else oracle_cutoff(family, n_bar)
 
     if family is ProbeFamily.LASER:

@@ -23,8 +23,10 @@ commands never import it.
 
 It is also the bottom of the package's import graph, so it holds what every
 engine shares: :func:`check_eta`, :func:`check_phi`, :func:`check_n_bar`,
-the squeeze budget ``SQUEEZE_DEFICIT_LIMIT``, the error types and
-:class:`Frozen`, the base of the immutable value classes.
+:func:`relative_deviation` (the one measure by which qmetro compares two
+values: the cross-engine report, ``validate``'s budgets and ``table``'s
+``max_rel_dev``), the squeeze budget ``SQUEEZE_DEFICIT_LIMIT``, the error
+types and :class:`Frozen`, the base of the immutable value classes.
 """
 
 from __future__ import annotations
@@ -87,11 +89,14 @@ def check_phi(phi: float) -> None:
 
 
 def check_n_bar(n_bar: float) -> None:
-    """Refuse a mean photon number below ``N_BAR_FLOOR``.
+    """Refuse a mean photon number that is not finite and positive, or is below ``N_BAR_FLOOR``.
 
-    Below it the signal slope, 4 eta1 eta2 n (n+1) sin 2phi, underflows to 0
-    at small phases even without loss, and the phase error comes out empty.
+    Below the floor the signal slope, 4 eta1 eta2 n (n+1) sin 2phi,
+    underflows to 0 at small phases even without loss, and the phase error
+    comes out empty.
     """
+    if not 0.0 < n_bar < math.inf:
+        raise ValueError(f"n_bar must be a finite positive number, got {n_bar!r}")
     if n_bar < N_BAR_FLOOR:
         raise ValueError(
             f"n_bar={n_bar!r} is below the smallest mean photon number {N_BAR_FLOOR:g}, "
@@ -99,10 +104,14 @@ def check_n_bar(n_bar: float) -> None:
         )
 
 
+def relative_deviation(a: complex, b: complex) -> float:
+    """|a - b| / max(|a|, |b|, 1): relative above magnitude 1, absolute below it."""
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
 def shot_noise_limit(n_bar: float) -> float:
     """Single-mode shot-noise limit 1/sqrt(4 n_bar)."""
-    if n_bar <= 0:
-        raise ValueError("mean photon number must be positive")
+    check_n_bar(n_bar)
     return 1.0 / math.sqrt(4.0 * n_bar)
 
 
@@ -381,8 +390,7 @@ def phase_error_from_moments(n_bar: float, phi: float, eta: float = 1.0) -> floa
     Independent route used to guard the closed-form kernel against
     transcription slips; the two must agree to high accuracy.
     """
-    if not 0.0 < n_bar < math.inf:
-        raise ValueError(f"n_bar must be finite and positive, got {n_bar!r}")
+    check_n_bar(n_bar)
     moments, slope = _protocol_pass(math.asinh(math.sqrt(n_bar)), phi, eta, eta)
     if slope == 0.0:
         raise SingularOperatingPointError("signal slope vanishes at this operating point")

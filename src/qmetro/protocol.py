@@ -4,10 +4,12 @@ Runs the protocol in either engine (closed-form Gaussian moments or the exact
 truncated Fock oracle), propagates phase estimates by error propagation, and
 packages cross-engine comparisons.  A :class:`ProtocolConfig` holds only the
 operating point; the caller picks the engine by calling :func:`run_gaussian`,
-:func:`run_fock` or :func:`run_both`.  Error propagation differences the
-Gaussian signal of :func:`gaussian.protocol_moments`, the forward-mode moment
-pass, not the closed-form kernel.  Runs are pure functions of their config,
-so concurrent evaluation of many configs is safe.
+:func:`run_fock` or :func:`run_both`.  :func:`error_propagation` takes the
+slope of any (signal, variance) curve by :func:`correlations.central_derivative`;
+its Gaussian curve (:func:`gaussian_signal_curve`) is the forward-mode moment
+pass :func:`gaussian.protocol_moments`, not the closed-form kernel.  Runs are
+pure functions of their config, so concurrent evaluation of many configs is
+safe.
 
 The Gaussian path needs this module and :mod:`qmetro.gaussian` only:
 :mod:`qmetro.fock` and :mod:`qmetro.correlations` are read only inside the
@@ -29,8 +31,6 @@ if TYPE_CHECKING:
 
 #: run_fock refuses to report results that lost more trace than this.
 TRACE_DEFICIT_LIMIT = 1e-8
-#: Finite-difference step for error propagation (radians).
-DEFAULT_STEP = 1e-4
 #: Slope magnitudes below this count as a vanished derivative.
 SLOPE_FLOOR = 1e-12
 #: default_cutoff refuses to pick a cutoff above this; pass one explicitly.
@@ -76,8 +76,6 @@ class ProtocolConfig(Frozen):
             raise ValueError("give exactly one of n_bar and r")
         if self.r is not None and self.r <= 0:
             raise ValueError("r must be positive")
-        if self.n_bar is not None and self.n_bar <= 0:
-            raise ValueError("n_bar must be positive")
         try:
             n_bar = self.n_bar_value
         except OverflowError:
@@ -111,11 +109,13 @@ class ProtocolResult(Frozen):
     the probe's squeeze moves past the cutoff (kept in the padded basis, but
     what the cutoff would have cost) plus the weight the pipeline dropped:
     Kraus branches and padded levels of at most 1e-16 each.  It is 0 for
-    the Gaussian engine.
+    the Gaussian engine.  ``cutoff`` is the Fock cutoff the run used, and
+    None for the Gaussian engine.
     """
 
     __slots__ = (
         "moments", "signal", "variance", "phase_error", "phase_error_is_limit", "trace_deficit",
+        "cutoff",
     )
 
     def __init__(
@@ -126,36 +126,25 @@ class ProtocolResult(Frozen):
         phase_error: float | None,
         phase_error_is_limit: bool = False,
         trace_deficit: float = 0.0,
+        cutoff: int | None = None,
     ) -> None:
-        self._init(moments, signal, variance, phase_error, phase_error_is_limit, trace_deficit)
+        self._init(
+            moments, signal, variance, phase_error, phase_error_is_limit, trace_deficit, cutoff
+        )
 
 
 class ComparisonReport(Frozen):
-    """Cross-engine deviations for one config, recomputed from stored results."""
+    """The two engines' results for one config, and their deviations."""
 
-    __slots__ = ("config", "gaussian_result", "fock_result", "cutoff")
+    __slots__ = ("gaussian_result", "fock_result")
 
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        gaussian_result: ProtocolResult,
-        fock_result: ProtocolResult,
-        cutoff: int,
-    ) -> None:
-        self._init(config, gaussian_result, fock_result, cutoff)
+    def __init__(self, gaussian_result: ProtocolResult, fock_result: ProtocolResult) -> None:
+        self._init(gaussian_result, fock_result)
 
     def rel_deviation(self, attr: str) -> float:
-        """|g - f| / max(|g|, |f|) of a (dotted) result attribute."""
+        """:func:`gaussian.relative_deviation` of a (dotted) result attribute."""
         get = attrgetter(attr)
-        a, b = get(self.gaussian_result), get(self.fock_result)
-        return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-    def moment_aa_deviation(self) -> float:
-        return self.rel_deviation("moments.m_aa")
-
-    @property
-    def trace_deficit(self) -> float:
-        return self.fock_result.trace_deficit
+        return gaussian.relative_deviation(get(self.gaussian_result), get(self.fock_result))
 
 
 def default_cutoff(n_bar: float) -> int:
@@ -184,8 +173,10 @@ def squeeze_cutoff(n_bar: float) -> tuple[int, bool]:
     are P(0) = 1/cosh r and P(2m) = P(2m-2) tanh^2 r (2m-1)/(2m); the tail
     past a cutoff is 1 minus their running sum.  The search stops at
     ``_CUTOFF_SEARCH_LIMIT``; the flag tells whether the returned cutoff
-    meets the limit or is only where the search stopped.
+    meets the limit or is only where the search stopped.  Refuses an n_bar
+    that :func:`gaussian.check_n_bar` refuses.
     """
+    gaussian.check_n_bar(n_bar)
     limit = gaussian.SQUEEZE_DEFICIT_LIMIT / 100.0
     tanh_sq = n_bar / (n_bar + 1.0)
     p = total = 1.0 / math.sqrt(n_bar + 1.0)
@@ -231,10 +222,10 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
     cutoff; the weight there must stay below
     ``SQUEEZE_DEFICIT_LIMIT``.  The first loss splits the ket into one ket
     per number of photons lost (:func:`fock.loss`, a :class:`fock.MixedState`
-    of Kraus branches), so no density matrix is formed.  The anti-squeeze
-    and the readout loss act on the detector's moments only:
-    :func:`fock.unsqueezed_moments` gives them after the anti-squeeze,
-    exactly, and :func:`_thinned` applies the loss.
+    of Kraus branches, one branch without loss), so no density matrix is
+    formed.  The anti-squeeze and the readout loss act on the detector's
+    moments only: :func:`fock.unsqueezed_moments` gives them after the
+    anti-squeeze, exactly, and :func:`_thinned` applies the loss.
     The number-basis rotation is applied with the same orientation the
     moment engine uses (a -> a e^{-i phi}), so the two engines agree on the
     complex <a^2>, not just on its modulus.
@@ -250,12 +241,8 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
             f"squeeze stage: {exc}; use a cutoff of {'at least' if found else 'more than'} "
             f"{needed}"
         ) from exc
-    state = fock.phase_shift(probe, -phi)
-    if config.eta1 < 1.0:
-        state = fock.loss(state, config.eta1)
-
-    lost = state.norm_deficit if isinstance(state, fock.PureState) else state.trace_deficit
-    deficit = spill + lost
+    state = fock.loss(fock.phase_shift(probe, -phi), config.eta1)
+    deficit = spill + state.trace_deficit
     if deficit > TRACE_DEFICIT_LIMIT:
         raise TruncationOverflowError(
             f"final state lost weight {deficit:.3e} > {TRACE_DEFICIT_LIMIT:g}; "
@@ -263,7 +250,7 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
         )
     sig, n2, m_aa = _thinned(config.eta2, *fock.unsqueezed_moments(state, r))
     return ProtocolResult(
-        MomentVector(m_aa, sig), sig, n2 - sig**2, None, trace_deficit=deficit
+        MomentVector(m_aa, sig), sig, n2 - sig**2, None, trace_deficit=deficit, cutoff=cutoff
     )
 
 
@@ -278,12 +265,7 @@ def _thinned(eta: float, n: float, n2: float, a2: complex) -> tuple[float, float
 
 
 def run_both(config: ProtocolConfig) -> ComparisonReport:
-    return ComparisonReport(
-        config=config,
-        gaussian_result=run_gaussian(config),
-        fock_result=run_fock(config),
-        cutoff=config.cutoff_value,
-    )
+    return ComparisonReport(run_gaussian(config), run_fock(config))
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +273,15 @@ def run_both(config: ProtocolConfig) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-def error_propagation(
-    signal_curve: Callable[[float], tuple[float, float]],
-    phi: float,
-    step: float = DEFAULT_STEP,
-) -> float:
+def error_propagation(signal_curve: Callable[[float], tuple[float, float]], phi: float) -> float:
     """Phase error sqrt(Var)/|dS/dphi| from a (signal, variance) curve.
 
-    The slope is estimated by central differences at ``step`` and ``step/2``,
-    refined by :func:`correlations.richardson` when they disagree.
+    The slope is :func:`correlations.central_derivative` of the signal.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     _, variance = signal_curve(phi)
     if variance < 0:
         raise ValueError(f"negative variance {variance!r} at phi={phi!r}")
-
-    def slope(h: float) -> float:
-        s_plus, _ = signal_curve(phi + h)
-        s_minus, _ = signal_curve(phi - h)
-        return (s_plus - s_minus) / (2.0 * h)
-
-    d, _ = correlations.richardson(slope(step), slope(step / 2.0), float)
+    d = correlations.central_derivative(lambda x: signal_curve(x)[0], phi, float)
     if abs(d) <= SLOPE_FLOOR:
         raise VanishingDerivativeError(
             f"signal slope {d:.3e} at phi={phi!r} is numerically zero; "

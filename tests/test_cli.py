@@ -19,6 +19,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def pure_rel_deviations(rows):
+    """The JSON meta's three deviations of `protocol --engine both`, recomputed
+    from its rows purely relative (the meta floors the denominator at 1)."""
+    g, f = rows
+
+    def rel(a, b):
+        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+    def m_aa(row):
+        return complex(row["m_aa_re"], row["m_aa_im"])
+
+    return {
+        "signal_rel_dev": rel(g["signal"], f["signal"]),
+        "variance_rel_dev": rel(g["variance"], f["variance"]),
+        "m_aa_rel_dev": rel(m_aa(g), m_aa(f)),
+    }
+
+
 class TestTableCommand:
     def test_closed_form_rows(self, capsys):
         code, out, _ = run(capsys, "table", "--nbar", "4", "--format", "json")
@@ -125,6 +143,7 @@ class TestProtocolCommand:
         assert code == 0
         doc = json.loads(out)
         assert float(doc["meta"]["signal_rel_dev"]) < 1e-6
+        assert pure_rel_deviations(doc["rows"])["signal_rel_dev"] < 1e-6
         engines = [r["engine"] for r in doc["rows"]]
         assert engines == ["gaussian", "fock"]
 
@@ -378,6 +397,13 @@ def test_non_finite_input_is_refused(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("n_bar", ["nan", "inf", "-1", "0"])
+def test_table_refuses_n_bar_once_by_name(capsys, n_bar):
+    code, out, err = run(capsys, "table", "--nbar", n_bar)
+    assert (code, out) == (2, "")
+    assert err == f"error: n_bar must be a finite positive number, got {float(n_bar)!r}\n"
+
+
 #: 0 < phi < 1e-150: sin^2 phi and the squared variance terms underflow, so
 #: delta_phi would come out wrong (lossless) or infinite (lossy).
 TINY_PHI_INPUT = [
@@ -485,8 +511,10 @@ def test_default_fock_cutoff_works(capsys, n_bar):
     )
     assert code == 0
     doc = json.loads(out)
+    pure = pure_rel_deviations(doc["rows"])
     for key in ("signal_rel_dev", "variance_rel_dev", "m_aa_rel_dev"):
         assert float(doc["meta"][key]) <= 1e-6
+        assert pure[key] <= 1e-6
     assert doc["rows"][1]["trace_deficit"] <= 1e-8
 
 

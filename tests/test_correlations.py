@@ -178,6 +178,25 @@ class TestPathSymmetricQfi:
         assert co.path_symmetric_qfi(5.0, -1.0, 0.7) == 0.0
 
 
+class TestCentralDerivative:
+    # the cube's central differences carry the error h^2, which the
+    # Richardson combination cancels exactly
+    def test_richardson_branch(self):
+        # at x = 1e-3 the two estimates differ by 7.5e-9, far more than
+        # RICHARDSON_TRIGGER times the derivative 3e-6
+        x = 1e-3
+        assert co.central_derivative(lambda t: t**3, x, float) == pytest.approx(
+            3.0 * x**2, rel=1e-12
+        )
+
+    def test_half_step_branch(self):
+        # at x = 1 they differ by 2.5e-9 relative: the h/2 estimate is kept
+        h = co.DERIVATIVE_STEP
+        assert co.central_derivative(lambda t: t**3, 1.0, float) == pytest.approx(
+            3.0 + h**2 / 4.0, abs=1e-11
+        )
+
+
 class TestClassicalFisher:
     def test_binomial_model(self):
         # p = (cos^2(phi/2), sin^2(phi/2)) has F = 1 for every phi
@@ -213,8 +232,8 @@ class TestBenchmarks:
         assert not hasattr(co, "SNL_CONVENTIONS")
 
     def test_single_mode_shot_noise_is_the_gaussian_one(self):
-        for n_bar in (0.0, -1.0):
-            with pytest.raises(ValueError, match="positive"):
+        for n_bar in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^n_bar must be a finite positive .*{n_bar!r}$"):
                 gaussian.shot_noise_limit(n_bar)
 
 
@@ -303,6 +322,12 @@ class TestOracleAgreement:
         assert not out.amplitudes[~complete].any()
         assert out.truncation_tol == state.truncation_tol + clipped
         assert out.norm_squared == pytest.approx(state.norm_squared - clipped, abs=1e-15)
+
+    @pytest.mark.parametrize("n_bar", [math.nan, math.inf, -1.0])
+    def test_oracle_refuses_n_bar_by_name(self, n_bar):
+        # refused before the family's cutoff is computed from it
+        with pytest.raises(ValueError, match=rf"^n_bar must be a finite positive .*{n_bar!r}$"):
+            co.oracle_row("laser", n_bar)
 
     def test_amplified_bell_is_formula_only(self):
         with pytest.raises(ValueError):

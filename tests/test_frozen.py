@@ -2,7 +2,7 @@
 
 import pytest
 
-from qmetro import cli, fock, gaussian, protocol
+from qmetro import fock, gaussian, protocol
 from qmetro import correlations as co
 
 
@@ -13,8 +13,7 @@ def _values():
         gaussian.MomentVector(0.0, 0.0),
         config,
         result,
-        protocol.ComparisonReport(config, result, result, 60),
-        cli.SweepSpec((1.0,), (0.1,), (0.9,), "csv", None),
+        protocol.ComparisonReport(result, result),
         co.table_row("noon", 4.0),
         co.probe_statistics(fock.noon(3, 5)),
         fock.loss(fock.coherent(1.0, 20), 0.5),

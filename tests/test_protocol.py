@@ -1,5 +1,6 @@
 import math
 import time
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ class TestProtocolConfig:
     def test_negative_r_rejected_even_with_a_matching_n_bar(self):
         # a negative r would have the Fock engine squeeze along the other
         # axis: paired with a matching n_bar, which the Gaussian engine read,
-        # its <a^2> once came out negated (moment_aa_deviation 2.0)
+        # its <a^2> once came out negated (rel_deviation("moments.m_aa") 2.0)
         with pytest.raises(ValueError, match="exactly one of n_bar and r"):
             protocol.ProtocolConfig(phi=0.3, n_bar=math.sinh(0.5) ** 2, r=-0.5)
         for r in (-0.5, 0.0):
@@ -55,6 +56,9 @@ class TestProtocolConfig:
         for kwargs in ({"n_bar": 1e-200}, {"r": 1e-160}):
             with pytest.raises(ValueError, match="smallest mean photon number 1e-150"):
                 protocol.ProtocolConfig(phi=0.1, **kwargs)
+        # gaussian.check_n_bar owns the n_bar domain too
+        with pytest.raises(ValueError, match=r"^n_bar must be a finite positive .* -1\.0$"):
+            protocol.ProtocolConfig(phi=0.1, n_bar=-1.0)
 
     def test_default_cutoff_policy(self):
         # the smallest even cutoff whose squeezed-vacuum tail is <= 1e-10
@@ -72,6 +76,13 @@ class TestProtocolConfig:
             protocol.default_cutoff(1e4)
         with pytest.raises(fock.TruncationOverflowError, match="more than"):
             protocol.default_cutoff(1e10)
+
+    @pytest.mark.parametrize("n_bar", [-1.0, 0.0, math.nan, math.inf])
+    def test_cutoff_policy_refuses_n_bar_by_name(self, n_bar):
+        # refused before the tail sum divides by n_bar + 1
+        for policy in (protocol.default_cutoff, protocol.squeeze_cutoff):
+            with pytest.raises(ValueError, match=rf"^n_bar must be a finite .*{n_bar!r}$"):
+                policy(n_bar)
 
     def test_squeeze_cutoff_has_no_cap(self):
         assert protocol.squeeze_cutoff(1.0) == (60, True)
@@ -173,16 +184,17 @@ class TestRunFock:
     def test_unequal_etas_match_moment_engine(self):
         config = protocol.ProtocolConfig(phi=0.2, r=0.5, eta1=0.95, eta2=0.9, cutoff=60)
         report = protocol.run_both(config)
-        assert report.rel_deviation("signal") < 1e-6
-        assert report.rel_deviation("variance") < 1e-6
+        for attr in ("signal", "variance"):
+            assert report.rel_deviation(attr) < 1e-6
+            assert pure_rel_deviation(report, attr) < 1e-6
 
     @pytest.mark.parametrize("eta1,eta2", [(1.0, 0.9), (0.9, 1.0), (0.95, 0.8)])
     def test_unequal_eta_pairs_match_moment_engine(self, eta1, eta2):
         config = protocol.ProtocolConfig(phi=0.3, r=0.5, eta1=eta1, eta2=eta2, cutoff=60)
         report = protocol.run_both(config)
-        assert report.rel_deviation("signal") < 1e-6
-        assert report.rel_deviation("variance") < 1e-6
-        assert report.moment_aa_deviation() < 1e-6
+        for attr in ("signal", "variance", "moments.m_aa"):
+            assert report.rel_deviation(attr) < 1e-6
+            assert pure_rel_deviation(report, attr) < 1e-6
 
     def test_zero_phase_moments_agree_even_with_loss(self):
         # only the phase error is singular at phi = 0; the moments are not
@@ -238,9 +250,10 @@ class TestRunFock:
         # 1.4e-6 away here
         config = protocol.ProtocolConfig(phi=0.05, n_bar=2.0, eta1=0.95, eta2=0.8)
         report = protocol.run_both(config)
-        assert report.cutoff == 102
+        assert report.fock_result.cutoff == 102
         for attr in ("signal", "variance", "moments.m_aa"):
             assert report.rel_deviation(attr) <= 1e-9, attr
+            assert pure_rel_deviation(report, attr) <= 1e-9, attr
 
     @pytest.mark.parametrize("cutoff", [60, None])
     @pytest.mark.parametrize("eta", [1.0, 0.9])
@@ -264,7 +277,7 @@ class TestRunFock:
         start = time.perf_counter()
         report = protocol.run_both(config)
         assert time.perf_counter() - start < 5.0
-        assert report.cutoff == 400
+        assert report.fock_result.cutoff == 400
         assert report.rel_deviation("variance") <= 1e-9
 
 
@@ -293,6 +306,13 @@ def density_matrix_moments(config):
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def pure_rel_deviation(report, attr):
+    """:func:`rel` of a report's two results: unlike ``report.rel_deviation``,
+    relative also below magnitude 1."""
+    get = attrgetter(attr)
+    return rel(get(report.gaussian_result), get(report.fock_result))
 
 
 @pytest.mark.parametrize(
@@ -326,12 +346,29 @@ class TestComparisonReport:
             protocol.ProtocolConfig(phi=0.3, r=0.5, eta1=0.9, eta2=0.9, cutoff=60)
         )
         g, f = report.gaussian_result, report.fock_result
-        assert report.rel_deviation("signal") == abs(g.signal - f.signal) / max(
-            abs(g.signal), abs(f.signal))
-        assert report.rel_deviation("signal") < 1e-6
-        assert report.moment_aa_deviation() < 1e-6
-        assert report.trace_deficit < 1e-8
-        assert report.cutoff == 60
+        assert report.rel_deviation("signal") == gaussian.relative_deviation(g.signal, f.signal)
+        for attr in ("signal", "moments.m_aa"):
+            assert report.rel_deviation(attr) < 1e-6
+            assert pure_rel_deviation(report, attr) < 1e-6
+        assert f.trace_deficit < 1e-8
+
+    def test_results_carry_their_cutoff(self):
+        config = protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=0.9, eta2=0.9)
+        report = protocol.run_both(config)
+        assert report.gaussian_result.cutoff is None
+        assert report.fock_result.cutoff == config.cutoff_value == 60
+        assert protocol.run_fock(
+            protocol.ProtocolConfig(phi=0.3, n_bar=1.0, cutoff=48)
+        ).cutoff == 48
+        assert protocol.run_gaussian(config).cutoff is None
+
+    def test_zero_phase_deviations_are_the_floored_measure(self):
+        # the Fock signal at phi = 0 is rounding (~1e-14) against the
+        # Gaussian 0.0: purely relative that reads 1.0, floored at 1 it reads
+        # the rounding itself
+        report = protocol.run_both(protocol.ProtocolConfig(phi=0.0, n_bar=1.0))
+        for attr in ("signal", "variance", "moments.m_aa"):
+            assert report.rel_deviation(attr) <= 1e-10, attr
 
 
 class TestErrorPropagation:
@@ -350,6 +387,15 @@ class TestErrorPropagation:
         curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=1e-4, n_bar=1e3))
         with pytest.raises(ValueError, match=r"cancels.*gaussian\.phase_error"):
             protocol.error_propagation(curve, 1e-4)
+
+    def test_values_are_pinned(self):
+        # pinned bit for bit: the step and the Richardson rule are fixed
+        lossless = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=1e-4, n_bar=1.0))
+        assert protocol.error_propagation(lossless, 1e-4) == 0.2500000119720265
+        lossy = protocol.gaussian_signal_curve(
+            protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=0.9, eta2=0.9)
+        )
+        assert protocol.error_propagation(lossy, 0.3) == 0.3897652173876287
 
     def test_extremum_has_no_information(self):
         curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=0.3, n_bar=1.0))
@@ -384,3 +430,5 @@ class TestIntensityMeasurementOptimality:
         curve = protocol.lossless_output_distribution(config)
         fisher = co.classical_fisher_information(curve, 0.01)
         assert fisher == pytest.approx(16.0, rel=1e-2)
+        # pinned bit for bit: the step and the Richardson rule are fixed
+        assert fisher == 15.985611865340884
