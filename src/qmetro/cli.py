@@ -1,9 +1,10 @@
 """Command-line surface: ``table``, ``protocol``, ``sweep``, ``validate``.
 
 All angles are radians.  Output is deterministic: reals are rendered in
-shortest round-trip decimal form, complex values as paired re/im columns, and
-file metadata lives in '#'-prefixed sidecar lines with no timestamps, so
-identical invocations produce byte-identical files.
+shortest round-trip decimal form, complex values as paired re/im columns, CSV
+text holding a comma, quote or newline is quoted (RFC 4180), and file metadata
+lives in '#'-prefixed sidecar lines with no timestamps, so identical
+invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 
@@ -70,12 +71,15 @@ VALIDATE_LEVELS = ("quick", "full")
 
 
 def _fmt(value) -> str:
+    """A value as CSV text; text holding a comma, quote or newline is quoted (RFC 4180)."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 
@@ -196,12 +200,11 @@ def cmd_table(args) -> int:
 
 def _protocol_record(engine: str, config: protocol.ProtocolConfig,
                      result: protocol.ProtocolResult) -> dict:
-    n_bar = config.n_bar_value
-    snl = gaussian.shot_noise_limit(n_bar)
+    snl = gaussian.shot_noise_limit(config.n_bar)
     return {
         "engine": engine,
-        "n_bar": n_bar,
-        "r": config.r_value,
+        "n_bar": config.n_bar,
+        "r": config.r,
         "phi": config.phi,
         "eta1": config.eta1,
         "eta2": config.eta2,

@@ -53,10 +53,18 @@ def central_derivative(curve: Callable, phi: float, measure: Callable):
     ``RICHARDSON_TRIGGER`` relative, the result is ``measure`` of their
     Richardson combination (4 d_{h/2} - d_h)/3; otherwise it is ``measure``
     of the h/2 estimate.  ``curve`` may return a float or a numpy array.
+    A ValueError from ``curve`` (a stencil phase outside its domain, say) is
+    raised again naming ``phi`` and h, with the curve's message.
     """
     h = DERIVATIVE_STEP
-    d_h = (curve(phi + h) - curve(phi - h)) / (2.0 * h)
-    d_h2 = (curve(phi + h / 2.0) - curve(phi - h / 2.0)) / h
+    try:
+        d_h = (curve(phi + h) - curve(phi - h)) / (2.0 * h)
+        d_h2 = (curve(phi + h / 2.0) - curve(phi - h / 2.0)) / h
+    except ValueError as exc:
+        raise ValueError(
+            f"cannot differentiate at phi={phi!r}: the curve refused a phase within "
+            f"DERIVATIVE_STEP={h!r} of it: {exc}"
+        ) from exc
     m_h, m_h2 = measure(d_h), measure(d_h2)
     if abs(m_h - m_h2) > RICHARDSON_TRIGGER * max(abs(m_h2), 1e-300):
         return measure((4.0 * d_h2 - d_h) / 3.0)

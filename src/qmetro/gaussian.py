@@ -10,7 +10,8 @@ at the smallest angles.  It is the one closed-form kernel and the only
 Gaussian arithmetic on the runtime path of ``protocol`` and ``sweep``: it
 takes one (n_bar, phi) and any number of (eta1, eta2) pairs, so ``sweep``
 calls it once per (n_bar, phi) row.  :func:`protocol_point` is its one-pair
-view, and :func:`signal`, :func:`signal_slope`, :func:`phase_error` and
+view, as a :class:`ProtocolResult` (what :func:`qmetro.protocol.run_gaussian`
+returns), and :func:`signal`, :func:`signal_slope`, :func:`phase_error` and
 :func:`snl_ratio` are views of that.
 
 The independent reference the kernel is checked against, by the tests and
@@ -26,14 +27,14 @@ engine shares: :func:`check_eta`, :func:`check_phi`, :func:`check_n_bar`,
 :func:`relative_deviation` (the one measure by which qmetro compares two
 values: the cross-engine report, ``validate``'s budgets and ``table``'s
 ``max_rel_dev``), the squeeze budget ``SQUEEZE_DEFICIT_LIMIT``, the error
-types and :class:`Frozen`, the base of the immutable value classes.
+types, :class:`Frozen` (the base of the immutable value classes) and the
+records both engines fill, :class:`MomentVector` and :class:`ProtocolResult`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 #: Uncertainty bound slack: m_n (m_n + 1) - |m_aa|^2 >= -PHYSICALITY_SLACK.
 PHYSICALITY_SLACK = 1e-10
@@ -142,27 +143,84 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+class MomentVector(Frozen):
+    """Normally ordered second moments <a^2> and <a^dag a>.
+
+    <a^dag^2> is the conjugate of <a^2>, read as :attr:`m_adad`.
+    """
+
+    __slots__ = ("m_aa", "m_n")
+
+    def __init__(self, m_aa: complex, m_n: float) -> None:
+        self._init(m_aa, m_n)
+        if not all(map(math.isfinite, (m_aa.real, m_aa.imag, m_n))):
+            raise ValueError(f"non-finite moments <a^2>={m_aa!r}, <n>={m_n!r}")
+        if self.m_n < -1e-12:
+            raise ValueError(f"negative occupation {self.m_n!r}")
+        # slack scales with the bound itself so bright-probe rounding passes
+        bound = self.m_n * (self.m_n + 1.0)
+        if bound - abs(self.m_aa) ** 2 < -PHYSICALITY_SLACK * max(1.0, bound):
+            raise ValueError(
+                "unphysical moments: |<a^2>|^2 exceeds <n>(<n>+1) "
+                f"({abs(self.m_aa)**2!r} vs {bound!r})"
+            )
+
+    @property
+    def m_adad(self) -> complex:
+        return self.m_aa.conjugate()
+
+
+class ProtocolResult(Frozen):
+    """Detector statistics of one protocol operating point, in either engine.
+
+    The signal <n> is stored once, as ``moments.m_n``, and read as
+    :attr:`signal`.  ``slope`` is the kernel's d signal / d phi, None for
+    the Fock engine.  ``phase_error`` is sqrt(Var n) / |slope|; it is None
+    where the slope vanishes (the signal extremum phi = pi/2, eta1 = 0, or
+    a slope that underflows a double, as at eta 1e-170) and on every Fock
+    result.  ``phase_error_is_limit`` marks the analytic phi -> 0 lossless
+    limit.  ``trace_deficit`` is, for the Fock engine, the weight the
+    probe's squeeze moves past the cutoff (kept in the padded basis, but
+    what the cutoff would have cost) plus the weight the pipeline dropped:
+    Kraus branches and padded levels of at most 1e-16 each.  It is 0 for
+    the Gaussian engine.  ``cutoff`` is the Fock cutoff the run used, and
+    None for the Gaussian engine.
+    """
+
+    __slots__ = (
+        "moments", "variance", "slope", "phase_error", "phase_error_is_limit", "trace_deficit",
+        "cutoff",
+    )
+
+    def __init__(
+        self,
+        moments: MomentVector,
+        variance: float,
+        slope: float | None,
+        phase_error: float | None,
+        phase_error_is_limit: bool = False,
+        trace_deficit: float = 0.0,
+        cutoff: int | None = None,
+    ) -> None:
+        self._init(
+            moments, variance, slope, phase_error, phase_error_is_limit, trace_deficit, cutoff
+        )
+
+    @property
+    def signal(self) -> float:
+        return self.moments.m_n
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernel
 # ---------------------------------------------------------------------------
 
 
-class ProtocolPoint(NamedTuple):
-    """Detector statistics of one protocol operating point."""
-
-    signal: float
-    variance: float
-    m_aa: complex
-    slope: float
-    phase_error: float | None
-    phase_error_is_limit: bool
-
-
 def protocol_row(n_bar: float, phi: float, eta_pairs) -> list[tuple]:
     """The closed-form kernel: one (n_bar, phi) for every (eta1, eta2) pair.
 
-    Returns one plain tuple per pair, in :class:`ProtocolPoint` field order
-    (signal, variance, <a^2>, slope, phase error, phase-error-is-limit).
+    Returns one plain tuple per pair: (signal, variance, <a^2>, slope,
+    phase error, phase-error-is-limit).
     With n = n_bar and s = sin^2 phi:
 
     - signal = eta2 n [(1 - eta1) + 4 eta1 (n+1) s]
@@ -231,9 +289,10 @@ def protocol_row(n_bar: float, phi: float, eta_pairs) -> list[tuple]:
 
 def protocol_point(
     n_bar: float, phi: float, eta1: float = 1.0, eta2: float = 1.0
-) -> ProtocolPoint:
-    """One operating point of :func:`protocol_row`, as a :class:`ProtocolPoint`."""
-    return ProtocolPoint._make(protocol_row(n_bar, phi, ((eta1, eta2),))[0])
+) -> ProtocolResult:
+    """One operating point of :func:`protocol_row`, as a :class:`ProtocolResult`."""
+    signal, variance, m_aa, slope, error, is_limit = protocol_row(n_bar, phi, ((eta1, eta2),))[0]
+    return ProtocolResult(MomentVector(m_aa, signal), variance, slope, error, is_limit)
 
 
 def _check_protocol_params(n_bar: float, phi: float, eta: float) -> None:
@@ -297,33 +356,6 @@ def snl_ratio(n_bar: float, phi: float, eta: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # forward-mode moment reference
 # ---------------------------------------------------------------------------
-
-
-class MomentVector(Frozen):
-    """Normally ordered second moments <a^2> and <a^dag a>.
-
-    <a^dag^2> is the conjugate of <a^2>, read as :attr:`m_adad`.
-    """
-
-    __slots__ = ("m_aa", "m_n")
-
-    def __init__(self, m_aa: complex, m_n: float) -> None:
-        self._init(m_aa, m_n)
-        if not all(map(math.isfinite, (m_aa.real, m_aa.imag, m_n))):
-            raise ValueError(f"non-finite moments <a^2>={m_aa!r}, <n>={m_n!r}")
-        if self.m_n < -1e-12:
-            raise ValueError(f"negative occupation {self.m_n!r}")
-        # slack scales with the bound itself so bright-probe rounding passes
-        bound = self.m_n * (self.m_n + 1.0)
-        if bound - abs(self.m_aa) ** 2 < -PHYSICALITY_SLACK * max(1.0, bound):
-            raise ValueError(
-                "unphysical moments: |<a^2>|^2 exceeds <n>(<n>+1) "
-                f"({abs(self.m_aa)**2!r} vs {bound!r})"
-            )
-
-    @property
-    def m_adad(self) -> complex:
-        return self.m_aa.conjugate()
 
 
 def _squeeze(r: float, aa: complex, n: float, d_aa: complex, d_n: float) -> tuple:

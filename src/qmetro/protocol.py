@@ -4,7 +4,8 @@ Runs the protocol in either engine (closed-form Gaussian moments or the exact
 truncated Fock oracle), propagates phase estimates by error propagation, and
 packages cross-engine comparisons.  A :class:`ProtocolConfig` holds only the
 operating point; the caller picks the engine by calling :func:`run_gaussian`,
-:func:`run_fock` or :func:`run_both`.  :func:`error_propagation` takes the
+:func:`run_fock` or :func:`run_both`.  Both engines return the one record of a
+point, :class:`gaussian.ProtocolResult`.  :func:`error_propagation` takes the
 slope of any (signal, variance) curve by :func:`correlations.central_derivative`;
 its Gaussian curve (:func:`gaussian_signal_curve`) is the forward-mode moment
 pass :func:`gaussian.protocol_moments`, not the closed-form kernel.  Runs are
@@ -24,7 +25,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from . import correlations, fock, gaussian
-from .gaussian import Frozen, MomentVector, SingularOperatingPointError, TruncationOverflowError
+from .gaussian import Frozen, ProtocolResult, SingularOperatingPointError, TruncationOverflowError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,10 +51,11 @@ class ProtocolConfig(Frozen):
     """One protocol operating point.
 
     Exactly one of ``n_bar`` (mean probe photons sinh^2 r) and ``r`` is
-    given; the other is derived from it.  ``r`` must be positive: a negative
-    r would squeeze the Fock probe along the other axis.  ``cutoff`` only
-    affects the Fock engine; when omitted, :func:`default_cutoff` supplies
-    it (:attr:`cutoff_value`).
+    given; the other is derived from it on construction, and both are
+    stored.  ``r`` must be positive: a negative r would squeeze the Fock
+    probe along the other axis.  ``cutoff`` only affects the Fock engine;
+    when omitted, :func:`default_cutoff` supplies it (:attr:`cutoff_value`,
+    resolved on first read, because the default may refuse).
     """
 
     __slots__ = ("phi", "n_bar", "r", "eta1", "eta2", "cutoff")
@@ -67,70 +69,31 @@ class ProtocolConfig(Frozen):
         eta2: float = 1.0,
         cutoff: int | None = None,
     ) -> None:
-        self._init(phi, n_bar, r, eta1, eta2, cutoff)
-        for name in ("n_bar", "r", "eta1", "eta2"):
-            value = getattr(self, name)
+        for name, value in (("n_bar", n_bar), ("r", r), ("eta1", eta1), ("eta2", eta2)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if (self.n_bar is None) == (self.r is None):
+        if (n_bar is None) == (r is None):
             raise ValueError("give exactly one of n_bar and r")
-        if self.r is not None and self.r <= 0:
+        if r is not None and r <= 0:
             raise ValueError("r must be positive")
-        try:
-            n_bar = self.n_bar_value
-        except OverflowError:
-            raise ValueError(f"r={self.r!r} is too large: sinh^2 r overflows") from None
+        if n_bar is None:
+            try:
+                n_bar = math.sinh(r) ** 2
+            except OverflowError:
+                raise ValueError(f"r={r!r} is too large: sinh^2 r overflows") from None
         gaussian.check_n_bar(n_bar)
-        gaussian.check_eta(self.eta1)
-        gaussian.check_eta(self.eta2)
-        gaussian.check_phi(self.phi)
-        if self.cutoff is not None and self.cutoff < 2:
+        if r is None:
+            r = math.asinh(math.sqrt(n_bar))
+        gaussian.check_eta(eta1)
+        gaussian.check_eta(eta2)
+        gaussian.check_phi(phi)
+        if cutoff is not None and cutoff < 2:
             raise ValueError("cutoff must be >= 2")
-
-    @property
-    def n_bar_value(self) -> float:
-        return self.n_bar if self.n_bar is not None else math.sinh(self.r) ** 2
-
-    @property
-    def r_value(self) -> float:
-        return self.r if self.r is not None else math.asinh(math.sqrt(self.n_bar))
+        self._init(phi, n_bar, r, eta1, eta2, cutoff)
 
     @property
     def cutoff_value(self) -> int:
-        return self.cutoff if self.cutoff is not None else default_cutoff(self.n_bar_value)
-
-
-class ProtocolResult(Frozen):
-    """Signal, its variance, and the propagated phase error of one run.
-
-    ``phase_error`` is None exactly at the signal extremum phi = pi/2 where
-    the slope vanishes; ``phase_error_is_limit`` marks the analytic phi -> 0
-    lossless limit.  ``trace_deficit`` is, for the Fock engine, the weight
-    the probe's squeeze moves past the cutoff (kept in the padded basis, but
-    what the cutoff would have cost) plus the weight the pipeline dropped:
-    Kraus branches and padded levels of at most 1e-16 each.  It is 0 for
-    the Gaussian engine.  ``cutoff`` is the Fock cutoff the run used, and
-    None for the Gaussian engine.
-    """
-
-    __slots__ = (
-        "moments", "signal", "variance", "phase_error", "phase_error_is_limit", "trace_deficit",
-        "cutoff",
-    )
-
-    def __init__(
-        self,
-        moments: MomentVector,
-        signal: float,
-        variance: float,
-        phase_error: float | None,
-        phase_error_is_limit: bool = False,
-        trace_deficit: float = 0.0,
-        cutoff: int | None = None,
-    ) -> None:
-        self._init(
-            moments, signal, variance, phase_error, phase_error_is_limit, trace_deficit, cutoff
-        )
+        return self.cutoff if self.cutoff is not None else default_cutoff(self.n_bar)
 
 
 class ComparisonReport(Frozen):
@@ -204,14 +167,7 @@ def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
         raise ValueError(
             "eta2 = 0: no light reaches the detector, so the phase error is undefined"
         )
-    point = gaussian.protocol_point(config.n_bar_value, phi, eta1, eta2)
-    return ProtocolResult(
-        MomentVector(point.m_aa, point.signal),
-        point.signal,
-        point.variance,
-        point.phase_error,
-        point.phase_error_is_limit,
-    )
+    return gaussian.protocol_point(config.n_bar, phi, eta1, eta2)
 
 
 def run_fock(config: ProtocolConfig) -> ProtocolResult:
@@ -230,13 +186,13 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
     moment engine uses (a -> a e^{-i phi}), so the two engines agree on the
     complex <a^2>, not just on its modulus.
     """
-    r, phi = config.r_value, config.phi
+    r, phi = config.r, config.phi
     cutoff = config.cutoff_value
 
     try:
         probe, spill = fock.padded_squeezed_vacuum(r, cutoff)
     except TruncationOverflowError as exc:
-        needed, found = squeeze_cutoff(config.n_bar_value)
+        needed, found = squeeze_cutoff(config.n_bar)
         raise TruncationOverflowError(
             f"squeeze stage: {exc}; use a cutoff of {'at least' if found else 'more than'} "
             f"{needed}"
@@ -249,9 +205,8 @@ def run_fock(config: ProtocolConfig) -> ProtocolResult:
             f"increase the cutoff (currently {cutoff})"
         )
     sig, n2, m_aa = _thinned(config.eta2, *fock.unsqueezed_moments(state, r))
-    return ProtocolResult(
-        MomentVector(m_aa, sig), sig, n2 - sig**2, None, trace_deficit=deficit, cutoff=cutoff
-    )
+    moments = gaussian.MomentVector(m_aa, sig)
+    return ProtocolResult(moments, n2 - sig**2, None, None, trace_deficit=deficit, cutoff=cutoff)
 
 
 def _thinned(eta: float, n: float, n2: float, a2: complex) -> tuple[float, float, complex]:
@@ -292,7 +247,7 @@ def error_propagation(signal_curve: Callable[[float], tuple[float, float]], phi:
 
 def gaussian_signal_curve(config: ProtocolConfig) -> Callable[[float], tuple[float, float]]:
     """phi -> (signal, variance) through the forward-mode moment pass at fixed (r, etas)."""
-    r, eta1, eta2 = config.r_value, config.eta1, config.eta2
+    r, eta1, eta2 = config.r, config.eta1, config.eta2
 
     def curve(phi: float) -> tuple[float, float]:
         moments = gaussian.protocol_moments(r, phi, eta1, eta2)
@@ -309,7 +264,7 @@ def lossless_output_distribution(config: ProtocolConfig) -> Callable[[float], np
     """
     if config.eta1 != 1.0 or config.eta2 != 1.0:
         raise ValueError("the distribution curve is for the lossless protocol")
-    r = config.r_value
+    r = config.r
     probe = fock.squeezed_vacuum(r, 0.0, config.cutoff_value)
 
     def curve(phi: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import gc
 import importlib.util
 import json
@@ -76,6 +77,25 @@ class TestTableCommand:
         rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
         assert "oracle unavailable" in rows["twin_squeezed_vacuum"]["note"]
         assert rows["twin_fock"]["max_rel_dev"] < 1e-8
+
+    def test_csv_quotes_notes_that_hold_a_comma(self, capsys):
+        # the refusals at cutoff 8 name the constructor's arguments, commas
+        # included; every data row must still parse to the header's width
+        code, out, _ = run(capsys, "table", "--nbar", "2", "--oracle", "--cutoff", "8")
+        assert code == 0
+        _, header, *rows = csv.reader(out.splitlines())
+        assert header == list(cli.TABLE_COLUMNS)
+        assert len(rows) == 8
+        assert all(len(row) == len(header) for row in rows)
+        notes = {row[0]: row[-1] for row in rows}
+        assert notes["laser"] == (
+            "oracle unavailable: coherent(alpha=1.4142135623730951, cutoff=8): truncated "
+            "norm deficit 2.374e-04 exceeds 1e-06; increase the cutoff"
+        )
+        # the JSON rows hold the same note, unquoted
+        _, out, _ = run(
+            capsys, "table", "--nbar", "2", "--oracle", "--cutoff", "8", "--format", "json")
+        assert {r["state_id"]: r["note"] for r in json.loads(out)["rows"]} == notes
 
     def test_oracle_names_the_beam_splitter_cutoff(self, capsys):
         # |1,1> at cutoff 1 sits wholly in a total-photon block the beam

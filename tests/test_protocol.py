@@ -38,9 +38,22 @@ class TestProtocolConfig:
 
     def test_conversion(self):
         config = protocol.ProtocolConfig(phi=0.1, r=0.5)
-        assert config.n_bar_value == pytest.approx(math.sinh(0.5) ** 2)
+        assert config.n_bar == pytest.approx(math.sinh(0.5) ** 2)
         config = protocol.ProtocolConfig(phi=0.1, n_bar=2.0)
-        assert config.r_value == pytest.approx(math.asinh(math.sqrt(2.0)))
+        assert config.r == pytest.approx(math.asinh(math.sqrt(2.0)))
+
+    @pytest.mark.parametrize("n_bar,r", [
+        (1e-150, 1e-70), (0.01, 0.1), (1.0, 0.5), (2.0, R1), (9.1, 1.9), (1e10, 12.0),
+    ])
+    def test_missing_parameter_is_derived_once_and_stored(self, n_bar, r):
+        # the given value is stored as given, the other one exactly as
+        # sinh^2 r = n_bar says
+        config = protocol.ProtocolConfig(phi=0.1, n_bar=n_bar)
+        assert config.n_bar is n_bar
+        assert config.r == math.asinh(math.sqrt(n_bar))
+        config = protocol.ProtocolConfig(phi=0.1, r=r)
+        assert config.r is r
+        assert config.n_bar == math.sinh(r) ** 2
 
     def test_ranges(self):
         with pytest.raises(ValueError):
@@ -100,6 +113,25 @@ class TestProtocolConfig:
             protocol.run_fock(config(30))
         result = protocol.run_fock(config(60))
         assert result.trace_deficit <= protocol.TRACE_DEFICIT_LIMIT
+
+
+def test_both_engines_return_the_one_record():
+    config = protocol.ProtocolConfig(phi=0.3, n_bar=1.0, eta1=0.9, eta2=0.8, cutoff=60)
+    point = gaussian.protocol_point(1.0, 0.3, 0.9, 0.8)
+    gaussian_result, fock_result = protocol.run_gaussian(config), protocol.run_fock(config)
+    assert protocol.ProtocolResult is gaussian.ProtocolResult
+    # the signal is stored once, as the moments' <n>
+    assert "signal" not in gaussian.ProtocolResult.__slots__
+    for result in (point, gaussian_result, fock_result):
+        assert type(result) is gaussian.ProtocolResult
+        assert result.signal == result.moments.m_n
+        with pytest.raises(AttributeError):
+            result.signal = 0.0
+    # the Gaussian record carries the kernel's slope; the Fock engine reads none
+    kernel_slope = gaussian.protocol_row(1.0, 0.3, [(0.9, 0.8)])[0][3]
+    assert gaussian_result.slope == point.slope == kernel_slope
+    assert fock_result.slope is None
+    assert fock_result.phase_error is None
 
 
 class TestRunGaussian:
@@ -290,7 +322,7 @@ def density_matrix_moments(config):
     of 1e-9 bounds weight, not fourth moments), and both losses are the
     Kraus sum of ``test_fock.kraus_loss``.
     """
-    r = config.r_value
+    r = config.r
     probe, _ = fock.padded_squeezed_vacuum(r, config.cutoff)
     rho = kraus_loss(density(fock.phase_shift(probe, -config.phi)), config.eta1)
     dim = rho.shape[0]
@@ -371,6 +403,12 @@ class TestComparisonReport:
             assert report.rel_deviation(attr) <= 1e-10, attr
 
 
+def fock_curve(phi):
+    """phi -> (signal, variance) of Fock runs at r 0.5, eta1 = eta2 = 0.9, cutoff 48."""
+    result = protocol.run_fock(protocol.ProtocolConfig(phi, r=0.5, eta1=0.9, eta2=0.9, cutoff=48))
+    return result.signal, result.variance
+
+
 class TestErrorPropagation:
     def test_lossless_limit(self):
         curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=1e-4, n_bar=1.0))
@@ -397,6 +435,25 @@ class TestErrorPropagation:
         )
         assert protocol.error_propagation(lossy, 0.3) == 0.3897652173876287
 
+    def test_stencil_refusal_names_the_callers_phase(self):
+        # the Fock curve refuses the stencil's phases outside [0, pi/2]; the
+        # error names the phase asked for and the step, then the curve's words
+        for phi, stencil in ((5e-5, -5e-5), (1.5707, 1.5708)):
+            with pytest.raises(ValueError) as info:
+                protocol.error_propagation(fock_curve, phi)
+            message = str(info.value)
+            assert message.startswith(f"cannot differentiate at phi={phi!r}: ")
+            assert f"DERIVATIVE_STEP={co.DERIVATIVE_STEP!r}" in message
+            assert message.endswith(f"phi={stencil!r} outside [0, pi/2]")
+            assert str(info.value.__cause__) == f"phi={stencil!r} outside [0, pi/2]"
+
+    def test_curve_accepting_every_stencil_phase_is_untouched(self):
+        # the Gaussian curve takes phi - h < 0 without refusing
+        curve = protocol.gaussian_signal_curve(
+            protocol.ProtocolConfig(phi=5e-5, n_bar=1.0, eta1=0.9, eta2=0.9)
+        )
+        assert protocol.error_propagation(curve, 5e-5) == 521.7328447728306
+
     def test_extremum_has_no_information(self):
         curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=0.3, n_bar=1.0))
         with pytest.raises(protocol.VanishingDerivativeError):
@@ -413,14 +470,8 @@ class TestErrorPropagation:
 
     def test_fock_curve_route(self):
         config = protocol.ProtocolConfig(phi=0.2, r=0.5, eta1=0.9, eta2=0.9, cutoff=48)
-
-        def fock_curve(phi):
-            moved = protocol.ProtocolConfig(phi, r=0.5, eta1=0.9, eta2=0.9, cutoff=48)
-            result = protocol.run_fock(moved)
-            return result.signal, result.variance
-
         propagated = protocol.error_propagation(fock_curve, 0.2)
-        closed = gaussian.phase_error(config.n_bar_value, 0.2, 0.9)
+        closed = gaussian.phase_error(config.n_bar, 0.2, 0.9)
         assert propagated == pytest.approx(closed, rel=1e-5)
 
 

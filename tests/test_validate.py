@@ -23,14 +23,18 @@ def test_tampered_phase_error_coefficient_is_caught(monkeypatch):
 
     def tampered(n_bar, phi, eta1=1.0, eta2=1.0):
         point = original(n_bar, phi, eta1, eta2)
-        variance = point.signal**2 + 1.01 * point.signal + abs(point.m_aa) ** 2
+        variance = point.signal**2 + 1.01 * point.signal + abs(point.moments.m_aa) ** 2
         error = point.phase_error * math.sqrt(variance / point.variance)
-        return point._replace(variance=variance, phase_error=error)
+        return gaussian.ProtocolResult(
+            point.moments, variance, point.slope, error, point.phase_error_is_limit
+        )
 
     monkeypatch.setattr(gaussian, "protocol_point", tampered)
     report = validate.run_checks("quick")
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
     assert "noisy-phase-error-transcription" in failed
+    # measured, not crashed: run_checks reports a check that raises as failed too
+    assert math.isfinite(failed["noisy-phase-error-transcription"]["observed"])
     assert report["passed"] is False
 
 
@@ -41,7 +45,10 @@ def test_tampered_slope_coefficient_is_caught(monkeypatch):
 
     def tampered(n_bar, phi, eta1=1.0, eta2=1.0):
         point = original(n_bar, phi, eta1, eta2)
-        return point._replace(slope=1.01 * point.slope, phase_error=point.phase_error / 1.01)
+        return gaussian.ProtocolResult(
+            point.moments, point.variance, 1.01 * point.slope, point.phase_error / 1.01,
+            point.phase_error_is_limit,
+        )
 
     monkeypatch.setattr(gaussian, "protocol_point", tampered)
     observed, _ = validate.check_phase_error_transcription(samples=5)
