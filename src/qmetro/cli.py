@@ -138,22 +138,23 @@ def _parse_grid(raw: str, name: str) -> list[float]:
         raise UsageError(f"--{name}: expected comma-separated numbers, got {raw!r}") from exc
 
 
-def _check_sweep_axes(n_bars: list[float], phis: list[float], etas: list[float]) -> None:
-    """Refuse sweep axes that are empty, not finite and positive, or not increasing."""
-    for name, values in (("nbar", n_bars), ("phi", phis), ("eta", etas)):
+def _check_sweep_axes(n_bars: list, phis: list, etas: list, n_bar_option: str) -> None:
+    """Refuse an empty or unordered axis, or a value its check (by option) or the sweep refuses."""
+    for name, values, check in ((n_bar_option, n_bars, gaussian.check_n_bar),
+                                ("--phi", phis, gaussian.check_phi),
+                                ("--eta", etas, gaussian.check_eta)):
         if not values:
-            raise UsageError(f"--{name}: empty grid")
-        if not all(0.0 < v < math.inf for v in values):
-            raise UsageError(f"--{name}: values must be finite and positive")
+            raise UsageError(f"{name}: empty grid")
+        for value in values:
+            check(value, name)
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise UsageError(f"--{name}: grid must be strictly increasing")
-    if any(v >= math.pi / 2 for v in phis):
-        raise UsageError("--phi: sweep values must be below pi/2 (signal extremum)")
-    for eta in etas:
-        gaussian.check_eta(eta)
-    # the smallest values: the grids increase
-    gaussian.check_n_bar(n_bars[0])
-    gaussian.check_phi(phis[0])
+            raise UsageError(f"{name}: grid must be strictly increasing")
+    # the sweep's own, narrower domain: the axes increase, so their ends decide
+    for phi in (phis[0], phis[-1]):
+        if not 0.0 < phi < gaussian.HALF_PI:
+            raise UsageError(f"--phi={phi!r} outside (0, pi/2): a sweep excludes the extrema")
+    if etas[0] == 0.0:
+        raise UsageError(f"--eta={etas[0]!r} outside (0, 1]: a sweep needs light at the detector")
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +163,9 @@ def _check_sweep_axes(n_bars: list[float], phis: list[float], etas: list[float])
 
 
 def cmd_table(args) -> int:
-    if args.cutoff is not None and args.cutoff < 1:
-        raise UsageError("--cutoff must be >= 1")
-    co.check_table_n_bar(args.nbar)
+    if args.cutoff is not None:
+        gaussian.check_cutoff(args.cutoff, "--cutoff", 1)
+    co.check_table_n_bar(args.nbar, "--nbar")
     rows = []
     for family in co.ProbeFamily:
         try:
@@ -249,6 +250,12 @@ def _protocol_config(args) -> protocol.ProtocolConfig:
         raise UsageError("give exactly one of --nbar and --r")
     if args.eta is not None and (args.eta1 is not None or args.eta2 is not None):
         raise UsageError("give --eta or --eta1/--eta2, not both")
+    checks = {"nbar": gaussian.check_n_bar, "r": gaussian.check_r, "eta": gaussian.check_eta,
+              "eta1": gaussian.check_eta, "eta2": gaussian.check_eta, "phi": gaussian.check_phi,
+              "cutoff": gaussian.check_cutoff}
+    for option, check in checks.items():  # as typed; the config checks the values again
+        if getattr(args, option) is not None:
+            check(getattr(args, option), f"--{option}")
     eta1 = args.eta if args.eta is not None else (args.eta1 if args.eta1 is not None else 1.0)
     eta2 = args.eta if args.eta is not None else (args.eta2 if args.eta2 is not None else 1.0)
     return protocol.ProtocolConfig(
@@ -263,19 +270,18 @@ def cmd_sweep(args) -> int:
         n_bars = _parse_grid(args.nbar, "nbar")
     elif args.nbar_logspace is not None:
         lo, hi, count = args.nbar_logspace
-        if not all(math.isfinite(v) for v in args.nbar_logspace):
-            raise UsageError("--nbar-logspace: MIN, MAX and COUNT must be finite numbers")
-        if lo <= 0 or hi <= lo or count < 1:
-            raise UsageError("--nbar-logspace needs 0 < MIN < MAX and COUNT >= 1")
-        if count != int(count):
-            raise UsageError(f"--nbar-logspace: COUNT must be a whole number, got {count!r}")
+        gaussian.check_n_bar(lo, "--nbar-logspace MIN")
+        gaussian.check_value(count, "--nbar-logspace COUNT", 1)
+        if not lo < hi < math.inf or count != int(count):
+            raise UsageError("--nbar-logspace needs a finite MAX above MIN and a whole COUNT")
         count = int(count)
         n_bars = [lo * (hi / lo) ** (i / max(count - 1, 1)) for i in range(count)]
     else:
         raise UsageError("give --nbar or --nbar-logspace")
     phi_values = _parse_grid(args.phi, "phi")
     eta_values = _parse_grid(args.eta, "eta")
-    _check_sweep_axes(n_bars, phi_values, eta_values)
+    _check_sweep_axes(n_bars, phi_values, eta_values,
+                      "--nbar" if args.nbar is not None else "--nbar-logspace")
     # rows holds JSON value rows, or CSV lines joined into blocks of at most
     # SWEEP_BLOCK_ROWS lines (module docstring)
     csv = args.format == "csv"

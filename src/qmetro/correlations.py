@@ -25,7 +25,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import fock
-from .gaussian import Frozen, relative_deviation
+from .gaussian import Frozen, check_n_bar, relative_deviation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -248,13 +248,12 @@ class TableRow(Frozen):
         )
 
 
-def check_table_n_bar(n_bar: float) -> None:
-    """Refuse an n_bar that is not finite and positive, or above TABLE_NBAR_LIMIT."""
-    if not 0.0 < n_bar < math.inf:
-        raise ValueError(f"n_bar must be a finite positive number, got {n_bar!r}")
+def check_table_n_bar(n_bar: float, name: str = "n_bar") -> None:
+    """Refuse an n_bar that :func:`gaussian.check_n_bar` refuses, or above TABLE_NBAR_LIMIT."""
+    check_n_bar(n_bar, name)
     if n_bar > TABLE_NBAR_LIMIT:
         raise ValueError(
-            f"n_bar={n_bar!r} is too large: the closed forms overflow a double above "
+            f"{name}={n_bar!r} is too large: the closed forms overflow a double above "
             f"{TABLE_NBAR_LIMIT:g}"
         )
 
@@ -266,7 +265,9 @@ def table_row(state_id: ProbeFamily | str, n_bar: float) -> TableRow:
     two-mode squeezed vacuum where it is the per-mode occupancy sinh^2(r)
     (the standard convention for that state, and the only reading consistent
     with its Q = n_bar row).  The entangled-coherent row additionally
-    requires e^{-n_bar} < 1e-6, the regime its closed forms assume.
+    requires e^{-n_bar} < 1e-6, the regime its closed forms assume, and the
+    amplified-Bell row n_bar >= 1 (the Bell pair itself at 1): below 1 its
+    Q and J leave their physical ranges.
     """
     family = ProbeFamily(state_id)
     check_table_n_bar(n_bar)
@@ -287,6 +288,8 @@ def table_row(state_id: ProbeFamily | str, n_bar: float) -> TableRow:
             (2.0 * n + n * s + n**2) / 2.0,
         )
     if family is ProbeFamily.AMPLIFIED_BELL:
+        if n < 1.0:
+            raise ValueError(f"amplified-Bell closed forms need n_bar >= 1; got n_bar={n}")
         return TableRow(
             family,
             n,

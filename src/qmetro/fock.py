@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import SQUEEZE_DEFICIT_LIMIT, Frozen, TruncationOverflowError, check_eta
+from .gaussian import SQUEEZE_DEFICIT_LIMIT, Frozen, TruncationOverflowError, check_eta, check_value
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 # Constructors refuse to return a state missing more weight than this.
@@ -53,8 +53,8 @@ class EmptyProjectionError(ValueError):
     """Projection onto a subspace the state has numerically no support on."""
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
+def _frozen(array: np.ndarray, copy: bool = True) -> np.ndarray:
+    out = np.array(array, dtype=complex) if copy else np.asarray(array, dtype=complex)
     out.flags.writeable = False
     return out
 
@@ -111,14 +111,16 @@ class MixedState(Frozen):
     ket phi_k, and the squared norms sum to the trace, which must lie in
     ``[1 - truncation_tol, 1]``.  Held this way rho is Hermitian and positive
     by construction, and never formed.  :func:`loss` makes one from a ket.
-    Immutable like the other states.
+    Immutable like the other states: the constructor copies ``branches``,
+    except from :func:`loss`, which hands over a complex array it owns.
     """
 
     __slots__ = ("branches", "truncation_tol")
     modes = 1
 
-    def __init__(self, branches: np.ndarray, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
-        branches = _frozen(branches)
+    def __init__(self, branches: np.ndarray, truncation_tol: float = DEFAULT_TRUNCATION_TOL,
+                 *, _owned: bool = False):
+        branches = _frozen(branches, copy=not _owned)
         if branches.ndim != 2 or 0 in branches.shape:
             raise ValueError(f"expected a (cutoff + 1, K) branch array, got {branches.shape}")
         self._init(branches, truncation_tol)
@@ -185,8 +187,7 @@ def squeezed_vacuum(r: float, phi: float, cutoff: int) -> PureState:
 
 
 def _squeezed_vacuum_amplitudes(r: float, phi: float, cutoff: int) -> np.ndarray:
-    if r < 0:
-        raise ValueError("squeezing magnitude r must be >= 0 (the axis is set by phi)")
+    check_value(r, "r", 0.0)  # the axis is set by phi
     if cutoff < 2 and r > 0:
         raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -265,8 +266,7 @@ def entangled_coherent(alpha: complex, cutoff: int) -> PureState:
 
 def two_mode_squeezed_vacuum(r: float, cutoff: int) -> PureState:
     """Schmidt series sum_n tanh(r)^n / cosh(r) |n,n>."""
-    if r < 0:
-        raise ValueError("squeezing magnitude r must be >= 0")
+    check_value(r, "r", 0.0)
     n = np.arange(cutoff + 1)
     schmidt = np.tanh(r) ** n / np.cosh(r)
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
@@ -519,7 +519,8 @@ def loss(state: PureState, eta: float) -> MixedState:
     k photons are lost, whose squared norm is the probability of that.  The
     leading branches are kept by the rule of :func:`_trim`; the dropped
     ones' weight leaves the trace, so it shows in ``trace_deficit``.  B is
-    evaluated 64 rows at a time, so nothing of size (cutoff + 1)^2 is formed.
+    evaluated 64 rows at a time, so nothing of size (cutoff + 1)^2 is formed,
+    and the branches are written once, C-ordered, and not copied again.
     """
     check_eta(eta)
     _check_single_mode_ket(state, "loss")
@@ -542,9 +543,10 @@ def loss(state: PureState, eta: float) -> MixedState:
             for k in range(0, dim, 64)
         ])
         keep, dropped = _trim(weights, 1)
-        branches = (_loss_band(eta, dim, 0, keep) * shifted[:keep]).T
+        branches = np.multiply(_loss_band(eta, dim, 0, keep).T, shifted[:keep].T, order="C")
     return MixedState(
-        branches, truncation_tol=_tol_for(state.norm_deficit + dropped, base=state.truncation_tol)
+        branches, truncation_tol=_tol_for(state.norm_deficit + dropped, base=state.truncation_tol),
+        _owned=True,
     )
 
 

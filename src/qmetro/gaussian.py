@@ -23,7 +23,9 @@ standard library: two moments gain nothing from numpy, and Gaussian
 commands never import it.
 
 It is also the bottom of the package's import graph, so it holds what every
-engine shares: :func:`check_eta`, :func:`check_phi`, :func:`check_n_bar`,
+engine shares: one check per input (:func:`check_n_bar`, :func:`check_r`,
+:func:`check_phi`, :func:`check_eta`, :func:`check_cutoff`), each naming the
+value as its caller spells it, all worded by :func:`check_value`;
 :func:`relative_deviation` (the one measure by which qmetro compares two
 values: the cross-engine report, ``validate``'s budgets and ``table``'s
 ``max_rel_dev``), the squeeze budget ``SQUEEZE_DEFICIT_LIMIT``, the error
@@ -44,6 +46,8 @@ PHI_FLOOR = 1e-150
 #: Smallest mean photon number accepted: with n_bar and phi at least their
 #: floors, the slope's factor n (n+1) sin 2phi >= 2e-300 does not underflow.
 N_BAR_FLOOR = 1e-150
+#: Smallest squeezing parameter accepted: the least double r with sinh^2 r >= N_BAR_FLOOR.
+R_FLOOR = 1.0000000000000001e-75
 #: Squeezing refuses when the result spills more weight than this past the
 #: cutoff.  The Fock oracle enforces it (:mod:`qmetro.fock` binds the same
 #: value); the protocol's default cutoff is derived from it.
@@ -67,42 +71,53 @@ class TruncationOverflowError(RuntimeError):
     """
 
 
-def check_eta(eta: float) -> None:
-    """Refuse a transmissivity outside [0, 1], NaN included."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity eta={eta!r} outside [0, 1]")
+def check_value(value: float, name: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """Refuse, by ``name``, a value that is not a finite number or lies outside [low, high]."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name}={value!r} is not a finite number")
+    if not low <= value <= high:
+        top = "inf)" if high == math.inf else "pi/2]" if high == HALF_PI else f"{high:g}]"
+        raise ValueError(f"{name}={value!r} outside [{low:g}, {top}")
 
 
-def check_phi(phi: float) -> None:
-    """Refuse a phase that is not finite, outside [0, pi/2], or between 0 and ``PHI_FLOOR``.
+def _floor(name: str, value: float, what: str, floor: float, why: str) -> ValueError:
+    return ValueError(f"{name}={value!r} is below the smallest {what} {floor!r}, where {why}; "
+                      f"use {name} >= {floor!r}")
 
-    phi = 0 stays allowed: its lossless limit is analytic.
-    """
-    if not math.isfinite(phi):
-        raise ValueError(f"phi={phi!r} is not a finite number")
-    if not 0.0 <= phi <= HALF_PI:
-        raise ValueError(f"phi={phi!r} outside [0, pi/2]")
+
+def check_eta(eta: float, name: str = "eta") -> None:
+    """Refuse a transmissivity outside [0, 1]."""
+    check_value(eta, name, 0.0, 1.0)
+
+
+def check_phi(phi: float, name: str = "phi") -> None:
+    """Refuse a phase outside [0, pi/2] or below ``PHI_FLOOR``; phi = 0 has an analytic limit."""
+    check_value(phi, name, 0.0, HALF_PI)
     if 0.0 < phi < PHI_FLOOR:
-        raise ValueError(
-            f"phi={phi!r} is below the smallest nonzero phase {PHI_FLOOR:g}, where "
-            f"sin^2 phi underflows; use phi = 0 or phi >= {PHI_FLOOR:g}"
-        )
+        raise _floor(name, phi, "nonzero phase", PHI_FLOOR, "sin^2 phi underflows")
 
 
-def check_n_bar(n_bar: float) -> None:
-    """Refuse a mean photon number that is not finite and positive, or is below ``N_BAR_FLOOR``.
-
-    Below the floor the signal slope, 4 eta1 eta2 n (n+1) sin 2phi,
-    underflows to 0 at small phases even without loss, and the phase error
-    comes out empty.
-    """
-    if not 0.0 < n_bar < math.inf:
-        raise ValueError(f"n_bar must be a finite positive number, got {n_bar!r}")
+def check_n_bar(n_bar: float, name: str = "n_bar") -> None:
+    """Refuse a mean photon number below ``N_BAR_FLOOR``, 0 included."""
+    check_value(n_bar, name, 0.0)
     if n_bar < N_BAR_FLOOR:
-        raise ValueError(
-            f"n_bar={n_bar!r} is below the smallest mean photon number {N_BAR_FLOOR:g}, "
-            f"where the signal slope underflows; use n_bar >= {N_BAR_FLOOR:g}"
-        )
+        raise _floor(name, n_bar, "mean photon number", N_BAR_FLOOR, "the signal slope underflows")
+
+
+def check_r(r: float, name: str = "r") -> None:
+    """Refuse a squeezing parameter below ``R_FLOOR``, or so large that sinh^2 r overflows."""
+    check_value(r, name, 0.0)
+    if r < R_FLOOR:
+        raise _floor(name, r, "squeezing parameter", R_FLOOR, f"sinh^2 r < {N_BAR_FLOOR!r}")
+    try:
+        math.sinh(r) ** 2
+    except OverflowError:
+        raise ValueError(f"{name}={r!r} is too large: sinh^2 r overflows") from None
+
+
+def check_cutoff(cutoff: int, name: str = "cutoff", least: int = 2) -> None:
+    """Refuse a Fock cutoff below ``least``: 2 holds a squeezed vacuum, 1 a catalogue probe."""
+    check_value(cutoff, name, least)
 
 
 def relative_deviation(a: complex, b: complex) -> float:
@@ -241,9 +256,8 @@ def protocol_row(n_bar: float, phi: float, eta_pairs) -> list[tuple]:
     per point.  Each expression keeps the operation order of the one-point
     form, so a row's values do not depend on which pairs it holds.
 
-    The arguments are not validated here; callers check them once
-    (``ProtocolConfig``, the sweep axes, the views below).  Expected:
-    n_bar >= 0, phi = 0 or PHI_FLOOR <= phi <= pi/2, and 0 <= eta1, eta2 <= 1.
+    The arguments are not validated here: callers run the checks above once
+    (``ProtocolConfig``, the sweep axes, the views below; n_bar = 0 allowed).
     Raises ValueError when n_bar is so large that the variance overflows a
     double, or when the slope is nonzero but the variance underflows (tiny
     n_bar and phi), where the phase error would come out as 0.
@@ -295,19 +309,13 @@ def protocol_point(
     return ProtocolResult(MomentVector(m_aa, signal), variance, slope, error, is_limit)
 
 
-def _check_protocol_params(n_bar: float, phi: float, eta: float) -> None:
-    """Refuse a point outside the kernel's domain, naming the parameter.
-
-    n_bar must be finite and >= 0 and not below ``N_BAR_FLOOR`` unless 0
-    (:func:`check_n_bar`), phi in [0, pi/2] and not below ``PHI_FLOOR``
-    unless 0 (:func:`check_phi`), and eta in [0, 1].
-    """
-    if not 0.0 <= n_bar < math.inf:
-        raise ValueError(f"n_bar must be finite and >= 0, got {n_bar!r}")
-    if n_bar > 0.0:
+def _view(n_bar: float, phi: float, eta: float) -> ProtocolResult:
+    """The views' point, refused by the checks above (n_bar = 0 allowed)."""
+    if n_bar != 0.0:
         check_n_bar(n_bar)
     check_phi(phi)
     check_eta(eta)
+    return protocol_point(n_bar, phi, eta, eta)
 
 
 def signal(n_bar: float, phi: float, eta: float = 1.0) -> float:
@@ -315,14 +323,12 @@ def signal(n_bar: float, phi: float, eta: float = 1.0) -> float:
 
     With eta = 1 this reduces to 4 n (n+1) sin^2(phi).
     """
-    _check_protocol_params(n_bar, phi, eta)
-    return protocol_point(n_bar, phi, eta, eta).signal
+    return _view(n_bar, phi, eta).signal
 
 
 def signal_slope(n_bar: float, phi: float, eta: float = 1.0) -> float:
     """d signal / d phi = 4 eta^2 n (n+1) sin 2phi."""
-    _check_protocol_params(n_bar, phi, eta)
-    return protocol_point(n_bar, phi, eta, eta).slope
+    return _view(n_bar, phi, eta).slope
 
 
 def phase_error(n_bar: float, phi: float, eta: float = 1.0) -> float:
@@ -333,10 +339,9 @@ def phase_error(n_bar: float, phi: float, eta: float = 1.0) -> float:
     with loss the slope of the signal vanishes there and the error diverges,
     so the call is refused, as it is at the signal maximum phi = pi/2.
     """
-    _check_protocol_params(n_bar, phi, eta)
+    error = _view(n_bar, phi, eta).phase_error
     if n_bar == 0.0 or eta == 0.0:
         raise ValueError("n_bar and eta must be positive")
-    error = protocol_point(n_bar, phi, eta, eta).phase_error
     if error is None:
         raise SingularOperatingPointError(
             f"the signal slope vanishes at phi={phi!r} with eta={eta!r}, so the phase "
@@ -381,11 +386,10 @@ def _protocol_pass(r: float, phi: float, eta1: float, eta2: float) -> tuple[Mome
     depends on phi, so the derivative starts there and is carried through
     the linear part of each later stage; loss scales both moments by eta.
     """
-    for name, value in (("r", r), ("phi", phi)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    check_eta(eta1)
-    check_eta(eta2)
+    check_value(r, "r")
+    check_value(phi, "phi")
+    check_eta(eta1, "eta1")
+    check_eta(eta2, "eta2")
     aa, n, _, _ = _squeeze(r, 0j, 0.0, 0j, 0.0)
     turn = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
     d_aa = -2j * turn * aa

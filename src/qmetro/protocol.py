@@ -52,10 +52,10 @@ class ProtocolConfig(Frozen):
 
     Exactly one of ``n_bar`` (mean probe photons sinh^2 r) and ``r`` is
     given; the other is derived from it on construction, and both are
-    stored.  ``r`` must be positive: a negative r would squeeze the Fock
-    probe along the other axis.  ``cutoff`` only affects the Fock engine;
-    when omitted, :func:`default_cutoff` supplies it (:attr:`cutoff_value`,
-    resolved on first read, because the default may refuse).
+    stored.  Each value is refused by its ``gaussian`` check, by keyword
+    (cutoff >= 2).  ``cutoff`` only affects the Fock engine; when omitted,
+    :func:`default_cutoff` supplies it (:attr:`cutoff_value`, resolved on
+    first read, because the default may refuse).
     """
 
     __slots__ = ("phi", "n_bar", "r", "eta1", "eta2", "cutoff")
@@ -69,26 +69,19 @@ class ProtocolConfig(Frozen):
         eta2: float = 1.0,
         cutoff: int | None = None,
     ) -> None:
-        for name, value in (("n_bar", n_bar), ("r", r), ("eta1", eta1), ("eta2", eta2)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if (n_bar is None) == (r is None):
             raise ValueError("give exactly one of n_bar and r")
-        if r is not None and r <= 0:
-            raise ValueError("r must be positive")
         if n_bar is None:
-            try:
-                n_bar = math.sinh(r) ** 2
-            except OverflowError:
-                raise ValueError(f"r={r!r} is too large: sinh^2 r overflows") from None
-        gaussian.check_n_bar(n_bar)
-        if r is None:
+            gaussian.check_r(r)
+            n_bar = math.sinh(r) ** 2
+        else:
+            gaussian.check_n_bar(n_bar)
             r = math.asinh(math.sqrt(n_bar))
-        gaussian.check_eta(eta1)
-        gaussian.check_eta(eta2)
+        gaussian.check_eta(eta1, "eta1")
+        gaussian.check_eta(eta2, "eta2")
         gaussian.check_phi(phi)
-        if cutoff is not None and cutoff < 2:
-            raise ValueError("cutoff must be >= 2")
+        if cutoff is not None:
+            gaussian.check_cutoff(cutoff)
         self._init(phi, n_bar, r, eta1, eta2, cutoff)
 
     @property

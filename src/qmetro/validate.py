@@ -24,14 +24,14 @@ def check_table_closed_form_identity() -> tuple[float, str]:
     """Every catalogue row satisfies qfi = n (1 + Q)(1 - J)."""
     worst = 0.0
     for family in co.ProbeFamily:
-        for n_bar in (1.0, 2.0, 4.0, 8.5, 20.0, 400.0):
+        for n_bar in (0.5, 1.0, 2.0, 4.0, 8.5, 20.0, 400.0):
             try:
                 row = co.table_row(family, n_bar)
             except ValueError:
                 continue
             identity = co.path_symmetric_qfi(row.n_bar, row.q, row.j)
             worst = max(worst, gaussian.relative_deviation(row.qfi, identity))
-    return worst, "all families, n_bar grid {1, 2, 4, 8.5, 20, 400}"
+    return worst, "all families, n_bar grid {0.5, 1, 2, 4, 8.5, 20, 400}"
 
 
 def check_table_oracle(n_bars: tuple[float, ...]) -> tuple[float, str]:

@@ -58,9 +58,9 @@ class TestTableCommand:
         assert "oracle_q" not in rows["amplified_bell"]
 
     def test_rejects_empty_probe(self, capsys):
-        code, _, err = run(capsys, "table", "--nbar", "0")
-        assert code == 2
-        assert "positive" in err
+        code, out, err = run(capsys, "table", "--nbar", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {NBAR_FLOOR_REFUSAL.format('0.0')}\n"
 
     def test_csv_layout(self, capsys):
         code, out, _ = run(capsys, "table", "--nbar", "2")
@@ -113,7 +113,20 @@ class TestTableCommand:
         code, out, err = run(capsys, "table", "--nbar", "2", *oracle, "--cutoff", cutoff)
         assert code == 2
         assert out == ""
-        assert "--cutoff must be >= 1" in err
+        assert err == f"error: --cutoff={cutoff} outside [1, inf)\n"
+
+    @pytest.mark.parametrize("n_bar", ["0.5", "0.9"])
+    def test_amplified_bell_row_below_one_photon_is_unavailable(self, capsys, n_bar):
+        # below n_bar 1 its closed forms give unphysical Q, J and QFI
+        code, out, _ = run(capsys, "table", "--nbar", n_bar, "--format", "json")
+        assert code == 0
+        rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
+        assert rows["amplified_bell"] == {
+            "state_id": "amplified_bell", "n_bar": float(n_bar),
+            "note": "closed form unavailable: amplified-Bell closed forms need n_bar >= 1; "
+                    f"got n_bar={n_bar}",
+        }
+        assert rows["noon"]["qfi"] == float(n_bar) ** 2
 
     @pytest.mark.parametrize("n_bar", ["6e153", "1.3e154", "1e155", "1e300"])
     def test_refuses_an_nbar_whose_closed_forms_overflow(self, capsys, n_bar):
@@ -417,11 +430,124 @@ def test_non_finite_input_is_refused(capsys, argv):
     assert "finite" in err
 
 
-@pytest.mark.parametrize("n_bar", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("n_bar", ["nan", "inf", "-1", "0", "1e-200"])
 def test_table_refuses_n_bar_once_by_name(capsys, n_bar):
     code, out, err = run(capsys, "table", "--nbar", n_bar)
     assert (code, out) == (2, "")
-    assert err == f"error: n_bar must be a finite positive number, got {float(n_bar)!r}\n"
+    assert err == f"error: {REFUSED_LINES['--nbar', n_bar]}\n"
+
+
+#: The floor's refusal of a mean photon number, by --nbar.
+NBAR_FLOOR_REFUSAL = ("--nbar={} is below the smallest mean photon number 1e-150, where the "
+                      "signal slope underflows; use --nbar >= 1e-150")
+#: Each refused value of a shared option, and the one line every command that
+#: takes the option prints for it.
+REFUSED_LINES = {
+    ("--nbar", "nan"): "--nbar=nan is not a finite number",
+    ("--nbar", "inf"): "--nbar=inf is not a finite number",
+    ("--nbar", "-1"): "--nbar=-1.0 outside [0, inf)",
+    ("--nbar", "0"): NBAR_FLOOR_REFUSAL.format("0.0"),
+    ("--nbar", "1e-200"): NBAR_FLOOR_REFUSAL.format("1e-200"),
+    ("--phi", "nan"): "--phi=nan is not a finite number",
+    ("--phi", "2"): "--phi=2.0 outside [0, pi/2]",
+    ("--phi", "1e-200"): "--phi=1e-200 is below the smallest nonzero phase 1e-150, where "
+                         "sin^2 phi underflows; use --phi >= 1e-150",
+    ("--eta", "nan"): "--eta=nan is not a finite number",
+    ("--eta", "1.5"): "--eta=1.5 outside [0, 1]",
+}
+#: Every command, with accepted values of the options it takes.
+GOOD_OPTIONS = {
+    "protocol": {"--nbar": "1", "--phi": "0.3", "--eta": "0.9"},
+    "sweep": {"--nbar": "1", "--phi": "0.1", "--eta": "0.9"},
+    "table": {"--nbar": "2"},
+}
+
+
+@pytest.mark.parametrize("option,value", list(REFUSED_LINES),
+                         ids=[f"{option}={value}" for option, value in REFUSED_LINES])
+def test_a_refused_value_gets_the_same_line_in_every_command(capsys, option, value):
+    commands = [command for command, options in GOOD_OPTIONS.items() if option in options]
+    assert len(commands) == (3 if option == "--nbar" else 2)
+    for command in commands:
+        options = {**GOOD_OPTIONS[command], option: value}
+        argv = [command] + [f"{k}={v}" for k, v in options.items()]
+        assert run(capsys, *argv) == (2, "", f"error: {REFUSED_LINES[option, value]}\n"), argv
+
+
+#: The refusals that belong to one command or one option, each with its line.
+COMMAND_REFUSALS = [
+    (("protocol", "--r=1e-160", "--phi=0.01"),
+     "--r=1e-160 is below the smallest squeezing parameter 1.0000000000000001e-75, where "
+     "sinh^2 r < 1e-150; use --r >= 1.0000000000000001e-75"),
+    (("protocol", "--r=1e-160", "--phi=0.1", "--engine=fock"),
+     "--r=1e-160 is below the smallest squeezing parameter 1.0000000000000001e-75, where "
+     "sinh^2 r < 1e-150; use --r >= 1.0000000000000001e-75"),
+    (("protocol", "--r=1e-75", "--phi=0.3"),
+     "--r=1e-75 is below the smallest squeezing parameter 1.0000000000000001e-75, where "
+     "sinh^2 r < 1e-150; use --r >= 1.0000000000000001e-75"),
+    (("protocol", "--r=nan", "--phi=0.3"), "--r=nan is not a finite number"),
+    (("protocol", "--r=-0.5", "--phi=0.3"), "--r=-0.5 outside [0, inf)"),
+    (("protocol", "--r=400", "--phi=0.3"), "--r=400.0 is too large: sinh^2 r overflows"),
+    (("protocol", "--nbar=1", "--phi=0.3", "--eta1=nan"), "--eta1=nan is not a finite number"),
+    (("protocol", "--nbar=1", "--phi=0.3", "--eta2=-0.1"), "--eta2=-0.1 outside [0, 1]"),
+    (("protocol", "--nbar=1", "--phi=0.3", "--cutoff=1"), "--cutoff=1 outside [2, inf)"),
+    (("protocol", "--nbar=1", "--phi=0.3", "--engine=fock", "--cutoff=0"),
+     "--cutoff=0 outside [2, inf)"),
+    (("protocol", "--phi=0.3"), "give exactly one of --nbar and --r"),
+    (("protocol", "--nbar=1", "--phi=0.3", "--eta=0.9", "--eta2=1"),
+     "give --eta or --eta1/--eta2, not both"),
+    (("protocol", "--nbar=1", "--phi=0", "--eta=0.9"),
+     "singular operating point: phi = 0 with loss: the signal carries no phase information "
+     "to first order; operate at a small nonzero phi"),
+    (("protocol", "--nbar=1", "--phi=0.3", "--eta2=0"),
+     "eta2 = 0: no light reaches the detector, so the phase error is undefined"),
+    (("table", "--nbar=2", "--cutoff=0"), "--cutoff=0 outside [1, inf)"),
+    (("table", "--nbar=6e153"),
+     "--nbar=6e+153 is too large: the closed forms overflow a double above 5e+153"),
+    (("sweep", "--nbar=1", "--phi=0,0.1", "--eta=0.9"),
+     "--phi=0.0 outside (0, pi/2): a sweep excludes the extrema"),
+    (("sweep", "--nbar=1", "--phi=0.1,1.5707963267948966", "--eta=0.9"),
+     "--phi=1.5707963267948966 outside (0, pi/2): a sweep excludes the extrema"),
+    (("sweep", "--nbar=1", "--phi=0.1", "--eta=0,0.9"),
+     "--eta=0.0 outside (0, 1]: a sweep needs light at the detector"),
+    (("sweep", "--nbar=1,inf", "--phi=0.1", "--eta=0.9"), "--nbar=inf is not a finite number"),
+    (("sweep", "--nbar=1", "--phi=0.1,1e-200", "--eta=0.9"),
+     "--phi=1e-200 is below the smallest nonzero phase 1e-150, where sin^2 phi underflows; "
+     "use --phi >= 1e-150"),
+    (("sweep", "--nbar=1", "--phi=0.1", "--eta=0.5,1.5"), "--eta=1.5 outside [0, 1]"),
+    (("sweep", "--nbar=2,1", "--phi=0.1", "--eta=0.9"), "--nbar: grid must be strictly increasing"),
+    (("sweep", "--nbar=", "--phi=0.1", "--eta=0.9"), "--nbar: empty grid"),
+    (("sweep", "--nbar=1", "--phi=0.1", "--eta=x"),
+     "--eta: expected comma-separated numbers, got 'x'"),
+    (("sweep", "--phi=0.1", "--eta=0.9"), "give --nbar or --nbar-logspace"),
+    (("sweep", "--nbar=1", "--nbar-logspace", "1", "10", "3", "--phi=0.1", "--eta=0.9"),
+     "give --nbar or --nbar-logspace, not both"),
+    (("sweep", "--nbar-logspace", "1e-200", "1", "3", "--phi=0.1", "--eta=0.9"),
+     "--nbar-logspace MIN=1e-200 is below the smallest mean photon number 1e-150, where the "
+     "signal slope underflows; use --nbar-logspace MIN >= 1e-150"),
+    (("sweep", "--nbar-logspace", "1", "inf", "3", "--phi=0.1", "--eta=0.9"),
+     "--nbar-logspace needs a finite MAX above MIN and a whole COUNT"),
+    (("sweep", "--nbar-logspace", "1", "10", "0", "--phi=0.1", "--eta=0.9"),
+     "--nbar-logspace COUNT=0.0 outside [1, inf)"),
+    (("sweep", "--nbar-logspace", "1", "10", "2.5", "--phi=0.1", "--eta=0.9"),
+     "--nbar-logspace needs a finite MAX above MIN and a whole COUNT"),
+]
+
+
+@pytest.mark.parametrize("argv,line", COMMAND_REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_REFUSALS])
+def test_every_refusal_is_one_line_with_exit_code_2(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+def test_refusals_name_the_option_the_user_typed(capsys):
+    # a tiny --r is refused as --r with the r that would do, not as its n_bar
+    _, _, err = run(capsys, "protocol", "--r", "1e-160", "--phi", "0.01")
+    assert "--r=1e-160" in err and "--r >= 1.0000000000000001e-75" in err
+    assert "n_bar" not in err and "nbar" not in err
+    # --eta is passed on as both eta1 and eta2, but refused as --eta
+    _, _, err = run(capsys, "protocol", "--nbar", "1", "--phi", "0.3", "--eta", "nan")
+    assert err == "error: --eta=nan is not a finite number\n"
 
 
 #: 0 < phi < 1e-150: sin^2 phi and the squared variance terms underflow, so
@@ -467,7 +593,6 @@ def test_underflowing_variance_is_refused(capsys, argv):
 TINY_NBAR_INPUT = [
     ("protocol", "--nbar", "1e-300", "--phi", "1e-100", "--eta", "1"),
     ("protocol", "--nbar", "1e-200", "--phi", "1e-100", "--eta", "1"),
-    ("protocol", "--r", "1e-160", "--phi", "0.1", "--engine", "fock"),
     ("sweep", "--nbar", "1e-300", "--phi", "1e-100", "--eta", "1"),
     ("sweep", "--nbar", "1e-200,1", "--phi", "1e-100,0.1", "--eta", "0.5,1"),
 ]

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmetro import correlations as co
 from qmetro import fock, gaussian
+from test_gaussian import N_BAR_REFUSALS
 
 R1 = math.asinh(1.0)
 #: Maximum norm deficit a state may carry into a QFI evaluation.
@@ -233,8 +234,9 @@ class TestBenchmarks:
 
     def test_single_mode_shot_noise_is_the_gaussian_one(self):
         for n_bar in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match=rf"^n_bar must be a finite positive .*{n_bar!r}$"):
+            with pytest.raises(ValueError) as info:
                 gaussian.shot_noise_limit(n_bar)
+            assert str(info.value) == N_BAR_REFUSALS[repr(n_bar)]
 
 
 class TestTableRows:
@@ -262,8 +264,11 @@ class TestTableRows:
     def test_nonpositive_n_bar(self):
         with pytest.raises(ValueError):
             co.table_row("noon", 0.0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^n_bar=nan is not a finite number$"):
             co.table_row("noon", math.nan)
+        # the table takes n_bar from the floor the protocol does
+        with pytest.raises(ValueError, match="smallest mean photon number 1e-150"):
+            co.table_row("noon", 1e-200)
 
     def test_n_bar_above_the_overflow_limit(self):
         for family in co.ProbeFamily:
@@ -326,8 +331,24 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("n_bar", [math.nan, math.inf, -1.0])
     def test_oracle_refuses_n_bar_by_name(self, n_bar):
         # refused before the family's cutoff is computed from it
-        with pytest.raises(ValueError, match=rf"^n_bar must be a finite positive .*{n_bar!r}$"):
+        with pytest.raises(ValueError) as info:
             co.oracle_row("laser", n_bar)
+        assert str(info.value) == N_BAR_REFUSALS[repr(n_bar)]
+
+    def test_amplified_bell_needs_one_photon(self):
+        # at n_bar 1 the closed forms give the Bell pair's own values; below 1
+        # they leave the physical range: J -1.76 at 0.9, -16.2 at 0.8 (its
+        # denominator vanishes at 0.789), +1.86 at 0.7, and Q -2.19 with QFI
+        # -0.3125 at 0.5, all of which path_symmetric_qfi refuses
+        row = co.table_row("amplified_bell", 1.0)
+        assert (row.q, row.j, row.qfi) == (-0.5, -1.0, 1.0)
+        assert co.path_symmetric_qfi(row.n_bar, row.q, row.j) == row.qfi
+        for n_bar in (0.9999999999999999, 0.9, 0.8, 0.7, 0.5, 1e-3, 1e-150):
+            with pytest.raises(ValueError) as info:
+                co.table_row("amplified_bell", n_bar)
+            assert str(info.value) == (
+                f"amplified-Bell closed forms need n_bar >= 1; got n_bar={n_bar}"
+            )
 
     def test_amplified_bell_is_formula_only(self):
         with pytest.raises(ValueError):

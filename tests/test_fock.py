@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -577,6 +578,41 @@ class TestLossBranches:
             state.branches[0, 0] = 0.0
         with pytest.raises(ValueError, match="trace"):
             fock.MixedState(2.0 * state.branches)
+
+    @pytest.mark.parametrize("eta,kept", [(0.9, 81), (0.5, 333)])
+    def test_peak_memory_is_within_twice_the_branches(self, eta, kept):
+        # n_bar 9 at cutoff 400, the protocol's probe: the branches are
+        # written once, C-ordered, and handed to the state without a copy
+        # (the transposed band product, copied and ravelled twice by the
+        # trace, once peaked at 4x)
+        probe, _ = fock.padded_squeezed_vacuum(math.asinh(3.0), 400)
+        state = fock.phase_shift(probe, -0.3)
+        fock.loss(state, eta)  # warm: the first call's allocations are not the loss's own
+        tracemalloc.start()
+        try:
+            out = fock.loss(state, eta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        branches = out.branches
+        assert branches.shape == (656, kept)
+        assert branches.flags.c_contiguous and not branches.flags.writeable
+        assert peak <= 2 * branches.nbytes
+        # bitwise the branches of the band product B[k, m] psi[m + k]
+        psi = state.amplitudes
+        shifted = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([psi, np.zeros(psi.size - 1)]), psi.size
+        )
+        expected = (fock._loss_band(eta, psi.size, 0, kept) * shifted[:kept]).T
+        assert branches.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_constructor_copies_its_callers_branches(self):
+        branches = np.zeros((3, 1), dtype=complex)
+        branches[0, 0] = 1.0
+        state = fock.MixedState(branches)
+        branches[0, 0] = 0.5
+        assert state.branches[0, 0] == 1.0
+        assert not np.shares_memory(state.branches, branches)
 
     def test_needs_a_single_mode_ket(self):
         with pytest.raises(ValueError):

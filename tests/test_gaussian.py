@@ -12,6 +12,83 @@ from qmetro import gaussian as ga
 R1 = math.asinh(1.0)
 SQRT2 = math.sqrt(2.0)
 
+#: The one refusal of each bad mean photon number, as ``check_n_bar`` words it
+#: under its default name (keyed by repr, so NaN can be looked up).
+N_BAR_REFUSALS = {
+    "nan": "n_bar=nan is not a finite number",
+    "inf": "n_bar=inf is not a finite number",
+    "-1.0": "n_bar=-1.0 outside [0, inf)",
+    "0.0": "n_bar=0.0 is below the smallest mean photon number 1e-150, where the signal "
+           "slope underflows; use n_bar >= 1e-150",
+}
+
+
+class TestInputChecks:
+    """One check per input, sharing check_value's words, under the caller's name."""
+
+    @pytest.mark.parametrize("check,args", [
+        (ga.check_n_bar, ()), (ga.check_r, ()), (ga.check_phi, ()), (ga.check_eta, ()),
+        (ga.check_value, ()), (ga.check_value, (0.0, 1.0)),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_is_refused_in_one_wording(self, check, args, value):
+        with pytest.raises(ValueError) as info:
+            check(value, "--x", *args)
+        assert str(info.value) == f"--x={value!r} is not a finite number"
+
+    @pytest.mark.parametrize("check,name,value,expected", [
+        (ga.check_eta, "eta", -0.1, "{}=-0.1 outside [0, 1]"),
+        (ga.check_eta, "eta", 1.5, "{}=1.5 outside [0, 1]"),
+        (ga.check_phi, "phi", -0.1, "{}=-0.1 outside [0, pi/2]"),
+        (ga.check_phi, "phi", 2.0, "{}=2.0 outside [0, pi/2]"),
+        (ga.check_phi, "phi", 1e-200, "{0}=1e-200 is below the smallest nonzero phase 1e-150, "
+                                      "where sin^2 phi underflows; use {0} >= 1e-150"),
+        (ga.check_n_bar, "n_bar", -1.0, "{}=-1.0 outside [0, inf)"),
+        (ga.check_n_bar, "n_bar", 0.0, "{0}=0.0 is below the smallest mean photon number "
+                                       "1e-150, where the signal slope underflows; "
+                                       "use {0} >= 1e-150"),
+        (ga.check_r, "r", -0.5, "{}=-0.5 outside [0, inf)"),
+        (ga.check_r, "r", 1e-160, "{0}=1e-160 is below the smallest squeezing parameter "
+                                  "1.0000000000000001e-75, where sinh^2 r < 1e-150; "
+                                  "use {0} >= 1.0000000000000001e-75"),
+        (ga.check_r, "r", 400.0, "{}=400.0 is too large: sinh^2 r overflows"),
+        (ga.check_cutoff, "cutoff", 1, "{}=1 outside [2, inf)"),
+    ])
+    def test_a_value_outside_the_domain_is_refused_by_name(self, check, name, value, expected):
+        for given, args in ((name, ()), ("--opt", ("--opt",))):
+            with pytest.raises(ValueError) as info:
+                check(value, *args)
+            assert str(info.value) == expected.format(given)
+
+    def test_n_bar_refusals_table(self):
+        for key, expected in N_BAR_REFUSALS.items():
+            with pytest.raises(ValueError) as info:
+                ga.check_n_bar(float(key))
+            assert str(info.value) == expected
+
+    def test_domain_edges_are_accepted(self):
+        for value in (0.0, ga.PHI_FLOOR, ga.HALF_PI):
+            ga.check_phi(value)
+        for value in (0.0, 1.0):
+            ga.check_eta(value)
+        ga.check_n_bar(ga.N_BAR_FLOOR)
+        ga.check_cutoff(1, least=1)
+        ga.check_cutoff(10**400)  # an int past every double is still a cutoff
+
+    def test_r_floor_refuses_what_the_n_bar_floor_refuses(self):
+        # R_FLOOR is the least double r whose sinh^2 r reaches N_BAR_FLOOR
+        below = math.nextafter(ga.R_FLOOR, 0.0)
+        assert math.sinh(ga.R_FLOOR) ** 2 >= ga.N_BAR_FLOOR > math.sinh(below) ** 2
+        ga.check_r(ga.R_FLOOR)
+        with pytest.raises(ValueError, match="smallest squeezing parameter"):
+            ga.check_r(below)
+
+    def test_r_overflow_edge(self):
+        largest = 355.58450362725193  # the largest r whose sinh^2 r is a double
+        ga.check_r(largest)
+        with pytest.raises(ValueError, match=r"too large: sinh\^2 r overflows"):
+            ga.check_r(math.nextafter(largest, math.inf))
+
 
 class TestMomentVector:
     def test_adad_is_the_conjugate(self):
@@ -65,13 +142,15 @@ class TestStages:
         assert out.m_n == 0.9 * lossless.m_n
         assert ga.protocol_moments(R1, 0.3, 1.0, 0.0).m_n == 0.0
 
-    @pytest.mark.parametrize(
-        "etas", [(1.1, 1.0), (1.0, 1.1), (-0.1, 1.0), (1.0, math.nan)],
-        ids=["eta1-above-1", "eta2-above-1", "negative", "nan"],
-    )
-    def test_loss_range(self, etas):
-        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+    @pytest.mark.parametrize("etas,expected", [
+        ((1.1, 1.0), "eta1=1.1 outside [0, 1]"), ((1.0, 1.1), "eta2=1.1 outside [0, 1]"),
+        ((-0.1, 1.0), "eta1=-0.1 outside [0, 1]"),
+        ((1.0, math.nan), "eta2=nan is not a finite number"),
+    ], ids=["eta1-above-1", "eta2-above-1", "negative", "nan"])
+    def test_loss_range(self, etas, expected):
+        with pytest.raises(ValueError) as info:
             ga.protocol_moments(R1, 0.3, *etas)
+        assert str(info.value) == expected
 
 
 class TestProtocolMoments:
@@ -162,10 +241,13 @@ class TestPhaseError:
     ])
     def test_moment_route_refuses_non_finite_input_by_name(self, n_bar, phi, name, pass_name):
         # not a NaN result, nor a bare "math domain error"
-        with pytest.raises(ValueError, match=f"^{name} must be (a )?finite"):
+        value = n_bar if name == "n_bar" else phi
+        with pytest.raises(ValueError) as info:
             ga.phase_error_from_moments(n_bar, phi, 0.9)
-        with pytest.raises(ValueError, match=f"^{pass_name} must be a finite number"):
+        assert str(info.value) == f"{name}={value!r} is not a finite number"
+        with pytest.raises(ValueError) as info:
             ga.protocol_moments(math.asinh(math.sqrt(n_bar)), phi, 0.9, 0.9)
+        assert str(info.value) == f"{pass_name}={value!r} is not a finite number"
 
     def test_moment_route_names_an_overflow(self):
         with pytest.raises(ValueError, match="non-finite moments"):

@@ -8,6 +8,7 @@ import pytest
 from qmetro import cli, fock, gaussian, protocol
 from qmetro import correlations as co
 from test_fock import density, density_moments, kraus_loss
+from test_gaussian import N_BAR_REFUSALS
 
 R1 = math.asinh(1.0)
 
@@ -32,8 +33,9 @@ class TestProtocolConfig:
         # its <a^2> once came out negated (rel_deviation("moments.m_aa") 2.0)
         with pytest.raises(ValueError, match="exactly one of n_bar and r"):
             protocol.ProtocolConfig(phi=0.3, n_bar=math.sinh(0.5) ** 2, r=-0.5)
-        for r in (-0.5, 0.0):
-            with pytest.raises(ValueError, match="r must be positive"):
+        for r, match in ((-0.5, r"^r=-0\.5 outside \[0, inf\)$"),
+                         (0.0, r"^r=0\.0 is below the smallest squeezing parameter")):
+            with pytest.raises(ValueError, match=match):
                 protocol.ProtocolConfig(phi=0.3, r=r)
 
     def test_conversion(self):
@@ -56,8 +58,15 @@ class TestProtocolConfig:
         assert config.n_bar == math.sinh(r) ** 2
 
     def test_ranges(self):
-        with pytest.raises(ValueError):
-            protocol.ProtocolConfig(phi=0.1, n_bar=1.0, eta1=1.5)
+        # each keyword is refused under its own name
+        for kwargs, expected in (
+            ({"eta1": 1.5}, "eta1=1.5 outside [0, 1]"),
+            ({"eta2": math.nan}, "eta2=nan is not a finite number"),
+            ({"cutoff": 1}, "cutoff=1 outside [2, inf)"),
+        ):
+            with pytest.raises(ValueError) as info:
+                protocol.ProtocolConfig(phi=0.1, n_bar=1.0, **kwargs)
+            assert str(info.value) == expected
         # gaussian.check_phi owns the phase domain
         outside, infinite = r"outside \[0, pi/2\]", "is not a finite number"
         for phi, match in ((-0.1, outside), (2.0, outside), (math.nan, infinite),
@@ -66,12 +75,15 @@ class TestProtocolConfig:
                 protocol.ProtocolConfig(phi=phi, n_bar=1.0)
         with pytest.raises(ValueError, match="1e-150"):
             protocol.ProtocolConfig(phi=1e-200, n_bar=1.0)
-        for kwargs in ({"n_bar": 1e-200}, {"r": 1e-160}):
-            with pytest.raises(ValueError, match="smallest mean photon number 1e-150"):
-                protocol.ProtocolConfig(phi=0.1, **kwargs)
+        with pytest.raises(ValueError, match="^n_bar=1e-200 .* smallest mean photon number 1e-150"):
+            protocol.ProtocolConfig(phi=0.1, n_bar=1e-200)
+        # a tiny r is refused as r, with the r that would do, not as its n_bar
+        with pytest.raises(ValueError, match=r"^r=1e-160 .*; use r >= 1\.0000000000000001e-75$"):
+            protocol.ProtocolConfig(phi=0.1, r=1e-160)
         # gaussian.check_n_bar owns the n_bar domain too
-        with pytest.raises(ValueError, match=r"^n_bar must be a finite positive .* -1\.0$"):
+        with pytest.raises(ValueError) as info:
             protocol.ProtocolConfig(phi=0.1, n_bar=-1.0)
+        assert str(info.value) == N_BAR_REFUSALS["-1.0"]
 
     def test_default_cutoff_policy(self):
         # the smallest even cutoff whose squeezed-vacuum tail is <= 1e-10
@@ -94,8 +106,9 @@ class TestProtocolConfig:
     def test_cutoff_policy_refuses_n_bar_by_name(self, n_bar):
         # refused before the tail sum divides by n_bar + 1
         for policy in (protocol.default_cutoff, protocol.squeeze_cutoff):
-            with pytest.raises(ValueError, match=rf"^n_bar must be a finite .*{n_bar!r}$"):
+            with pytest.raises(ValueError) as info:
                 policy(n_bar)
+            assert str(info.value) == N_BAR_REFUSALS[repr(n_bar)]
 
     def test_squeeze_cutoff_has_no_cap(self):
         assert protocol.squeeze_cutoff(1.0) == (60, True)

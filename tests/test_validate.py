@@ -84,6 +84,14 @@ def test_full_suite_passes():
     assert engine["observed"] <= 1e-9
 
 
+def test_table_identity_check_covers_sub_photon_rows():
+    # n_bar 0.5 is on the grid: the amplified-Bell row there is refused, not
+    # scored, so the check measures every other family at 0.5
+    observed, detail = validate.check_table_closed_form_identity()
+    assert observed <= 1e-10
+    assert detail == "all families, n_bar grid {0.5, 1, 2, 4, 8.5, 20, 400}"
+
+
 def test_headline_check_reports_values():
     observed, detail = validate.check_headline_ratios()
     assert observed < 0.10
