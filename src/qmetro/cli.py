@@ -11,19 +11,18 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 A process enters through :func:`run` (``python -m qmetro`` and the
 ``qmetro`` script); tests and other in-process callers call :func:`main`.
 
-``sweep`` calls the closed-form kernel :func:`qmetro.gaussian.protocol_row`
-once per (n_bar, phi) row, for every eta at once, and formats its CSV rows
-from the plain tuples it returns, without a per-row dict: the text of each
-n_bar, phi and eta value and of each n_bar's shot-noise limit is formatted
-once per axis value, and each grid point adds only its signal, variance,
-delta_phi and snl_ratio.  Finished lines are joined into
-blocks of at most :data:`SWEEP_BLOCK_ROWS` rows as the loop goes, so the
-output text is held once, not as one string per row, and once the grid is
-done the blocks are written one at a time, with no joined document or
-encoded copy of it.  ``--format json`` takes its value rows from the same
-loop.  Nothing is written before the grid is done, so a point that fails
+Every command but ``validate`` writes its rows through one writer,
+:func:`_write_rows`: a row is a tuple of cell text in column order, made by
+the format's cell function in :data:`CELLS`, and the writer joins the rows
+into blocks of at most :data:`SWEEP_BLOCK_ROWS` under the CSV meta line and
+header, or inside the JSON document.  The output text is held once, and
+nothing is written before the last row is formatted, so a row that fails
 leaves stdout and ``--out`` untouched.  ``json`` is imported only by the
-commands that write it.
+commands that write it.  ``sweep`` calls the closed-form kernel
+:func:`qmetro.gaussian.protocol_row` once per (n_bar, phi), for every eta at
+once; each n_bar, phi and eta value, and each n_bar's shot-noise limit, has
+its cell made once, so a grid point adds only the cells of its signal,
+variance, delta_phi and snl_ratio.
 
 ``protocol`` takes a row's cutoff from its result, so the default cutoff is
 resolved once, by the Fock run; ``--engine both`` adds the engines'
@@ -48,7 +47,8 @@ import os
 import sys
 import time
 from collections.abc import Iterable
-from itertools import chain
+from functools import partial
+from itertools import islice, starmap
 
 from . import correlations as co
 from . import gaussian, protocol, validate
@@ -64,7 +64,7 @@ PROTOCOL_COLUMNS = (
     "m_aa_re", "m_aa_im", "snl", "snl_ratio", "trace_deficit",
 )
 SWEEP_COLUMNS = ("n_bar", "phi", "eta", "signal", "variance", "delta_phi", "snl", "snl_ratio")
-#: CSV lines a sweep joins into one block of its output (module docstring)
+#: Rows the writer joins into one block of its output (module docstring)
 SWEEP_BLOCK_ROWS = 128
 ENGINES = ("gaussian", "fock", "both")
 VALIDATE_LEVELS = ("quick", "full")
@@ -72,28 +72,35 @@ VALIDATE_LEVELS = ("quick", "full")
 
 def _fmt(value) -> str:
     """A value as CSV text; text holding a comma, quote or newline is quoted (RFC 4180)."""
+    if isinstance(value, float):
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, str) and any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 
-def _write(fh, pieces: Iterable[str]) -> None:
-    for piece in pieces:
-        fh.write(piece)
-        fh.write("\n")
+def _json_cell(value) -> str:
+    """A value as JSON text, as ``json.dumps`` writes it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(value)
+    import json
+
+    return json.dumps(value)
+
+
+#: The cell text of a value, by output format
+CELLS = {"csv": _fmt, "json": _json_cell}
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
-    """Write each piece of text, one line or a block of lines, and a newline."""
+    """Write each piece of text in turn."""
     if out_path is None:
         try:
-            _write(sys.stdout, pieces)
+            sys.stdout.writelines(pieces)
         except BrokenPipeError:
             # the reader has gone (`qmetro sweep ... | head`): drop the rest
             # quietly, and point stdout at devnull so that the interpreter's
@@ -102,29 +109,41 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                _write(fh, pieces)
+                fh.writelines(pieces)
         except OSError as exc:
             raise UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _emit_rows(rows: list[dict], columns: tuple[str, ...], meta: dict, fmt: str,
-               out_path: str | None) -> None:
+def _write_rows(columns: tuple[str, ...], meta: dict, fmt: str, out_path: str | None,
+                rows: Iterable[tuple[str, ...]]) -> None:
+    """Write one or more rows, each a tuple of ``CELLS[fmt]`` text in column order.
+
+    CSV is the '#' meta line, the header and a line per row; JSON is what
+    ``json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2)``
+    writes, each row an object keyed by the columns.  Rows are formatted into
+    blocks of at most :data:`SWEEP_BLOCK_ROWS`, so the text is held once, not
+    as a string per row, and nothing is written until the last row is
+    formatted: a row that raises leaves stdout and ``--out`` untouched.
+    """
     if fmt == "csv":
-        lines = [",".join(_fmt(row.get(c)) for c in columns) for row in rows]
-        _emit_csv(lines, columns, meta, out_path)
+        meta_line = "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+        head, sep, tail = f"{meta_line}\n{','.join(columns)}", "\n", "\n"
+        lines = partial(map, ",".join)
     else:
         import json
 
-        doc = {"meta": meta, "columns": list(columns), "rows": rows}
-        _emit([json.dumps(doc, indent=2)], out_path)
-
-
-def _emit_csv(lines: list[str], columns: tuple[str, ...], meta: dict,
-              out_path: str | None) -> None:
-    """Write formatted data lines, or blocks of them, under the '#' meta line
-    and the header."""
-    meta_line = "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-    _emit(chain((meta_line, ",".join(columns)), lines), out_path)
+        # the document up to the rows' "[", then each row as json.dumps indents it
+        head = json.dumps({"meta": meta, "columns": list(columns), "rows": []}, indent=2)[:-3]
+        sep, tail = ",\n", "\n  ]\n}\n"
+        template = ("    {{\n" + ",\n".join(f"      {json.dumps(c)}: {{}}" for c in columns)
+                    + "\n    }}")
+        lines = partial(starmap, template.format)
+    rows = iter(rows)
+    pieces = [head]
+    while block := sep.join(lines(islice(rows, SWEEP_BLOCK_ROWS))):
+        pieces += ("\n" if len(pieces) == 1 else sep, block)
+    pieces.append(tail)
+    _emit(pieces, out_path)
 
 
 class UsageError(ValueError):
@@ -171,77 +190,56 @@ def cmd_table(args) -> int:
         try:
             row = co.table_row(family, args.nbar)
         except ValueError as exc:
-            rows.append({
-                "state_id": family.value, "n_bar": args.nbar,
-                "note": f"closed form unavailable: {exc}",
-            })
+            rows.append((family.value, args.nbar, *[None] * 7, f"closed form unavailable: {exc}"))
             continue
-        record = {
-            "state_id": family.value, "n_bar": row.n_bar,
-            "q": row.q, "j": row.j, "qfi": row.qfi, "note": "",
-        }
+        oracle_values, note = [None] * 4, ""
         if family in co.FORMULA_ONLY:
-            record["note"] = "formula-only"
+            note = "formula-only"
         elif args.oracle:
             try:
                 oracle = co.oracle_row(family, args.nbar, args.cutoff)
-                record.update({
-                    "oracle_q": oracle.q, "oracle_j": oracle.j, "oracle_qfi": oracle.qfi,
-                    "max_rel_dev": row.max_deviation(oracle),
-                })
+                oracle_values = [oracle.q, oracle.j, oracle.qfi, row.max_deviation(oracle)]
             except (ValueError, TruncationOverflowError) as exc:
-                record["note"] = f"oracle unavailable: {exc}"
-        rows.append(record)
+                note = f"oracle unavailable: {exc}"
+        rows.append((family.value, row.n_bar, row.q, row.j, row.qfi, *oracle_values, note))
     meta = {"command": "table", "n_bar": _fmt(float(args.nbar)), "oracle": args.oracle}
     if args.cutoff is not None:
         meta["cutoff"] = args.cutoff
-    _emit_rows(rows, TABLE_COLUMNS, meta, args.format, args.out)
+    cell = CELLS[args.format]
+    _write_rows(TABLE_COLUMNS, meta, args.format, args.out,
+                [tuple(map(cell, row)) for row in rows])
     return 0
 
 
-def _protocol_record(engine: str, config: protocol.ProtocolConfig,
-                     result: protocol.ProtocolResult) -> dict:
+def _protocol_values(engine: str, config: protocol.ProtocolConfig,
+                     result: protocol.ProtocolResult) -> tuple:
+    """A protocol point's values in :data:`PROTOCOL_COLUMNS` order."""
     snl = gaussian.shot_noise_limit(config.n_bar)
-    return {
-        "engine": engine,
-        "n_bar": config.n_bar,
-        "r": config.r,
-        "phi": config.phi,
-        "eta1": config.eta1,
-        "eta2": config.eta2,
-        "cutoff": result.cutoff,
-        "signal": result.signal,
-        "variance": result.variance,
-        "delta_phi": result.phase_error,
-        "delta_phi_is_limit": result.phase_error_is_limit,
-        "m_aa_re": result.moments.m_aa.real,
-        "m_aa_im": result.moments.m_aa.imag,
-        "snl": snl,
-        "snl_ratio": (snl / result.phase_error) if result.phase_error else None,
-        "trace_deficit": result.trace_deficit,
-    }
+    return (
+        engine, config.n_bar, config.r, config.phi, config.eta1, config.eta2, result.cutoff,
+        result.signal, result.variance, result.phase_error, result.phase_error_is_limit,
+        result.moments.m_aa.real, result.moments.m_aa.imag, snl,
+        (snl / result.phase_error) if result.phase_error else None, result.trace_deficit,
+    )
 
 
 def cmd_protocol(args) -> int:
     config = _protocol_config(args)
-    rows = []
+    meta = {"command": "protocol"}
     if args.engine == "both":
         report = protocol.run_both(config)
-        rows.append(_protocol_record("gaussian", config, report.gaussian_result))
-        rows.append(_protocol_record("fock", config, report.fock_result))
-        deviations = {
-            "signal_rel_dev": report.rel_deviation("signal"),
-            "variance_rel_dev": report.rel_deviation("variance"),
-            "m_aa_rel_dev": report.rel_deviation("moments.m_aa"),
-        }
-        meta = {"command": "protocol", **{k: _fmt(v) for k, v in deviations.items()}}
+        results = {"gaussian": report.gaussian_result, "fock": report.fock_result}
+        meta["signal_rel_dev"] = _fmt(report.rel_deviation("signal"))
+        meta["variance_rel_dev"] = _fmt(report.rel_deviation("variance"))
+        meta["m_aa_rel_dev"] = _fmt(report.rel_deviation("moments.m_aa"))
     elif args.engine == "fock":
-        rows.append(_protocol_record("fock", config, protocol.run_fock(config)))
-        meta = {"command": "protocol"}
+        results = {"fock": protocol.run_fock(config)}
     else:
-        rows.append(_protocol_record("gaussian", config, protocol.run_gaussian(config)))
-        meta = {"command": "protocol"}
-    _emit_rows(rows, PROTOCOL_COLUMNS, meta, args.format, args.out)
+        results = {"gaussian": protocol.run_gaussian(config)}
+    cell = CELLS[args.format]
+    _write_rows(PROTOCOL_COLUMNS, meta, args.format, args.out,
+                [tuple(map(cell, _protocol_values(engine, config, result)))
+                 for engine, result in results.items()])
     return 0
 
 
@@ -282,52 +280,44 @@ def cmd_sweep(args) -> int:
     eta_values = _parse_grid(args.eta, "eta")
     _check_sweep_axes(n_bars, phi_values, eta_values,
                       "--nbar" if args.nbar is not None else "--nbar-logspace")
-    # rows holds JSON value rows, or CSV lines joined into blocks of at most
-    # SWEEP_BLOCK_ROWS lines (module docstring)
-    csv = args.format == "csv"
-    rows: list = []
-    lines: list[str] = []
-    phis = [(phi, f"{phi!r},") for phi in phi_values]
-    etas = [(eta, f"{eta!r},") for eta in eta_values]
-    eta_pairs = [(eta, eta) for eta in eta_values]
-    for n_bar in n_bars:
-        snl = gaussian.shot_noise_limit(n_bar)
-        n_bar_text, snl_text = f"{n_bar!r},", f",{snl!r},"
-        for phi, phi_text in phis:
-            head = n_bar_text + phi_text
-            # the kernel `protocol --engine gaussian` evaluates, so a
-            # single-point sweep reproduces that command exactly
-            for (eta, eta_text), (signal, variance, _, _, error, _) in zip(
-                etas, gaussian.protocol_row(n_bar, phi, eta_pairs)
-            ):
-                ratio = snl / error if error else None
-                if not csv:
-                    rows.append(dict(zip(SWEEP_COLUMNS, (
-                        n_bar, phi, eta, signal, variance, error, snl, ratio,
-                    ))))
-                    continue
-                if ratio is not None:
-                    lines.append(f"{head}{eta_text}{signal!r},{variance!r},"
-                                 f"{error!r}{snl_text}{ratio!r}")
-                else:
-                    lines.append(f"{head}{eta_text}{signal!r},{variance!r},"
-                                 f"{_fmt(error)}{snl_text}")
-                if len(lines) == SWEEP_BLOCK_ROWS:
-                    rows.append("\n".join(lines))
-                    lines = []
-    if lines:
-        rows.append("\n".join(lines))
     meta = {
         "command": "sweep",
         "snl_convention": "single-mode 1/sqrt(4 n_bar)",
         "engine": "gaussian",
         "points": len(n_bars) * len(phi_values) * len(eta_values),
     }
-    if csv:
-        _emit_csv(rows, SWEEP_COLUMNS, meta, args.out)
-    else:
-        _emit_rows(rows, SWEEP_COLUMNS, meta, args.format, args.out)
+    _write_rows(SWEEP_COLUMNS, meta, args.format, args.out,
+                _sweep_rows(n_bars, phi_values, eta_values, CELLS[args.format]))
     return 0
+
+
+def _sweep_rows(n_bars: list, phis: list, etas: list, cell):
+    """The sweep's rows of cell text, in row order; each axis value's cell,
+    and each n_bar's shot-noise limit, is formatted once."""
+    phi_cells = [(phi, cell(phi)) for phi in phis]
+    eta_cells = [cell(eta) for eta in etas]
+    eta_pairs = [(eta, eta) for eta in etas]
+    inf = math.inf
+    for n_bar in n_bars:
+        snl = gaussian.shot_noise_limit(n_bar)
+        n_bar_cell, snl_cell = cell(n_bar), cell(snl)
+        for phi, phi_cell in phi_cells:
+            # the kernel `protocol --engine gaussian` evaluates, so a
+            # single-point sweep reproduces that command exactly
+            for eta_cell, (signal, variance, _, _, error, _) in zip(
+                eta_cells, gaussian.protocol_row(n_bar, phi, eta_pairs)
+            ):
+                # a finite float's cell is its repr in either format; the
+                # kernel refuses a variance that overflows, so the signal and
+                # variance are finite, and only an empty or infinite
+                # delta_phi or snl_ratio takes the cell function
+                ratio = snl / error if error else None
+                if ratio is not None and error < inf and ratio < inf:
+                    yield (n_bar_cell, phi_cell, eta_cell, repr(signal), repr(variance),
+                           repr(error), snl_cell, repr(ratio))
+                else:
+                    yield (n_bar_cell, phi_cell, eta_cell, repr(signal), repr(variance),
+                           cell(error), snl_cell, cell(ratio))
 
 
 def cmd_validate(args) -> int:
@@ -337,14 +327,14 @@ def cmd_validate(args) -> int:
     report = validate.run_checks(args.level)
     doc = json.dumps(report, indent=2)
     if args.out is not None:
-        _emit([doc], args.out)
+        _emit([doc, "\n"], args.out)
         for check in report["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"{status} {check['name']}: observed {check['observed']:.3e} "
                   f"(budget {check['budget']:.0e})")
         print(f"{len(report['checks'])} checks in {time.monotonic() - started:.1f}s")
     else:
-        _emit([doc], None)
+        _emit([doc, "\n"], None)
     return 0 if report["passed"] else 1
 
 
@@ -353,8 +343,16 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line by :class:`UsageError`, so it is one
+    ``error:`` line with exit code 2; its subcommand parsers inherit this."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmetro",
         description="Squeezed-light phase-estimation workbench "
                     "(closed-form moment engine + exact Fock oracle).",
@@ -375,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(fn=cmd_table)
 
     p_proto = sub.add_parser("protocol", help="run one protocol operating point")
-    group = p_proto.add_mutually_exclusive_group()
-    group.add_argument("--nbar", type=float, default=None, help="mean probe photons sinh^2 r")
-    group.add_argument("--r", type=float, default=None, help="squeezing parameter")
+    p_proto.add_argument("--nbar", type=float, default=None, help="mean probe photons sinh^2 r")
+    p_proto.add_argument("--r", type=float, default=None, help="squeezing parameter")
     p_proto.add_argument("--phi", type=float, required=True, help="phase (radians)")
     p_proto.add_argument("--eta", type=float, default=None, help="shared transmissivity")
     p_proto.add_argument("--eta1", type=float, default=None, help="transmissivity after the phase")
@@ -405,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SingularOperatingPointError as exc:
         print(f"error: singular operating point: {exc}", file=sys.stderr)
@@ -420,7 +416,7 @@ def main(argv=None) -> int:
 def run() -> int:
     """Process entry point of ``python -m qmetro`` and the ``qmetro`` script.
 
-    Returns :func:`main`'s exit code.  On the way out, also when argparse
+    Returns :func:`main`'s exit code.  On the way out, also when ``--help``
     exits by ``SystemExit``, it freezes the heap (:func:`gc.freeze`), so the
     interpreter's full collections at shutdown skip the ~12k (Gaussian) to
     ~21k (Fock) objects the command left alive; those collections only run

@@ -55,7 +55,7 @@ class TestTableCommand:
         rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
         assert rows["twin_fock"]["max_rel_dev"] < 1e-8
         assert rows["caves"]["max_rel_dev"] < 1e-8
-        assert "oracle_q" not in rows["amplified_bell"]
+        assert rows["amplified_bell"]["oracle_q"] is None
 
     def test_rejects_empty_probe(self, capsys):
         code, out, err = run(capsys, "table", "--nbar", "0")
@@ -122,7 +122,7 @@ class TestTableCommand:
         assert code == 0
         rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
         assert rows["amplified_bell"] == {
-            "state_id": "amplified_bell", "n_bar": float(n_bar),
+            **dict.fromkeys(cli.TABLE_COLUMNS), "state_id": "amplified_bell", "n_bar": float(n_bar),
             "note": "closed form unavailable: amplified-Bell closed forms need n_bar >= 1; "
                     f"got n_bar={n_bar}",
         }
@@ -139,7 +139,7 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "--nbar", "5e153", "--format", "json")
         assert code == 0
         rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
-        assert all(math.isfinite(row[key]) for row in rows.values() if "q" in row
+        assert all(math.isfinite(row[key]) for row in rows.values() if row["q"] is not None
                    for key in ("q", "j", "qfi"))
         assert rows["amplified_bell"]["j"] == pytest.approx(-0.2)
 
@@ -185,10 +185,11 @@ class TestProtocolCommand:
         assert code == 2
 
     def test_unknown_engine_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["protocol", "--nbar", "1", "--phi", "0.1", "--engine", "exact"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'exact'" in capsys.readouterr().err
+        # the parser refuses it as every other refusal: one line, exit code 2
+        code, out, err = run(capsys, "protocol", "--nbar", "1", "--phi", "0.1", "--engine", "exact")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument --engine: invalid choice: 'exact'")
+        assert err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -271,7 +272,7 @@ class TestSweepCommand:
             assert code == 0
         assert path_a.read_bytes() == path_b.read_bytes()
 
-    def test_csv_and_json_rows_agree(self, capsys):
+    def test_meta_counts_the_points(self, capsys):
         # eta 1e-320 leaves no signal slope: delta_phi and snl_ratio are empty
         args = ("sweep", "--nbar", "1,10", "--phi", "0.001,0.3", "--eta", "1e-320,0.9,1")
         code, csv_out, _ = run(capsys, *args)
@@ -279,18 +280,10 @@ class TestSweepCommand:
         code, json_out, _ = run(capsys, *args, "--format", "json")
         assert code == 0
         doc = json.loads(json_out)
-        meta_line, header, *lines = csv_out.splitlines()
-        assert header.split(",") == doc["columns"]
-        assert len(lines) == len(doc["rows"]) == 12
+        meta_line, _, *lines = csv_out.splitlines()
+        assert len(lines) == len(doc["rows"]) == doc["meta"]["points"] == 12
         assert f"points={len(lines)} " in meta_line
-        assert doc["meta"]["points"] == len(doc["rows"])
-        empty = 0
-        for line, row in zip(lines, doc["rows"]):
-            cells = line.split(",")
-            assert list(row) == doc["columns"]
-            assert [None if c == "" else float(c) for c in cells] == list(row.values())
-            empty += cells[5] == cells[7] == ""
-        assert empty == 4
+        assert sum(line.split(",")[5] == line.split(",")[7] == "" for line in lines) == 4
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failing_point_writes_nothing(self, capsys, tmp_path, fmt):
@@ -305,27 +298,78 @@ class TestSweepCommand:
         assert not path.exists()
 
 
+#: One command of each kind, with every kind of cell: empty, quoted text,
+#: booleans, ints and floats.
+ROW_COMMANDS = [
+    ("sweep", "--nbar", "1,10", "--phi", "0.001,0.3", "--eta", "1e-320,0.9,1"),
+    ("table", "--nbar", "2", "--oracle", "--cutoff", "8"),
+    ("protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9", "--engine", "both",
+     "--cutoff", "60"),
+]
+
+
+def _cell_holds(cell: str, value) -> bool:
+    """Whether a parsed CSV cell holds the JSON value (an empty cell holds null)."""
+    if value is None or isinstance(value, (bool, str)):
+        return cell == {None: "", True: "true", False: "false"}.get(value, value)
+    return type(value)(cell) == value
+
+
+@pytest.mark.parametrize("argv", ROW_COMMANDS, ids=" ".join)
+def test_csv_and_json_rows_agree(capsys, argv):
+    code, csv_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(json_out)
+    _, header, *rows = csv.reader(csv_out.splitlines())
+    assert header == doc["columns"]
+    assert len(rows) == len(doc["rows"]) > 0
+    for cells, row in zip(rows, doc["rows"]):
+        assert list(row) == doc["columns"]
+        assert all(_cell_holds(cell, value) for cell, value in zip(cells, row.values())), cells
+
+
+@pytest.mark.parametrize("argv", ROW_COMMANDS, ids=" ".join)
+def test_json_output_is_what_json_dumps_writes(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    0.1, -2.5e-320, 1e300, math.nan, math.inf, -math.inf, None, True, False, 0, 396,
+    "", "formula-only", 'a "quoted", \\ note\n', "caf\u00e9",
+])
+def test_json_cell_is_what_json_dumps_writes(value):
+    assert cli.CELLS["json"](value) == json.dumps(value)
+
+
 SWEEP_PHI_10 = "0.001,0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5,1.0"
 SWEEP_ETA_10 = "0.8,0.82,0.84,0.86,0.88,0.9,0.92,0.94,0.96,0.99"
 SWEEP_ETA_1000 = ",".join(repr(0.5 + 0.0004 * i) for i in range(1000))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("grid", [
     ("--nbar-logspace", "1", "1e6", "100", "--phi", SWEEP_PHI_10, "--eta", SWEEP_ETA_10),
     ("--nbar", "3", "--phi", SWEEP_PHI_10, "--eta", SWEEP_ETA_1000),
 ], ids=["100x10x10", "1x10x1000"])
-def test_sweep_holds_its_output_once(tmp_path, grid):
+def test_sweep_holds_its_output_once(tmp_path, grid, fmt):
     # the rows are held as bounded blocks of finished text and written one
     # block at a time: no row list, joined document or encoded copy beside them
-    path = tmp_path / "sweep.csv"
+    path = tmp_path / f"sweep.{fmt}"
     tracemalloc.start()
     try:
-        code = cli.main(["sweep", *grid, "--out", str(path)])
+        code = cli.main(["sweep", *grid, "--format", fmt, "--out", str(path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert len(path.read_bytes().splitlines()) == 2 + 10**4
+    if fmt == "csv":
+        assert len(path.read_bytes().splitlines()) == 2 + 10**4
+    else:
+        assert len(json.loads(path.read_bytes())["rows"]) == 10**4
     assert peak <= 1.5 * path.stat().st_size
 
 
@@ -371,7 +415,7 @@ ENTRY_POINT_CASES = [
     (("protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9"), 0),
     (("protocol", "--nbar", "nan", "--phi", "0.3"), 2),  # UsageError
     (("protocol", "--phi", "0.1"), 2),  # UsageError: neither --nbar nor --r
-    (("protocol", "--nbar", "1", "--phi", "0.1", "--engine", "exact"), 2),  # argparse exits
+    (("protocol", "--nbar", "1", "--phi", "0.1", "--engine", "exact"), 2),  # UsageError: parser
     (("--help",), 0),  # argparse exits
 ]
 
@@ -494,6 +538,9 @@ COMMAND_REFUSALS = [
     (("protocol", "--nbar=1", "--phi=0.3", "--engine=fock", "--cutoff=0"),
      "--cutoff=0 outside [2, inf)"),
     (("protocol", "--phi=0.3"), "give exactly one of --nbar and --r"),
+    (("protocol", "--nbar", "1", "--r", "1", "--phi", "0.3"), "give exactly one of --nbar and --r"),
+    (("protocol", "--nbar=1"), "the following arguments are required: --phi"),
+    (("table", "--nbar", "abc"), "argument --nbar: invalid float value: 'abc'"),
     (("protocol", "--nbar=1", "--phi=0.3", "--eta=0.9", "--eta2=1"),
      "give --eta or --eta1/--eta2, not both"),
     (("protocol", "--nbar=1", "--phi=0", "--eta=0.9"),
