@@ -11,6 +11,16 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 A process enters through :func:`run` (``python -m qmetro`` and the
 ``qmetro`` script); tests and other in-process callers call :func:`main`.
 
+:func:`parse_args` reads a command line by one table, :data:`COMMANDS`,
+which gives each command its handler, its help line and its options;
+``--help`` prints text made from the same table.  An option is spelled in
+full, with no prefix abbreviations, as ``--opt V`` or ``--opt=V``, and the
+last of a repeated option wins.  The token after a valued option is its
+value unless it starts with ``--``, so a negative number in exponent
+notation reaches its domain check.  A refused command line is one
+``error:`` line, worded as argparse words it; no command imports argparse,
+gettext or locale.
+
 Every command but ``validate`` writes its rows through one writer,
 :func:`_write_rows`: a row is a tuple of cell text in column order, made by
 the format's cell function in :data:`CELLS`, and the writer joins the rows
@@ -40,15 +50,14 @@ oracle, and no command needs scipy.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
-import time
 from collections.abc import Iterable
 from functools import partial
 from itertools import islice, starmap
+from types import SimpleNamespace
 
 from . import correlations as co
 from . import gaussian, protocol, validate
@@ -323,7 +332,6 @@ def _sweep_rows(n_bars: list, phis: list, etas: list, cell):
 def cmd_validate(args) -> int:
     import json
 
-    started = time.monotonic()
     report = validate.run_checks(args.level)
     doc = json.dumps(report, indent=2)
     if args.out is not None:
@@ -332,7 +340,7 @@ def cmd_validate(args) -> int:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"{status} {check['name']}: observed {check['observed']:.3e} "
                   f"(budget {check['budget']:.0e})")
-        print(f"{len(report['checks'])} checks in {time.monotonic() - started:.1f}s")
+        print(f"{len(report['checks'])} checks")
     else:
         _emit([doc, "\n"], None)
     return 0 if report["passed"] else 1
@@ -343,68 +351,170 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses a bad command line by :class:`UsageError`, so it is one
-    ``error:`` line with exit code 2; its subcommand parsers inherit this."""
+#: The value parser of an option that takes no value and is True when given
+FLAG = "flag"
+#: The value parser of ``--nbar-logspace``: three floats, MIN MAX COUNT
+THREE_FLOATS = "three floats"
+#: The default of an option the command line must give
+REQUIRED = "required"
+_HELP_OPTIONS = ("-h", "--help")
+_IO_OPTIONS = {
+    "--format": (("csv", "json"), "csv", "CSV rows or one JSON document"),
+    "--out": (str, None, "write here instead of stdout"),
+}
+#: Each command: its handler, its help line, and its options, each
+#: ``--name: (value parser, default or REQUIRED, help)``; the value parser
+#: is a type, a tuple of choices, FLAG or THREE_FLOATS
+COMMANDS = {
+    "table": (cmd_table, "closed-form (Q, J, QFI) catalogue, optionally oracle-checked", {
+        "--nbar": (float, REQUIRED, "mean photon number"),
+        "--oracle": (FLAG, False, "add exact Fock columns for constructible states"),
+        "--cutoff": (int, None, "Fock cutoff of the oracle"),
+        **_IO_OPTIONS,
+    }),
+    "protocol": (cmd_protocol, "run one protocol operating point", {
+        "--nbar": (float, None, "mean probe photons sinh^2 r"),
+        "--r": (float, None, "squeezing parameter"),
+        "--phi": (float, REQUIRED, "phase (radians)"),
+        "--eta": (float, None, "shared transmissivity"),
+        "--eta1": (float, None, "transmissivity after the phase"),
+        "--eta2": (float, None, "transmissivity at the detector"),
+        "--cutoff": (int, None, "Fock cutoff (Fock engine only)"),
+        "--engine": (ENGINES, "gaussian", "closed-form moments, Fock oracle, or both"),
+        **_IO_OPTIONS,
+    }),
+    "sweep": (cmd_sweep, "closed-form grid sweep (Gaussian engine)", {
+        "--nbar": (str, None, "comma-separated increasing grid"),
+        "--nbar-logspace": (THREE_FLOATS, None, "log-spaced grid"),
+        "--phi": (str, REQUIRED, "comma-separated increasing list"),
+        "--eta": (str, REQUIRED, "comma-separated increasing list"),
+        **_IO_OPTIONS,
+    }),
+    "validate": (cmd_validate, "run the self-check suites", {
+        "--level": (VALIDATE_LEVELS, "quick", "quick (under a minute) or full (all grids)"),
+        "--out": (str, None, "write the JSON report here (summary goes to stdout)"),
+    }),
+}
 
-    def error(self, message: str):
-        raise UsageError(message)
+
+def _choices(values) -> str:
+    return ", ".join(map(repr, values))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qmetro",
-        description="Squeezed-light phase-estimation workbench "
-                    "(closed-form moment engine + exact Fock oracle).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _value(name: str, kind, raw: list[str]):
+    """An option's value from its tokens, refused in argparse's words."""
+    if isinstance(kind, tuple):
+        if raw[0] not in kind:
+            raise UsageError(f"argument {name}: invalid choice: {raw[0]!r} "
+                             f"(choose from {_choices(kind)})")
+        return raw[0]
+    parse = float if kind is THREE_FLOATS else kind
+    values = []
+    for token in raw:
+        try:
+            values.append(parse(token))
+        except ValueError:
+            raise UsageError(
+                f"argument {name}: invalid {parse.__name__} value: {token!r}") from None
+    return values if kind is THREE_FLOATS else values[0]
 
-    def add_io(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", metavar="PATH", default=None, help="write here instead of stdout")
 
-    p_table = sub.add_parser(
-        "table", help="closed-form (Q, J, QFI) catalogue, optionally oracle-checked")
-    p_table.add_argument("--nbar", type=float, required=True, help="mean photon number")
-    p_table.add_argument("--oracle", action="store_true",
-                         help="add exact Fock columns for constructible states")
-    p_table.add_argument("--cutoff", type=int, default=None)
-    add_io(p_table)
-    p_table.set_defaults(fn=cmd_table)
+def _help_text(command: str | None = None) -> str:
+    """The ``--help`` text of ``qmetro`` (no command) or of one command, from :data:`COMMANDS`."""
+    if command is None:
+        lines = [f"usage: qmetro {{{','.join(COMMANDS)}}} [options]", "",
+                 "Squeezed-light phase-estimation workbench "
+                 "(closed-form moment engine + exact Fock oracle).", "", "commands:"]
+        lines += [f"  {name:<10}{summary}" for name, (_, summary, _) in COMMANDS.items()]
+        lines += ["", "'qmetro <command> --help' lists a command's options."]
+        return "\n".join(lines) + "\n"
+    _, summary, options = COMMANDS[command]
+    rows = [("-h, --help", "show this help and exit")]
+    for name, (kind, default, text) in options.items():
+        metavar = ("" if kind is FLAG else " MIN MAX COUNT" if kind is THREE_FLOATS
+                   else f" {{{','.join(kind)}}}" if isinstance(kind, tuple)
+                   else f" {name[2:].upper()}")
+        if default is REQUIRED:
+            text += " (required)"
+        elif default not in (None, False):
+            text += f" (default: {default})"
+        rows.append((name + metavar, text))
+    width = max(len(flags) for flags, _ in rows) + 2
+    lines = [f"usage: qmetro {command} [options]", "", summary, "", "options:"]
+    lines += [f"  {flags:<{width}}{text}" for flags, text in rows]
+    return "\n".join(lines) + "\n"
 
-    p_proto = sub.add_parser("protocol", help="run one protocol operating point")
-    p_proto.add_argument("--nbar", type=float, default=None, help="mean probe photons sinh^2 r")
-    p_proto.add_argument("--r", type=float, default=None, help="squeezing parameter")
-    p_proto.add_argument("--phi", type=float, required=True, help="phase (radians)")
-    p_proto.add_argument("--eta", type=float, default=None, help="shared transmissivity")
-    p_proto.add_argument("--eta1", type=float, default=None, help="transmissivity after the phase")
-    p_proto.add_argument("--eta2", type=float, default=None, help="transmissivity at the detector")
-    p_proto.add_argument("--cutoff", type=int, default=None, help="Fock cutoff (Fock engine only)")
-    p_proto.add_argument("--engine", choices=ENGINES, default="gaussian")
-    add_io(p_proto)
-    p_proto.set_defaults(fn=cmd_protocol)
 
-    p_sweep = sub.add_parser("sweep", help="closed-form grid sweep (Gaussian engine)")
-    p_sweep.add_argument("--nbar", default=None, help="comma-separated increasing grid")
-    p_sweep.add_argument("--nbar-logspace", nargs=3, type=float, default=None,
-                         metavar=("MIN", "MAX", "COUNT"), help="log-spaced grid")
-    p_sweep.add_argument("--phi", required=True, help="comma-separated increasing list")
-    p_sweep.add_argument("--eta", required=True, help="comma-separated increasing list")
-    add_io(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a command line, by :data:`COMMANDS`; None once ``--help`` is printed.
 
-    p_val = sub.add_parser("validate", help="run the self-check suites")
-    p_val.add_argument("--level", choices=VALIDATE_LEVELS, default="quick")
-    p_val.add_argument("--out", metavar="PATH", default=None,
-                       help="write the JSON report here (summary goes to stdout)")
-    p_val.set_defaults(fn=cmd_validate)
-    return parser
+    ``args.command`` names the command, and each of its options is an
+    attribute (``--nbar-logspace`` as ``nbar_logspace``), its default where
+    the line does not give it.  A value follows its option as the next token
+    (three for ``--nbar-logspace``) or after ``=``; a token that starts with
+    ``--`` is never a value, and any other is, so a negative number in any
+    notation reaches its domain check.  The last of a repeated option wins,
+    and an option is spelled in full.  The first fault, then a missing
+    required option, is refused by :class:`UsageError` in argparse's words.
+    """
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command, tokens = argv[0], argv[1:]
+    if command in _HELP_OPTIONS:
+        sys.stdout.write(_help_text())
+        return None
+    if command not in COMMANDS:
+        if command.startswith("-"):
+            raise UsageError(f"unrecognized arguments: {command}")
+        raise UsageError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {_choices(COMMANDS)})")
+    options = COMMANDS[command][2]
+    values = {}
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token in _HELP_OPTIONS:
+            sys.stdout.write(_help_text(command))
+            return None
+        name, eq, inline = token.partition("=")
+        if name not in options:
+            raise UsageError(f"unrecognized arguments: {token}")
+        kind = options[name][0]
+        if kind is FLAG:
+            if eq:
+                raise UsageError(f"argument {name}: ignored explicit argument {inline!r}")
+            values[name] = True
+            continue
+        count = 3 if kind is THREE_FLOATS else 1
+        if eq:
+            raw = [inline]
+        else:
+            raw = []
+            while len(raw) < count and i < len(tokens) and not tokens[i].startswith("--"):
+                raw.append(tokens[i])
+                i += 1
+        if len(raw) != count:
+            raise UsageError(f"argument {name}: expected "
+                             + ("one argument" if count == 1 else f"{count} arguments"))
+        values[name] = _value(name, kind, raw)
+    missing = [name for name, (_, default, _) in options.items()
+               if default is REQUIRED and name not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): values.get(name, default)
+        for name, (_, default, _) in options.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        # the handler by its module attribute, so that a wrapper bound over
+        # it (perfbench's span tracer) is what runs
+        return globals()[COMMANDS[args.command][0].__name__](args)
     except SingularOperatingPointError as exc:
         print(f"error: singular operating point: {exc}", file=sys.stderr)
         return 2
@@ -416,8 +526,8 @@ def main(argv=None) -> int:
 def run() -> int:
     """Process entry point of ``python -m qmetro`` and the ``qmetro`` script.
 
-    Returns :func:`main`'s exit code.  On the way out, also when ``--help``
-    exits by ``SystemExit``, it freezes the heap (:func:`gc.freeze`), so the
+    Returns :func:`main`'s exit code.  On the way out, also when a command
+    raises, it freezes the heap (:func:`gc.freeze`), so the
     interpreter's full collections at shutdown skip the ~12k (Gaussian) to
     ~21k (Fock) objects the command left alive; those collections only run
     finalizers of cyclic garbage, and qmetro has none.  :func:`main` leaves

@@ -416,7 +416,9 @@ ENTRY_POINT_CASES = [
     (("protocol", "--nbar", "nan", "--phi", "0.3"), 2),  # UsageError
     (("protocol", "--phi", "0.1"), 2),  # UsageError: neither --nbar nor --r
     (("protocol", "--nbar", "1", "--phi", "0.1", "--engine", "exact"), 2),  # UsageError: parser
-    (("--help",), 0),  # argparse exits
+    (("--help",), 0),
+    (("-h",), 0),
+    (("protocol", "--help"), 0),
 ]
 
 
@@ -431,11 +433,7 @@ def test_module_entry_point_freezes_the_heap_at_exit(argv, expected_code, tmp_pa
         capture_output=True, env=_subprocess_env(), timeout=120)
     assert proc.returncode == expected_code, proc.stderr
     assert int(count_file.read_text()) > 0
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    assert code == expected_code
+    assert cli.main(list(argv)) == expected_code
     assert proc.stdout == capsys.readouterr().out.encode()
 
 
@@ -578,13 +576,81 @@ COMMAND_REFUSALS = [
      "--nbar-logspace COUNT=0.0 outside [1, inf)"),
     (("sweep", "--nbar-logspace", "1", "10", "2.5", "--phi=0.1", "--eta=0.9"),
      "--nbar-logspace needs a finite MAX above MIN and a whole COUNT"),
+    # a negative value in exponent notation is a value, refused by its check
+    (("protocol", "--nbar", "1", "--phi", "-5e-06", "--eta", "0.9"),
+     "--phi=-5e-06 outside [0, pi/2]"),
+    # the parser's own refusals, in argparse's words
+    ((), "the following arguments are required: command"),
+    (("bogus",),
+     "argument command: invalid choice: 'bogus' (choose from 'table', 'protocol', 'sweep', "
+     "'validate')"),
+    (("protocol", "--nbar=1", "--phi=0.3", "--bogus"), "unrecognized arguments: --bogus"),
+    (("protocol", "--nbar=1", "--phi=0.3", "extra"), "unrecognized arguments: extra"),
+    (("protocol", "--nbar", "1", "--phi"), "argument --phi: expected one argument"),
+    (("protocol", "--nbar", "1", "--phi", "--eta", "0.9"), "argument --phi: expected one argument"),
+    (("sweep", "--nbar=1"), "the following arguments are required: --phi, --eta"),
+    (("table", "--nbar=2", "--cutoff", "1.5"), "argument --cutoff: invalid int value: '1.5'"),
+    (("table", "--nbar=2", "--format", "xml"),
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (("validate", "--level=slow"),
+     "argument --level: invalid choice: 'slow' (choose from 'quick', 'full')"),
+    (("sweep", "--nbar-logspace", "1", "10", "--phi=0.1", "--eta=0.9"),
+     "argument --nbar-logspace: expected 3 arguments"),
+    (("sweep", "--phi=0.1", "--eta=0.9", "--nbar-logspace", "1", "10"),
+     "argument --nbar-logspace: expected 3 arguments"),
+    (("sweep", "--nbar-logspace", "1", "x", "3", "--phi=0.1", "--eta=0.9"),
+     "argument --nbar-logspace: invalid float value: 'x'"),
+    (("table", "--nbar=2", "--oracle=1"), "argument --oracle: ignored explicit argument '1'"),
+    # an option is spelled in full: argparse took --nb for --nbar
+    (("table", "--nb", "1"), "unrecognized arguments: --nb"),
 ]
 
 
 @pytest.mark.parametrize("argv,line", COMMAND_REFUSALS,
-                         ids=[" ".join(argv) for argv, _ in COMMAND_REFUSALS])
+                         ids=[" ".join(argv) or "no-command" for argv, _ in COMMAND_REFUSALS])
 def test_every_refusal_is_one_line_with_exit_code_2(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+#: Command lines in every accepted form, each with the options it parses to
+#: (those argparse gave): ``--opt V`` and ``--opt=V``, a repeated option
+#: (the last wins), the ``--oracle`` flag, ``--nbar-logspace A B C`` and
+#: options in any order.
+PARSED_COMMANDS = [
+    (("table", "--nbar", "2"),
+     {"nbar": 2.0, "oracle": False, "cutoff": None, "format": "csv", "out": None}),
+    (("table", "--out", "x", "--format=json", "--cutoff", "8", "--oracle", "--nbar=2"),
+     {"nbar": 2.0, "oracle": True, "cutoff": 8, "format": "json", "out": "x"}),
+    (("protocol", "--phi", "0.3", "--nbar", "1", "--nbar", "2", "--phi=-0.5"),
+     {"nbar": 2.0, "r": None, "phi": -0.5, "eta": None, "eta1": None, "eta2": None,
+      "cutoff": None, "engine": "gaussian", "format": "csv", "out": None}),
+    (("protocol", "--r=0.5", "--phi", "0.1", "--eta1", "0.9", "--eta2=0.8", "--engine", "both",
+      "--cutoff=60"),
+     {"nbar": None, "r": 0.5, "phi": 0.1, "eta": None, "eta1": 0.9, "eta2": 0.8, "cutoff": 60,
+      "engine": "both", "format": "csv", "out": None}),
+    (("sweep", "--eta=0.9", "--nbar-logspace", "1", "10", "-3", "--phi", "0.1"),
+     {"nbar": None, "nbar_logspace": [1.0, 10.0, -3.0], "phi": "0.1", "eta": "0.9",
+      "format": "csv", "out": None}),
+    (("sweep", "--nbar=", "--phi", "0.1,0.2", "--eta", "0.9"),
+     {"nbar": "", "nbar_logspace": None, "phi": "0.1,0.2", "eta": "0.9", "format": "csv",
+      "out": None}),
+    (("validate",), {"level": "quick", "out": None}),
+    (("validate", "--level", "full", "--out=r.json"), {"level": "full", "out": "r.json"}),
+]
+
+
+@pytest.mark.parametrize("argv,options", PARSED_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in PARSED_COMMANDS])
+def test_accepted_command_lines_parse_as_argparse_parsed_them(argv, options):
+    assert vars(cli.parse_args(list(argv))) == {"command": argv[0], **options}
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_names_every_option(capsys, command):
+    code, out, err = run(capsys, *([] if command is None else [command]), "--help")
+    assert (code, err) == (0, "")
+    names = cli.COMMANDS if command is None else cli.COMMANDS[command][2]
+    assert set(names) <= set(out.split())
 
 
 def test_refusals_name_the_option_the_user_typed(capsys):
@@ -693,6 +759,9 @@ class TestValidateCommand:
         report = json.loads(path.read_text())
         assert report["level"] == "quick"
         assert "PASS" in out
+        # the summary holds no timing, so identical runs print identical text
+        assert out.endswith("\n10 checks\n")
+        assert run(capsys, "validate", "--level", "quick", "--out", str(path)) == (0, out, "")
 
 
 @pytest.mark.parametrize("n_bar", ["0.01", "0.1", "0.5", "1", "2", "9"])

@@ -1,6 +1,8 @@
 """Import layering: Gaussian commands run no Fock code and load neither numpy
 nor ``dataclasses``, and ``json`` only when they write JSON; the Fock oracle
-needs numpy but never scipy, ``numpy.random`` or ``dataclasses``.
+needs numpy but never scipy, ``numpy.random`` or ``dataclasses``; and no
+command loads ``argparse``, ``gettext`` or ``locale``, since the CLI parses
+its command lines from its own option table.
 
 The package registers ``qmetro.fock``, ``qmetro.correlations`` and
 ``qmetro.validate`` to load on first use, so importing the CLI runs none of
@@ -21,7 +23,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("numpy", "numpy.random", "scipy", "dataclasses", "json")
+#: What the CLI's own parser replaces; no command loads it
+PARSER_MODULES = ("argparse", "gettext", "locale")
+HEAVY = ("numpy", "numpy.random", "scipy", "dataclasses", "json", *PARSER_MODULES)
 ENGINE_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.protocol",
                   "qmetro.validate")
 LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.validate")
@@ -157,6 +161,7 @@ def test_oracle_commands_load_numpy_but_not_scipy(argv, check_output, executed):
     assert "numpy.random" not in doc["loaded"]
     # the Fock value classes are Frozen classes, not dataclasses
     assert "dataclasses" not in doc["loaded"]
+    assert not set(PARSER_MODULES) & set(doc["loaded"])
     assert doc["executed"] == executed
 
 
