@@ -208,7 +208,7 @@ def cmd_table(args) -> int:
             try:
                 oracle = co.oracle_row(family, args.nbar, args.cutoff)
                 oracle_values = [oracle.q, oracle.j, oracle.qfi, row.max_deviation(oracle)]
-            except (ValueError, TruncationOverflowError) as exc:
+            except (ValueError, TruncationOverflowError, MemoryError) as exc:
                 note = f"oracle unavailable: {exc}"
         rows.append((family.value, row.n_bar, row.q, row.j, row.qfi, *oracle_values, note))
     meta = {"command": "table", "n_bar": _fmt(float(args.nbar)), "oracle": args.oracle}
@@ -282,6 +282,9 @@ def cmd_sweep(args) -> int:
         if not lo < hi < math.inf or count != int(count):
             raise UsageError("--nbar-logspace needs a finite MAX above MIN and a whole COUNT")
         count = int(count)
+        if count > 1 and hi / lo == math.inf:
+            raise UsageError(f"--nbar-logspace MAX/MIN={hi!r}/{lo!r} overflows a double; "
+                             "narrow the grid")
         n_bars = [lo * (hi / lo) ** (i / max(count - 1, 1)) for i in range(count)]
     else:
         raise UsageError("give --nbar or --nbar-logspace")
@@ -332,7 +335,7 @@ def _sweep_rows(n_bars: list, phis: list, etas: list, cell):
 def cmd_validate(args) -> int:
     import json
 
-    report = validate.run_checks(args.level)
+    report = validate.run_checks()
     doc = json.dumps(report, indent=2)
     if args.out is not None:
         _emit([doc, "\n"], args.out)
@@ -390,8 +393,8 @@ COMMANDS = {
         "--eta": (str, REQUIRED, "comma-separated increasing list"),
         **_IO_OPTIONS,
     }),
-    "validate": (cmd_validate, "run the self-check suites", {
-        "--level": (VALIDATE_LEVELS, "quick", "quick (under a minute) or full (all grids)"),
+    "validate": (cmd_validate, "run the self-check suite", {
+        "--level": (VALIDATE_LEVELS, "quick", "ignored: both levels run the one suite"),
         "--out": (str, None, "write the JSON report here (summary goes to stdout)"),
     }),
 }
@@ -520,6 +523,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, TruncationOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an allocation the OS refuses at once; one it grants and then kills
+        # the process for is beyond catching
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return 2
 
 

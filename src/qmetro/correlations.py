@@ -376,6 +376,11 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
         raise ValueError(f"{family.value} has no Fock construction; its row is formula-only")
     check_table_n_bar(n_bar)
     c = cutoff if cutoff is not None else oracle_cutoff(family, n_bar)
+    import numpy as np
+
+    # every probe is a two-mode ket: one that the OS refuses to allocate
+    # raises MemoryError here, before its single-mode factors are built
+    np.empty((c + 1, c + 1), dtype=complex)
 
     if family is ProbeFamily.LASER:
         alpha = math.sqrt(n_bar)

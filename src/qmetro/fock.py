@@ -206,8 +206,9 @@ def padded_squeezed_vacuum(r: float, cutoff: int) -> tuple[PureState, float]:
     """The protocol's probe: the squeezed vacuum with its tail past the cutoff, and its weight.
 
     The closed-form amplitudes of :func:`squeezed_vacuum` are evaluated on
-    2 max(cutoff + 1, 32) levels.  A weight past the cutoff (the spill)
-    above ``SQUEEZE_DEFICIT_LIMIT`` raises TruncationOverflowError.  The ket
+    2 max(cutoff + 1, 32) levels.  A weight past the cutoff (the spill), or
+    past the padded levels (the closed form's weights sum to 1), above
+    ``SQUEEZE_DEFICIT_LIMIT`` raises TruncationOverflowError.  The ket
     keeps every padded level that carries weight (:func:`_trim`); the weight
     it lacks, the dropped tail and what lies past the padded levels, counts
     in its ``truncation_tol``.
@@ -220,6 +221,12 @@ def padded_squeezed_vacuum(r: float, cutoff: int) -> tuple[PureState, float]:
         raise TruncationOverflowError(
             f"squeeze(r={r:+.4f}) at cutoff {cutoff} spills weight {spill:.3e} "
             "past the cutoff; increase the cutoff"
+        )
+    beyond = 1.0 - float(weights.sum())
+    if beyond > SQUEEZE_DEFICIT_LIMIT:
+        raise TruncationOverflowError(
+            f"squeeze(r={r:+.4f}) at cutoff {cutoff} leaves weight {beyond:.3e} "
+            f"past its {weights.size} padded levels; increase the cutoff"
         )
     keep, _ = _trim(weights, dim)
     missing = max(0.0, 1.0 - float(weights[:keep].sum()))

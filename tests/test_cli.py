@@ -239,6 +239,13 @@ class TestSweepCommand:
         assert rows[0]["snl_ratio"] < 1.0
         assert rows[-1]["snl_ratio"] > 1.0
 
+    def test_one_point_logspace_takes_min_however_wide(self, capsys):
+        # MAX / MIN overflows, but a one-point grid is MIN alone
+        code, out, _ = run(capsys, "sweep", "--nbar-logspace", "1e-150", "1e308", "1",
+                           "--phi", "0.1", "--eta", "0.9")
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["1e-150"]
+
     def test_unit_transmission_ratio_form(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--nbar", "1,4,10", "--phi", "0.00001", "--eta", "1",
@@ -576,6 +583,14 @@ COMMAND_REFUSALS = [
      "--nbar-logspace COUNT=0.0 outside [1, inf)"),
     (("sweep", "--nbar-logspace", "1", "10", "2.5", "--phi=0.1", "--eta=0.9"),
      "--nbar-logspace needs a finite MAX above MIN and a whole COUNT"),
+    # MAX / MIN overflows, so the grid would hold an n_bar nobody typed
+    (("sweep", "--nbar-logspace", "1e-150", "1e308", "3", "--phi=0.1", "--eta=0.9"),
+     "--nbar-logspace MAX/MIN=1e+308/1e-150 overflows a double; narrow the grid"),
+    # a probe with almost all its weight past the padded levels is refused
+    # by the squeeze stage, which names a cutoff
+    (("protocol", "--r=25", "--phi=0.3", "--engine=fock", "--cutoff=60"),
+     "squeeze stage: squeeze(r=+25.0000) at cutoff 60 leaves weight 1.000e+00 past its 122 "
+     "padded levels; increase the cutoff; use a cutoff of more than 1048576"),
     # a negative value in exponent notation is a value, refused by its check
     (("protocol", "--nbar", "1", "--phi", "-5e-06", "--eta", "0.9"),
      "--phi=-5e-06 outside [0, pi/2]"),
@@ -757,11 +772,46 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--level", "quick", "--out", str(path))
         assert code == 0
         report = json.loads(path.read_text())
-        assert report["level"] == "quick"
+        assert list(report) == ["passed", "checks"]
         assert "PASS" in out
         # the summary holds no timing, so identical runs print identical text
-        assert out.endswith("\n10 checks\n")
+        assert out.endswith("\n11 checks\n")
         assert run(capsys, "validate", "--level", "quick", "--out", str(path)) == (0, out, "")
+
+    def test_every_level_runs_the_one_suite(self, capsys):
+        reports = [run(capsys, "validate", *level) for level in
+                   ((), ("--level", "quick"), ("--level", "full"))]
+        assert reports[0] == reports[1] == reports[2]
+        code, out, err = reports[0]
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["checks"]) == 11
+
+
+def _overcommit_refuses_huge_allocations():
+    # Linux's heuristic (0) and strict (2) overcommit refuse a TiB request at
+    # once; with 1 the allocation would be granted and then filled
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _overcommit_refuses_huge_allocations(),
+                    reason="needs an OS that refuses a TiB allocation at once")
+def test_a_refused_allocation_is_a_refusal(capsys):
+    # a 2.91 TiB probe: one error line and exit code 2, no traceback
+    code, out, err = run(capsys, "protocol", "--nbar", "1", "--phi", "0.3", "--engine", "fock",
+                         "--cutoff", "100000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    # TiB-to-PiB two-mode kets: each row notes its oracle as unavailable, and
+    # is refused before its single-mode factors (millions of levels) are built
+    code, out, _ = run(capsys, "table", "--nbar", "1e6", "--oracle")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()[2:]))
+    notes = [row[-1] for row in rows if row[-1] != "formula-only"]
+    assert len(notes) == 7
+    assert all(n.startswith("oracle unavailable: Unable to allocate ") for n in notes)
 
 
 @pytest.mark.parametrize("n_bar", ["0.01", "0.1", "0.5", "1", "2", "9"])

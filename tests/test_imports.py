@@ -2,7 +2,8 @@
 nor ``dataclasses``, and ``json`` only when they write JSON; the Fock oracle
 needs numpy but never scipy, ``numpy.random`` or ``dataclasses``; and no
 command loads ``argparse``, ``gettext`` or ``locale``, since the CLI parses
-its command lines from its own option table.
+its command lines from its own option table.  ``qmetro.validate`` imports
+nothing from the CLI.
 
 The package registers ``qmetro.fock``, ``qmetro.correlations`` and
 ``qmetro.validate`` to load on first use, so importing the CLI runs none of
@@ -176,3 +177,13 @@ def test_lazy_modules_show_their_functions_to_vars():
         assert lazy, f"{name} was executed by importing the CLI"
         assert set(expected[name]) <= set(functions), name
         assert executed, f"vars() did not load {name}"
+
+
+def test_validate_does_not_import_the_cli():
+    # the self-check suite runs on the engines alone, not on the command
+    # layer that runs it
+    doc = _python("import json, sys, qmetro.validate\n"
+                  "qmetro.validate.run_checks  # loads the lazy module\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qmetro'))))")
+    assert "qmetro.validate" in doc
+    assert "qmetro.cli" not in doc

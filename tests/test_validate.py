@@ -3,17 +3,28 @@ import math
 from qmetro import fock, gaussian, validate
 
 
-def test_quick_suite_structure_and_verdict():
-    report = validate.run_checks("quick")
+def test_suite_structure_and_verdict():
+    report = validate.run_checks()
     assert report["passed"] is True
-    assert report["level"] == "quick"
+    assert list(report) == ["passed", "checks"]
     names = [c["name"] for c in report["checks"]]
-    assert "table-oracle-agreement" in names
-    assert "engine-equivalence" in names
-    assert "noisy-phase-error-transcription" in names
-    assert "squeeze-closed-form" in names
+    assert names == [
+        "table-closed-form-identity", "table-oracle-agreement", "engine-equivalence",
+        "noisy-phase-error-transcription", "lossless-signal-identity", "headline-snl-ratios",
+        "error-propagation-limit", "two-photon-projection", "squeeze-closed-form",
+        "table-oracle-entangled-coherent", "qcrb-saturation",
+    ]
     for check in report["checks"]:
+        assert list(check) == ["name", "passed", "budget", "observed", "detail"]
         assert check["observed"] <= check["budget"]
+    # the complete grids: 3 r x 3 phi x 6 eta pairs, 100 transcription samples
+    detail = {c["name"]: c["detail"] for c in report["checks"]}
+    assert detail["engine-equivalence"] == "54 grid points at cutoff 60"
+    assert detail["noisy-phase-error-transcription"].startswith("100 random")
+    assert detail["error-propagation-limit"] == "n_bar in (0.5, 1.0, 2.0, 5.0)"
+    # the Heisenberg readout on the padded probe leaves only rounding
+    engine = report["checks"][names.index("engine-equivalence")]
+    assert engine["observed"] <= 1e-9
 
 
 def test_tampered_phase_error_coefficient_is_caught(monkeypatch):
@@ -30,7 +41,7 @@ def test_tampered_phase_error_coefficient_is_caught(monkeypatch):
         )
 
     monkeypatch.setattr(gaussian, "protocol_point", tampered)
-    report = validate.run_checks("quick")
+    report = validate.run_checks()
     failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
     assert "noisy-phase-error-transcription" in failed
     # measured, not crashed: run_checks reports a check that raises as failed too
@@ -71,19 +82,6 @@ def test_tampered_row_kernel_is_caught(monkeypatch):
     assert observed > 1e-3
 
 
-def test_full_suite_passes():
-    report = validate.run_checks("full")
-    assert report["passed"] is True
-    names = [c["name"] for c in report["checks"]]
-    assert "qcrb-saturation" in names
-    assert list(report) == ["level", "passed", "checks"]
-    for check in report["checks"]:
-        assert list(check) == ["name", "passed", "budget", "observed", "detail"]
-    # the Heisenberg readout on the padded probe leaves only rounding
-    engine = report["checks"][names.index("engine-equivalence")]
-    assert engine["observed"] <= 1e-9
-
-
 def test_table_identity_check_covers_sub_photon_rows():
     # n_bar 0.5 is on the grid: the amplified-Bell row there is refused, not
     # scored, so the check measures every other family at 0.5
@@ -105,7 +103,7 @@ def test_projection_check():
 
 def test_squeeze_closed_form_check_catches_a_wrong_unitary(monkeypatch):
     # the protocol's probe no longer goes through the numerical squeeze, so
-    # this check keeps the unitary under the quick suite
+    # this check keeps the unitary under the suite
     observed, _ = validate.check_squeeze_closed_form()
     assert observed <= 1e-12
     original = fock._apply_squeeze
