@@ -50,7 +50,7 @@ oracle, and no command needs scipy.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import math
 import os
 import sys
@@ -105,16 +105,20 @@ def _json_cell(value) -> str:
 CELLS = {"csv": _fmt, "json": _json_cell}
 
 
+def _to_stdout(write, *args) -> None:
+    """``write(*args)``, a write or flush of stdout; if the reader has gone
+    (`qmetro sweep ... | head`), drop the rest quietly and point stdout at
+    devnull, so that no later flush raises again."""
+    try:
+        write(*args)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     """Write each piece of text in turn."""
     if out_path is None:
-        try:
-            sys.stdout.writelines(pieces)
-        except BrokenPipeError:
-            # the reader has gone (`qmetro sweep ... | head`): drop the rest
-            # quietly, and point stdout at devnull so that the interpreter's
-            # final flush does not raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_stdout(sys.stdout.writelines, pieces)
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -339,11 +343,10 @@ def cmd_validate(args) -> int:
     doc = json.dumps(report, indent=2)
     if args.out is not None:
         _emit([doc, "\n"], args.out)
-        for check in report["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(f"{status} {check['name']}: observed {check['observed']:.3e} "
-                  f"(budget {check['budget']:.0e})")
-        print(f"{len(report['checks'])} checks")
+        summary = [f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: observed "
+                   f"{check['observed']:.3e} (budget {check['budget']:.0e})\n"
+                   for check in report["checks"]]
+        _emit([*summary, f"{len(report['checks'])} checks\n"], None)
     else:
         _emit([doc, "\n"], None)
     return 0 if report["passed"] else 1
@@ -464,7 +467,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
         raise UsageError("the following arguments are required: command")
     command, tokens = argv[0], argv[1:]
     if command in _HELP_OPTIONS:
-        sys.stdout.write(_help_text())
+        _emit([_help_text()], None)
         return None
     if command not in COMMANDS:
         if command.startswith("-"):
@@ -478,7 +481,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
         token = tokens[i]
         i += 1
         if token in _HELP_OPTIONS:
-            sys.stdout.write(_help_text(command))
+            _emit([_help_text(command)], None)
             return None
         name, eq, inline = token.partition("=")
         if name not in options:
@@ -531,20 +534,36 @@ def main(argv=None) -> int:
         return 2
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler (coverage, ``python -m cProfile``, a debugger) is set."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, tool ids 0-5
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
+
+
 def run() -> int:
     """Process entry point of ``python -m qmetro`` and the ``qmetro`` script.
 
-    Returns :func:`main`'s exit code.  On the way out, also when a command
-    raises, it freezes the heap (:func:`gc.freeze`), so the
-    interpreter's full collections at shutdown skip the ~12k (Gaussian) to
-    ~21k (Fock) objects the command left alive; those collections only run
-    finalizers of cyclic garbage, and qmetro has none.  :func:`main` leaves
-    the collector as it found it.
+    Runs :func:`main`, then the atexit handlers, flushes stdout and stderr
+    (a reader that has gone is handled as :func:`_emit` handles it) and ends
+    the process by :func:`os._exit` with :func:`main`'s exit code.  So no
+    command pays for the interpreter's teardown, which clears every module
+    and collects the heap but runs no finalizer that qmetro needs: every
+    ``--out`` file is closed before :func:`main` returns.  Under a tracer or
+    profiler it returns the exit code instead, so the interpreter shuts down
+    as usual and coverage or ``python -m cProfile -m qmetro`` writes its
+    report.  An exception out of :func:`main` propagates, with its traceback
+    and exit code 1.  :func:`main` leaves the process as it found it.
     """
-    try:
-        return main()
-    finally:
-        gc.freeze()
+    code = main()
+    if _observed():
+        return code
+    atexit._run_exitfuncs()
+    if sys.stdout is not None:  # None when the shell closed it (`>&-`)
+        _to_stdout(sys.stdout.flush)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -314,35 +314,39 @@ def beam_splitter(state: PureState) -> PureState:
     blocks (:func:`beam_splitter_overflow`) bounds what the result gets wrong
     there, and is added to its ``truncation_tol``.  Blocks whose input is
     exactly zero are left zero without any work, and when every clipped
-    block is, that weight is 0 and is not measured.
+    block is, that weight is 0 and is not measured.  Every block is read and
+    written as a strided slice of the C-ordered amplitudes, where |k, T - k>
+    sits at T + k cutoff, so no index array is built; the gauge diag(i^k)
+    of the complete blocks is built once per call.
     """
     if not isinstance(state, PureState) or state.modes != 2:
         raise ValueError("beam_splitter() acts on two-mode pure states")
     c = state.cutoff
     amps = state.amplitudes
-    out = np.zeros_like(amps)
+    flat = np.ravel(amps)  # C order: block T is flat[T + k c], k = 0..T
+    out = np.zeros_like(flat)
     rows, cols = np.nonzero(amps)
     occupied = np.zeros(2 * c + 1, dtype=bool)
     occupied[rows + cols] = True
     top = max(np.flatnonzero(occupied[: c + 1]).tolist(), default=-1)
+    gauge = _gauge(top + 1)
     # i^N as 1j ** (N % 4): Python's 1j ** N is off by ~1e-14 for N > 100
     for total, orthogonal in zip(range(top + 1), _multiplets(top)):
         if occupied[total]:
-            idx_a = np.arange(total + 1)
-            gauge = _gauge(total + 1)
-            block = gauge.conj() * amps[idx_a, total - idx_a]
-            rotated = orthogonal @ block
-            out[idx_a, total - idx_a] = 1j ** (total % 4) * gauge * rotated
+            block = slice(total, total * (c + 1) + 1, max(c, 1))
+            phases = gauge[: total + 1]
+            rotated = orthogonal @ (phases.conj() * flat[block])
+            out[block] = 1j ** (total % 4) * phases * rotated
     for total in (np.flatnonzero(occupied[c + 1 :]) + c + 1).tolist():
-        idx_a = np.arange(total - c, c + 1)
-        block = amps[idx_a, total - idx_a]
-        n_a = idx_a[:-1]
+        # k = total - c..c
+        block = slice(total + (total - c) * c, total + c * c + 1, c)
+        n_a = np.arange(total - c, c)
         off = np.sqrt((n_a + 1.0) * (total - n_a))
         w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ block)
-        out[idx_a, total - idx_a] = 1j ** (total % 4) * rotated
+        rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ flat[block])
+        out[block] = 1j ** (total % 4) * rotated
     clipped = beam_splitter_overflow(state)[0] if occupied[c + 1 :].any() else 0.0
-    return PureState(out, truncation_tol=state.truncation_tol + clipped)
+    return PureState(out.reshape(amps.shape), truncation_tol=state.truncation_tol + clipped)
 
 
 def _multiplets(top: int):
@@ -363,7 +367,9 @@ def _multiplets(top: int):
     J. Geodesy 70, 383 (1996)).  Its outer factors are a co-isometry and an
     isometry, so rounding does not grow with T.  The one-sided vector
     recurrence built from (i a^dag + b^dag)/sqrt2 alone lacks this: its error
-    grows with T and it diverges before T = 400.
+    grows with T and it diverges before T = 400.  The inner sums come from two
+    column-scaled copies of R, each T x (T + 1), holding R[k', k-1] sqrt(k)
+    and R[k', k] sqrt(T-k); no zero-bordered copy of R is made.
     """
     if top < 0:
         return
@@ -372,13 +378,15 @@ def _multiplets(top: int):
     for total in range(1, top + 1):
         root = np.sqrt(np.arange(total + 1.0))  # sqrt(k), k = 0..T
         rev = root[::-1]  # sqrt(T - k)
-        # R_{T-1} bordered by zeros: padded[i + 1, j + 1] = R[i, j]
-        padded = np.zeros((total + 2, total + 2))
-        padded[1:-1, 1:-1] = rot
-        above = padded[:-1, :-1] * root - padded[:-1, 1:] * rev
-        level = padded[1:, :-1] * root + padded[1:, 1:] * rev
+        # shift[k', k] = R[k', k-1] sqrt(k), keep[k', k] = R[k', k] sqrt(T-k)
+        shift = np.zeros((total, total + 1))
+        shift[:, 1:] = rot * root[1:]
+        keep = np.zeros((total, total + 1))
+        keep[:, :-1] = rot * rev[:-1]
         scale = 1.0 / (total * math.sqrt(2.0))
-        rot = (scale * root)[:, None] * above + (scale * rev)[:, None] * level
+        rot = np.zeros((total + 1, total + 1))
+        rot[1:] = (scale * root[1:])[:, None] * (shift - keep)
+        rot[:-1] += (scale * rev[:-1])[:, None] * (shift + keep)
         yield rot
 
 
@@ -496,19 +504,25 @@ def _trim(weights: np.ndarray, least: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def _loss_band(eta: float, dim: int, start: int, stop: int) -> np.ndarray:
+def _log_factorials(dim: int) -> np.ndarray:
+    """log j! for j = 0..dim - 1, then dim - 1 entries -inf: the source of
+    :func:`_loss_band`'s Hankel view, built once per :func:`loss` call."""
+    return np.array([math.lgamma(j + 1.0) for j in range(dim)] + [-math.inf] * (dim - 1))
+
+
+def _loss_band(eta: float, log_fact: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Rows k = start..stop - 1 of band[k, m] = B[m, m + k] = <m|K_k|m + k>, 0 for m + k >= dim.
 
     B[m, n] = sqrt(C(n, n-m)) (1-eta)^{(n-m)/2} eta^{m/2} for 0 < eta < 1,
     evaluated in log space in one pass; log (m + k)! enters as a Hankel view
-    of one vector padded with -inf, so entries past the basis come out as
-    exp(-inf) = 0.
+    of ``log_fact`` (:func:`_log_factorials` of dim), whose -inf padding
+    makes the entries past the basis come out as exp(-inf) = 0.
     """
+    dim = (log_fact.size + 1) // 2
     stop = min(stop, dim)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(dim)])
-    padded = np.concatenate([log_fact, np.full(dim - 1, -math.inf)])
-    log_b = np.lib.stride_tricks.sliding_window_view(padded, dim)[start:stop] - log_fact
-    log_b -= log_fact[start:stop, None]
+    head = log_fact[:dim]
+    log_b = np.lib.stride_tricks.sliding_window_view(log_fact, dim)[start:stop] - head
+    log_b -= head[start:stop, None]
     log_b += (np.arange(start, stop) * np.log1p(-eta))[:, None]
     log_b += np.arange(dim) * np.log(eta)
     log_b *= 0.5
@@ -526,8 +540,9 @@ def loss(state: PureState, eta: float) -> MixedState:
     k photons are lost, whose squared norm is the probability of that.  The
     leading branches are kept by the rule of :func:`_trim`; the dropped
     ones' weight leaves the trace, so it shows in ``trace_deficit``.  B is
-    evaluated 64 rows at a time, so nothing of size (cutoff + 1)^2 is formed,
-    and the branches are written once, C-ordered, and not copied again.
+    evaluated 64 rows at a time, from log-factorials built once per call, so
+    nothing of size (cutoff + 1)^2 is formed, and the branches are written
+    once, C-ordered, and not copied again.
     """
     check_eta(eta)
     _check_single_mode_ket(state, "loss")
@@ -544,13 +559,15 @@ def loss(state: PureState, eta: float) -> MixedState:
         shifted = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([psi, np.zeros(dim - 1)]), dim
         )
+        log_fact = _log_factorials(dim)
         weights = np.concatenate([
-            np.einsum("km,km->k", _loss_band(eta, dim, k, k + 64) ** 2,
+            np.einsum("km,km->k", _loss_band(eta, log_fact, k, k + 64) ** 2,
                       np.abs(shifted[k : k + 64]) ** 2)
             for k in range(0, dim, 64)
         ])
         keep, dropped = _trim(weights, 1)
-        branches = np.multiply(_loss_band(eta, dim, 0, keep).T, shifted[:keep].T, order="C")
+        branches = np.multiply(_loss_band(eta, log_fact, 0, keep).T, shifted[:keep].T,
+                               order="C")
     return MixedState(
         branches, truncation_tol=_tol_for(state.norm_deficit + dropped, base=state.truncation_tol),
         _owned=True,

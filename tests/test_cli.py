@@ -401,18 +401,53 @@ def test_sweep_into_a_closed_pipe_exits_quietly():
     proc.stderr.close()
 
 
-#: Runs ``python -m qmetro`` on argv[2:] and, from an atexit handler, writes
-#: the collector's freeze count at interpreter exit to the file argv[1].
-FREEZE_PROBE = """
-import atexit, gc, runpy, sys
+#: Commands run with the reader of their stdout already gone
+CLOSED_READER_CASES = [
+    ("protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9"),
+    ("table", "--nbar", "2"),
+    ("--help",),
+]
 
-path = sys.argv[1]
 
-@atexit.register
-def record():
-    with open(path, "w") as fh:
-        fh.write(str(gc.get_freeze_count()))
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", CLOSED_READER_CASES, ids=" ".join)
+def test_a_reader_gone_before_the_first_write_is_quiet(argv, buffered):
+    # the pipe's read end is closed before the command starts, so its first
+    # write to stdout fails; with PYTHONUNBUFFERED unset, stdout is
+    # block-buffered and that write is the last flush, on the way out
+    env = _subprocess_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qmetro", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
+
+#: Runs ``python -m qmetro`` on argv[2:] with two witnesses, each of which
+#: creates the file named argv[1] plus its suffix when it runs: an atexit
+#: handler (".atexit"), and the finalizer of a module global (".del"), which
+#: only the interpreter's teardown calls, when it clears the module.
+EXIT_PROBE = """
+import atexit, runpy, sys
+
+def mark(suffix, path=sys.argv[1], open=open):
+    open(path + suffix, "w").close()
+
+class Witness:
+    module = sys.modules[__name__]  # alive until teardown clears it
+
+    def __del__(self, mark=mark):
+        mark(".del")
+
+atexit.register(mark, ".atexit")
+witness = Witness()
 sys.argv = ["qmetro", *sys.argv[2:]]
 runpy.run_module("qmetro", run_name="__main__", alter_sys=True)
 """
@@ -431,17 +466,32 @@ ENTRY_POINT_CASES = [
 
 @pytest.mark.parametrize(("argv", "expected_code"), ENTRY_POINT_CASES,
                          ids=[" ".join(argv) for argv, _ in ENTRY_POINT_CASES])
-def test_module_entry_point_freezes_the_heap_at_exit(argv, expected_code, tmp_path, capsys):
-    # the process entry point freezes every live object before shutdown, on
-    # every way out of main, and changes neither the exit code nor stdout
-    count_file = tmp_path / "freeze_count"
+def test_module_entry_point_ends_without_teardown(argv, expected_code, tmp_path, capsys):
+    # the process entry point runs the atexit handlers and then ends the
+    # process, on every way out of main, without the interpreter's teardown;
+    # it changes neither the exit code nor stdout
+    witness = tmp_path / "witness"
     proc = subprocess.run(
-        [sys.executable, "-c", FREEZE_PROBE, str(count_file), *argv],
+        [sys.executable, "-c", EXIT_PROBE, str(witness), *argv],
         capture_output=True, env=_subprocess_env(), timeout=120)
     assert proc.returncode == expected_code, proc.stderr
-    assert int(count_file.read_text()) > 0
+    assert Path(f"{witness}.atexit").exists()
+    assert not Path(f"{witness}.del").exists()
     assert cli.main(list(argv)) == expected_code
     assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_a_profiled_command_shuts_down_as_usual(capsys):
+    # under a profiler the entry point returns, so the interpreter shuts down
+    # as usual and cProfile prints its report after the command's row
+    argv = ["protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9"]
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "qmetro", *argv],
+                          capture_output=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == 0
+    row = capsys.readouterr().out.encode()
+    assert proc.stdout.startswith(row)
+    assert b"function calls" in proc.stdout[len(row):]
 
 
 def test_main_leaves_the_collector_untouched(capsys):

@@ -140,6 +140,22 @@ def eigh_beam_splitter(amps):
     return out
 
 
+def bordered_multiplets(top):
+    """R_T for T = 0..top by fock._multiplets' recursion, with R_{T-1} bordered by zeros."""
+    rot = np.ones((1, 1))
+    yield rot
+    for total in range(1, top + 1):
+        root = np.sqrt(np.arange(total + 1.0))
+        rev = root[::-1]
+        padded = np.zeros((total + 2, total + 2))  # padded[i + 1, j + 1] = R[i, j]
+        padded[1:-1, 1:-1] = rot
+        above = padded[:-1, :-1] * root - padded[:-1, 1:] * rev
+        level = padded[1:, :-1] * root + padded[1:, 1:] * rev
+        scale = 1.0 / (total * math.sqrt(2.0))
+        rot = (scale * root)[:, None] * above + (scale * rev)[:, None] * level
+        yield rot
+
+
 def random_ket(rng, shape):
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return amps / np.linalg.norm(amps)
@@ -222,6 +238,13 @@ class TestBeamSplitter:
             assert rot.shape == (total + 1, total + 1)
             if total % 8 == 0:  # every eighth block keeps the test fast
                 assert np.max(np.abs(rot.T @ rot - np.eye(total + 1))) <= 1e-13
+
+    def test_recursion_is_bitwise_the_bordered_one_up_to_total_200(self):
+        # the column-scaled copies form the same products and sums as the
+        # zero-bordered recursion, so the factors agree to the bit
+        pairs = zip(fock._multiplets(200), bordered_multiplets(200), strict=True)
+        for total, (rot, reference) in enumerate(pairs):
+            assert np.array_equal(rot, reference), total
 
     def test_recursion_stays_accurate_at_total_400(self):
         # A random vector in the complete block of total 400.  A recurrence
@@ -534,7 +557,7 @@ def reference_branches(state, eta):
     """phi_k[m] = B[m, m + k] psi[m + k] for every k, from the whole Kraus band."""
     psi = state.amplitudes
     dim = psi.size
-    band = fock._loss_band(eta, dim, 0, dim)
+    band = fock._loss_band(eta, fock._log_factorials(dim), 0, dim)
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):
         out[: dim - k, k] = band[k, : dim - k] * psi[k:]
@@ -603,7 +626,8 @@ class TestLossBranches:
         shifted = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([psi, np.zeros(psi.size - 1)]), psi.size
         )
-        expected = (fock._loss_band(eta, psi.size, 0, kept) * shifted[:kept]).T
+        band = fock._loss_band(eta, fock._log_factorials(psi.size), 0, kept)
+        expected = (band * shifted[:kept]).T
         assert branches.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_constructor_copies_its_callers_branches(self):
