@@ -9,12 +9,15 @@ benchmarks and the probe-state catalogue; :mod:`qmetro.protocol` orchestrates
 runs and cross-engine comparisons; the ``qmetro`` CLI exposes all of it.
 
 The Python API is these modules (``from qmetro import fock, protocol``); the
-package itself re-exports nothing.  :mod:`qmetro.fock`,
-:mod:`qmetro.correlations` and :mod:`qmetro.validate` are registered here to
-load on first use (:class:`importlib.util.LazyLoader`): importing them, or
-the CLI, runs none of their code, and the first attribute read does.  So a
-Gaussian command never runs them, and never imports numpy, the only
-dependency, which :mod:`qmetro.fock` and :mod:`qmetro.validate` import.
+package itself re-exports nothing.  :mod:`qmetro.protocol`,
+:mod:`qmetro.fock`, :mod:`qmetro.correlations` and :mod:`qmetro.validate`
+are registered here to load on first use
+(:class:`importlib.util.LazyLoader`): importing them, or the CLI, runs none
+of their code, and the first attribute read does.  So a command runs only
+the modules it reads from: a Gaussian command never runs the last three,
+and never imports numpy, the only dependency, which :mod:`qmetro.fock` and
+:mod:`qmetro.validate` import; ``sweep`` and ``table`` never run
+:mod:`qmetro.protocol` either.
 """
 
 import importlib.util
@@ -34,6 +37,6 @@ def _register_lazily(name: str) -> None:
     globals()[name] = module
 
 
-for _name in ("fock", "correlations", "validate"):
+for _name in ("protocol", "fock", "correlations", "validate"):
     _register_lazily(_name)
 del _name

@@ -25,10 +25,12 @@ Every command but ``validate`` writes its rows through one writer,
 :func:`_write_rows`: a row is a tuple of cell text in column order, made by
 the format's cell function in :data:`CELLS`, and the writer joins the rows
 into blocks of at most :data:`SWEEP_BLOCK_ROWS` under the CSV meta line and
-header, or inside the JSON document.  The output text is held once, and
-nothing is written before the last row is formatted, so a row that fails
-leaves stdout and ``--out`` untouched.  ``json`` is imported only by the
-commands that write it.  ``sweep`` calls the closed-form kernel
+header, or inside the JSON document.  A sweep the kernel would refuse is
+refused before its first byte (:func:`qmetro.gaussian.check_grid`), and
+every command writes each block as it is formatted, so it holds one block,
+not its document, and a reader that leaves (``| head``) stops the rows.
+``json`` is imported only by the commands that write it.  ``sweep`` calls
+the closed-form kernel
 :func:`qmetro.gaussian.protocol_row` once per (n_bar, phi), for every eta at
 once; each n_bar, phi and eta value, and each n_bar's shot-noise limit, has
 its cell made once, so a grid point adds only the cells of its signal,
@@ -40,10 +42,11 @@ resolved once, by the Fock run; ``--engine both`` adds the engines'
 
 The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
 ``table`` without ``--oracle``) run on the standard library alone.
-``protocol`` and ``sweep`` execute only this module, :mod:`qmetro.protocol`
-and :mod:`qmetro.gaussian`; ``table`` adds :mod:`qmetro.correlations`.  The
-engine modules :mod:`qmetro.fock`, :mod:`qmetro.correlations` and
-:mod:`qmetro.validate` are bound here but load on first use (see
+``sweep`` executes only this module and :mod:`qmetro.gaussian`;
+``protocol`` adds :mod:`qmetro.protocol`, and ``table``
+:mod:`qmetro.correlations`.  The engine modules :mod:`qmetro.protocol`,
+:mod:`qmetro.fock`, :mod:`qmetro.correlations` and :mod:`qmetro.validate`
+are bound here but load on first use (see
 :mod:`qmetro`), so numpy is imported only by the commands that run the Fock
 oracle, and no command needs scipy.
 """
@@ -62,6 +65,12 @@ from types import SimpleNamespace
 from . import correlations as co
 from . import gaussian, protocol, validate
 from .gaussian import SingularOperatingPointError, TruncationOverflowError
+
+# Keep this module below 4096 tokens as `tokenize` counts them, comments and
+# NL tokens left out.  A command run without a bytecode cache compiles it,
+# and between ~4080 and ~4110 tokens every command's peak RSS steps up by
+# 0.25-0.35 MB (a `protocol` command read 14.87 MB at 4080 tokens and
+# 15.11 MB at 4110).
 
 TABLE_COLUMNS = (
     "state_id", "n_bar", "q", "j", "qfi",
@@ -133,10 +142,12 @@ def _write_rows(columns: tuple[str, ...], meta: dict, fmt: str, out_path: str | 
 
     CSV is the '#' meta line, the header and a line per row; JSON is what
     ``json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2)``
-    writes, each row an object keyed by the columns.  Rows are formatted into
-    blocks of at most :data:`SWEEP_BLOCK_ROWS`, so the text is held once, not
-    as a string per row, and nothing is written until the last row is
-    formatted: a row that raises leaves stdout and ``--out`` untouched.
+    writes, each row an object keyed by the columns.  The head, then each
+    block of at most :data:`SWEEP_BLOCK_ROWS` rows as soon as it is
+    formatted, then the tail are written, so no more than one block of text
+    is held, and a reader that leaves stops the rows.  So a command raises
+    its refusals before it calls this, as ``sweep`` does by
+    :func:`qmetro.gaussian.check_grid`: no refused command writes a byte.
     """
     if fmt == "csv":
         meta_line = "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
@@ -151,12 +162,15 @@ def _write_rows(columns: tuple[str, ...], meta: dict, fmt: str, out_path: str | 
         template = ("    {{\n" + ",\n".join(f"      {json.dumps(c)}: {{}}" for c in columns)
                     + "\n    }}")
         lines = partial(starmap, template.format)
-    rows = iter(rows)
-    pieces = [head]
-    while block := sep.join(lines(islice(rows, SWEEP_BLOCK_ROWS))):
-        pieces += ("\n" if len(pieces) == 1 else sep, block)
-    pieces.append(tail)
-    _emit(pieces, out_path)
+
+    def pieces(rows=iter(rows), gap="\n"):
+        yield head
+        while block := sep.join(lines(islice(rows, SWEEP_BLOCK_ROWS))):
+            yield gap + block
+            gap = sep
+        yield tail
+
+    _emit(pieces(), out_path)
 
 
 class UsageError(ValueError):
@@ -296,6 +310,8 @@ def cmd_sweep(args) -> int:
     eta_values = _parse_grid(args.eta, "eta")
     _check_sweep_axes(n_bars, phi_values, eta_values,
                       "--nbar" if args.nbar is not None else "--nbar-logspace")
+    eta_pairs = [(eta, eta) for eta in eta_values]
+    gaussian.check_grid(n_bars, phi_values, eta_pairs)
     meta = {
         "command": "sweep",
         "snl_convention": "single-mode 1/sqrt(4 n_bar)",
@@ -303,16 +319,15 @@ def cmd_sweep(args) -> int:
         "points": len(n_bars) * len(phi_values) * len(eta_values),
     }
     _write_rows(SWEEP_COLUMNS, meta, args.format, args.out,
-                _sweep_rows(n_bars, phi_values, eta_values, CELLS[args.format]))
+                _sweep_rows(n_bars, phi_values, eta_pairs, CELLS[args.format]))
     return 0
 
 
-def _sweep_rows(n_bars: list, phis: list, etas: list, cell):
+def _sweep_rows(n_bars: list, phis: list, eta_pairs: list, cell):
     """The sweep's rows of cell text, in row order; each axis value's cell,
     and each n_bar's shot-noise limit, is formatted once."""
     phi_cells = [(phi, cell(phi)) for phi in phis]
-    eta_cells = [cell(eta) for eta in etas]
-    eta_pairs = [(eta, eta) for eta in etas]
+    eta_cells = [cell(eta) for eta, _ in eta_pairs]
     inf = math.inf
     for n_bar in n_bars:
         snl = gaussian.shot_noise_limit(n_bar)
@@ -522,16 +537,29 @@ def main(argv=None) -> int:
         # it (perfbench's span tracer) is what runs
         return globals()[COMMANDS[args.command][0].__name__](args)
     except SingularOperatingPointError as exc:
-        print(f"error: singular operating point: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"singular operating point: {exc}")
     except (ValueError, TruncationOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
     except MemoryError as exc:
         # an allocation the OS refuses at once; one it grants and then kills
         # the process for is beyond catching
-        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
-        return 2
+        return _refuse(f"out of memory: {str(exc) or 'an allocation was refused'}")
+
+
+def _refuse(text) -> int:
+    """Write a refusal's ``error:`` line to stderr; its exit code, 2."""
+    _to_stderr(f"error: {text}\n")
+    return 2
+
+
+def _to_stderr(text: str = "") -> None:
+    """Write ``text`` to stderr and flush it; if the shell has closed stderr
+    (``2>&-``), do nothing, so that a refusal still exits 2."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # stderr is None, or its descriptor is gone
+        pass
 
 
 def _observed() -> bool:
@@ -545,7 +573,8 @@ def run() -> int:
     """Process entry point of ``python -m qmetro`` and the ``qmetro`` script.
 
     Runs :func:`main`, then the atexit handlers, flushes stdout and stderr
-    (a reader that has gone is handled as :func:`_emit` handles it) and ends
+    (a reader that has gone is handled as :func:`_emit` handles it, and a
+    stderr the shell has closed as :func:`_refuse` handles it) and ends
     the process by :func:`os._exit` with :func:`main`'s exit code.  So no
     command pays for the interpreter's teardown, which clears every module
     and collects the heap but runs no finalizer that qmetro needs: every
@@ -561,8 +590,7 @@ def run() -> int:
     atexit._run_exitfuncs()
     if sys.stdout is not None:  # None when the shell closed it (`>&-`)
         _to_stdout(sys.stdout.flush)
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    _to_stderr()
     os._exit(code)
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import gc
 import importlib.util
+import io
 import json
 import math
 import os
@@ -10,8 +12,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmetro import cli, protocol
+from qmetro import cli, gaussian, protocol
 
 
 def run(capsys, *argv):
@@ -380,6 +383,105 @@ def test_sweep_holds_its_output_once(tmp_path, grid, fmt):
     assert peak <= 1.5 * path.stat().st_size
 
 
+def test_sweep_memory_does_not_grow_with_its_grid(tmp_path):
+    # 10^5 points, ~27 MB of JSON: each block is written as it is formatted,
+    # so the peak is one block, not the document
+    path = tmp_path / "sweep.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", "--nbar-logspace", "1", "1e6", "1000", "--phi", SWEEP_PHI_10,
+                         "--eta", SWEEP_ETA_10, "--format", "json", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert path.stat().st_size > 10**7
+    assert peak < 2**20
+
+
+def test_a_gone_reader_stops_the_rows(monkeypatch):
+    # stdout is a pipe whose reader has gone: the first block that reaches it
+    # fails, and the rows after it are never computed
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return kernel(*args)
+
+    kernel = gaussian.protocol_row
+    monkeypatch.setattr(gaussian, "protocol_row", counted)
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["sweep", "--nbar-logspace", "1", "1e6", "100", "--phi", SWEEP_PHI_10,
+                         "--eta", SWEEP_ETA_10])
+        monkeypatch.undo()
+    assert code == 0
+    assert 0 < len(calls) < 100 * 10
+
+
+def _first_refusal(n_bars, phis, eta_pairs):
+    """The message of the first row the kernel refuses, in the sweep's row order; or None."""
+    try:
+        for n_bar in n_bars:
+            for phi in phis:
+                gaussian.protocol_row(n_bar, phi, eta_pairs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _log_axis(low: int, high: float, edges: tuple):
+    """Increasing grids of 1-4 values, log-uniform in [10^low, 10^high] or at an edge."""
+    value = st.floats(low, high).map(lambda e: 10.0 ** max(e, low))
+    return st.lists(st.one_of(value, st.sampled_from(edges)),
+                    min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@given(
+    # n_bar past the overflow of a lossless (~6e76) and a lossy (~1e154)
+    # variance; n_bar and phi at their floors, where the variance underflows;
+    # eta down to where the slope underflows to 0
+    _log_axis(-150, 160, (1e-150, 1e-75, 5e76, 1e77, 1.3e154, 1e160)),
+    _log_axis(-150, math.log10(1.5), (1e-150, 1e-75, 1e-9, 1.5)),
+    _log_axis(-300, 0, (1e-300, 1e-150, 0.5, 1.0)),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_grid_check_refuses_what_the_rows_refuse(n_bars, phis, etas):
+    eta_pairs = [(eta, eta) for eta in etas]
+    expected = _first_refusal(n_bars, phis, eta_pairs)
+    try:
+        gaussian.check_grid(n_bars, phis, eta_pairs)
+        refusal = None
+    except ValueError as exc:
+        refusal = str(exc)
+    assert refusal == expected
+    argv = ["sweep", "--nbar", ",".join(map(repr, n_bars)), "--phi", ",".join(map(repr, phis)),
+            "--eta", ",".join(map(repr, etas))]
+    meta = {"command": "sweep", "snl_convention": "single-mode 1/sqrt(4 n_bar)",
+            "engine": "gaussian", "points": len(n_bars) * len(phis) * len(etas)}
+    for fmt in ("csv", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--format", fmt])
+        if expected is not None:
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected}\n")
+            continue
+        assert code == 0
+        # the streamed document equals the one written from all rows at once
+        rows = list(cli._sweep_rows(n_bars, phis, eta_pairs, cli.CELLS[fmt]))
+        if fmt == "csv":
+            meta_line = "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+            joined = "".join(f"{line}\n" for line in (meta_line, ",".join(cli.SWEEP_COLUMNS),
+                                                      *map(",".join, rows)))
+        else:
+            columns = list(cli.SWEEP_COLUMNS)
+            joined = json.dumps({"meta": meta, "columns": columns, "rows": [
+                dict(zip(columns, map(json.loads, row))) for row in rows]}, indent=2) + "\n"
+        assert out.getvalue() == joined
+
+
 def _subprocess_env() -> dict:
     """The environment of a child interpreter that imports this checkout's qmetro."""
     src = Path(cli.__file__).resolve().parents[1]
@@ -399,6 +501,25 @@ def test_sweep_into_a_closed_pipe_exits_quietly():
     assert proc.wait(timeout=120) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ("protocol", "--phi", "0.3"),  # UsageError: neither --nbar nor --r
+    ("protocol", "--nbar", "nan", "--phi", "0.3"),  # refused by the n_bar check
+], ids=["usage", "domain"])
+def test_a_refusal_with_stderr_closed_exits_2(argv, buffered):
+    # the shell has closed stderr (`2>&-`): the error line has nowhere to go,
+    # and the refusal still exits 2, without moving the line to stdout (where
+    # print sends it when sys.stderr is None)
+    env = _subprocess_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(["sh", "-c", '"$0" -m qmetro "$@" 2>&-', sys.executable, *argv],
+                          stdout=subprocess.PIPE, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 #: Commands run with the reader of their stdout already gone

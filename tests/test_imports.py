@@ -5,14 +5,15 @@ command loads ``argparse``, ``gettext`` or ``locale``, since the CLI parses
 its command lines from its own option table.  ``qmetro.validate`` imports
 nothing from the CLI.
 
-The package registers ``qmetro.fock``, ``qmetro.correlations`` and
-``qmetro.validate`` to load on first use, so importing the CLI runs none of
-them.  Each case runs ``qmetro.cli.main`` in a fresh interpreter and reports
-which of the heavy modules ended up in ``sys.modules`` and which engine
-modules were executed: a module registered but never run is still of the
-lazy-loader's module type.  The probe reads its arguments with
-``ast.literal_eval`` and imports ``json`` only after taking its readings, so
-that any ``json`` it sees was loaded by the CLI.
+The package registers ``qmetro.protocol``, ``qmetro.fock``,
+``qmetro.correlations`` and ``qmetro.validate`` to load on first use, so
+importing the CLI runs none of them, and ``sweep`` and ``table`` never run
+``qmetro.protocol``.  Each case runs ``qmetro.cli.main`` in a fresh
+interpreter and reports which of the heavy modules ended up in
+``sys.modules`` and which engine modules were executed: a module registered
+but never run is still of the lazy-loader's module type.  The probe reads
+its arguments with ``ast.literal_eval`` and imports ``json`` only after
+taking its readings, so that any ``json`` it sees was loaded by the CLI.
 """
 
 import json
@@ -29,7 +30,7 @@ PARSER_MODULES = ("argparse", "gettext", "locale")
 HEAVY = ("numpy", "numpy.random", "scipy", "dataclasses", "json", *PARSER_MODULES)
 ENGINE_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.protocol",
                   "qmetro.validate")
-LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.validate")
+LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.protocol", "qmetro.validate")
 
 PROBE = """
 import ast, contextlib, io, sys, types
@@ -100,8 +101,8 @@ GAUSSIAN_COMMANDS = (
     (["protocol", "--nbar", "2", "--phi", "0.3", "--eta1", "0.9", "--eta2", "0.8",
       "--engine", "gaussian"], 1, ["qmetro.gaussian", "qmetro.protocol"]),
     (["sweep", "--nbar", "1,10,100", "--phi", "0.001,0.01", "--eta", "0.9,0.99"], 12,
-     ["qmetro.gaussian", "qmetro.protocol"]),
-    (["table", "--nbar", "4"], 8, ["qmetro.correlations", "qmetro.gaussian", "qmetro.protocol"]),
+     ["qmetro.gaussian"]),
+    (["table", "--nbar", "4"], 8, ["qmetro.correlations", "qmetro.gaussian"]),
 )
 
 
@@ -109,7 +110,7 @@ def test_gaussian_commands_load_only_the_standard_library():
     for argv, rows, executed in GAUSSIAN_COMMANDS:
         doc = _run_in_fresh_interpreter(argv)
         assert doc["after_import"] == []
-        assert doc["executed_after_import"] == ["qmetro.gaussian", "qmetro.protocol"]
+        assert doc["executed_after_import"] == ["qmetro.gaussian"]
         (code, out), = doc["runs"]
         assert code == 0, argv
         assert len(_data_rows(out)) == rows, argv
@@ -128,6 +129,15 @@ def test_refused_default_cutoff_loads_no_fock_code():
     assert doc["executed"] == ["qmetro.gaussian", "qmetro.protocol"]
 
 
+def test_refusal_before_the_config_runs_no_protocol_code():
+    # the n_bar check refuses before a ProtocolConfig is built, so the
+    # lazily registered qmetro.protocol is never run
+    doc = _run_in_fresh_interpreter(["protocol", "--nbar", "nan", "--phi", "0.3"])
+    (code, out), = doc["runs"]
+    assert (code, out) == (2, "")
+    assert doc["executed"] == ["qmetro.gaussian"]
+
+
 @pytest.mark.parametrize(
     "argv,check_output,executed",
     [
@@ -141,7 +151,7 @@ def test_refused_default_cutoff_loads_no_fock_code():
             ["table", "--nbar", "2", "--oracle"],
             # the oracle_q column of the twin Fock row is filled in
             lambda out: any(row[0] == "twin_fock" and row[5] for row in _data_rows(out)),
-            ["qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.protocol"],
+            ["qmetro.correlations", "qmetro.fock", "qmetro.gaussian"],
         ),
         (
             ["validate", "--level", "quick"],
@@ -171,6 +181,7 @@ def test_lazy_modules_show_their_functions_to_vars():
     expected = {
         "qmetro.correlations": ("table_row", "oracle_row", "classical_fisher_information"),
         "qmetro.fock": ("squeeze", "loss", "unsqueezed_moments", "beam_splitter"),
+        "qmetro.protocol": ("run_gaussian", "run_fock", "run_both", "error_propagation"),
         "qmetro.validate": ("run_checks", "check_engine_equivalence"),
     }
     for name, (lazy, functions, executed) in doc.items():
