@@ -17,7 +17,9 @@ of their code, and the first attribute read does.  So a command runs only
 the modules it reads from: a Gaussian command never runs the last three,
 and never imports numpy, the only dependency, which :mod:`qmetro.fock` and
 :mod:`qmetro.validate` import; ``sweep`` and ``table`` never run
-:mod:`qmetro.protocol` either.
+:mod:`qmetro.protocol` either.  The CLI's handler modules (``qmetro.cmd_*``)
+are not registered here: :func:`qmetro.cli.main` imports a command's own
+handler when it runs it, so loading every registered module loads none.
 """
 
 import importlib.util

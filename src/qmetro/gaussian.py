@@ -9,8 +9,8 @@ terms of one sign, so it keeps full double precision at any brightness and
 at the smallest angles.  It is the one closed-form kernel and the only
 Gaussian arithmetic on the runtime path of ``protocol`` and ``sweep``: it
 takes one (n_bar, phi) and any number of (eta1, eta2) pairs, so ``sweep``
-calls it once per (n_bar, phi) row, once :func:`check_grid` has found no
-row it would refuse.  :func:`protocol_point` is its one-pair
+calls it once per (n_bar, phi) row, once :func:`qmetro.cmd_sweep.check_grid`
+has found no row it would refuse.  :func:`protocol_point` is its one-pair
 view, as a :class:`ProtocolResult` (what :func:`qmetro.protocol.run_gaussian`
 returns), and :func:`signal`, :func:`signal_slope`, :func:`phase_error` and
 :func:`snl_ratio` are views of that.
@@ -300,35 +300,6 @@ def protocol_row(n_bar: float, phi: float, eta_pairs) -> list[tuple]:
             is_limit = True
         row.append((signal, variance, complex(aa_re, aa_im), slope, error, is_limit))
     return row
-
-
-def check_grid(n_bars: list, phis: list, eta_pairs: list) -> None:
-    """Raise what the first refused row of a sweep grid raises; most grids take two rows a phi.
-
-    The rows are :func:`protocol_row` of each (n_bar, phi), n_bar outer,
-    for every pair.  On the sweep's domain (increasing n_bar >=
-    ``N_BAR_FLOOR``, 0 < phi < pi/2, 0 < eta <= 1) every factor of the
-    variance is non-negative and does not decrease with n_bar, and rounding
-    is monotone, so no computed variance decreases along the n_bar axis:
-    the last n_bar decides overflow and the first underflow.  Only if one of
-    those two rows raises, or the first holds a variance below the smallest
-    normal (its slope 0, where a later row may still be refused), is every
-    row evaluated in order, which raises the first refusal as the sweep
-    would.
-    """
-    for phi in phis:
-        try:
-            first = protocol_row(n_bars[0], phi, eta_pairs)
-            protocol_row(n_bars[-1], phi, eta_pairs)
-        except ValueError:
-            break
-        if min(variance for _, variance, *_ in first) < _SMALLEST_NORMAL:
-            break
-    else:
-        return
-    for n_bar in n_bars:
-        for phi in phis:
-            protocol_row(n_bar, phi, eta_pairs)
 
 
 def protocol_point(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmetro import cli, gaussian, protocol
+from qmetro import cli, cmd_sweep, cmd_table, gaussian, protocol
 
 
 def run(capsys, *argv):
@@ -69,7 +69,7 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "--nbar", "2")
         lines = out.splitlines()
         assert lines[0].startswith("#")
-        assert lines[1] == ",".join(cli.TABLE_COLUMNS)
+        assert lines[1] == ",".join(cmd_table.TABLE_COLUMNS)
         assert len(lines) == 2 + 8
 
     def test_oracle_cutoff_failure_is_per_row(self, capsys):
@@ -87,7 +87,7 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "--nbar", "2", "--oracle", "--cutoff", "8")
         assert code == 0
         _, header, *rows = csv.reader(out.splitlines())
-        assert header == list(cli.TABLE_COLUMNS)
+        assert header == list(cmd_table.TABLE_COLUMNS)
         assert len(rows) == 8
         assert all(len(row) == len(header) for row in rows)
         notes = {row[0]: row[-1] for row in rows}
@@ -125,7 +125,8 @@ class TestTableCommand:
         assert code == 0
         rows = {r["state_id"]: r for r in json.loads(out)["rows"]}
         assert rows["amplified_bell"] == {
-            **dict.fromkeys(cli.TABLE_COLUMNS), "state_id": "amplified_bell", "n_bar": float(n_bar),
+            **dict.fromkeys(cmd_table.TABLE_COLUMNS), "state_id": "amplified_bell",
+            "n_bar": float(n_bar),
             "note": "closed form unavailable: amplified-Bell closed forms need n_bar >= 1; "
                     f"got n_bar={n_bar}",
         }
@@ -452,7 +453,7 @@ def test_grid_check_refuses_what_the_rows_refuse(n_bars, phis, etas):
     eta_pairs = [(eta, eta) for eta in etas]
     expected = _first_refusal(n_bars, phis, eta_pairs)
     try:
-        gaussian.check_grid(n_bars, phis, eta_pairs)
+        cmd_sweep.check_grid(n_bars, phis, eta_pairs)
         refusal = None
     except ValueError as exc:
         refusal = str(exc)
@@ -470,13 +471,13 @@ def test_grid_check_refuses_what_the_rows_refuse(n_bars, phis, etas):
             continue
         assert code == 0
         # the streamed document equals the one written from all rows at once
-        rows = list(cli._sweep_rows(n_bars, phis, eta_pairs, cli.CELLS[fmt]))
+        rows = list(cmd_sweep._sweep_rows(n_bars, phis, eta_pairs, cli.CELLS[fmt]))
         if fmt == "csv":
             meta_line = "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-            joined = "".join(f"{line}\n" for line in (meta_line, ",".join(cli.SWEEP_COLUMNS),
+            joined = "".join(f"{line}\n" for line in (meta_line, ",".join(cmd_sweep.SWEEP_COLUMNS),
                                                       *map(",".join, rows)))
         else:
-            columns = list(cli.SWEEP_COLUMNS)
+            columns = list(cmd_sweep.SWEEP_COLUMNS)
             joined = json.dumps({"meta": meta, "columns": columns, "rows": [
                 dict(zip(columns, map(json.loads, row))) for row in rows]}, indent=2) + "\n"
         assert out.getvalue() == joined
@@ -520,6 +521,62 @@ def test_a_refusal_with_stderr_closed_exits_2(argv, buffered):
     proc = subprocess.run(["sh", "-c", '"$0" -m qmetro "$@" 2>&-', sys.executable, *argv],
                           stdout=subprocess.PIPE, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+#: Runs ``qmetro`` on argv[1:] under a tracer, so that the entry point
+#: returns and the interpreter shuts down as usual, flushing stderr once more
+SETTRACE_CHILD = """
+import sys
+sys.settrace(lambda *args: None)
+sys.argv = ["qmetro", *sys.argv[1:]]
+from qmetro.cli import run
+sys.exit(run())
+"""
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+def test_a_traced_refusal_with_stderr_closed_exits_2(redirect, buffered):
+    # stderr is closed, or open for reading only, as a launcher that reuses
+    # the closed descriptor leaves it; with PYTHONUNBUFFERED unset the failed
+    # write leaves the error line in stderr's buffer, and the interpreter's
+    # own last flush must not fail
+    env = _subprocess_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(["sh", "-c", f'"$0" "$@" {redirect}', sys.executable, "-c",
+                           SETTRACE_CHILD, "protocol", "--phi", "0.3"],
+                          stdout=subprocess.PIPE, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+#: Commands run with stdout closed, and their exit codes
+CLOSED_STDOUT_CASES = [
+    (("protocol", "--nbar", "1", "--phi", "0.3"), 0),
+    (("sweep", "--nbar", "1,10", "--phi", "0.1", "--eta", "0.9"), 0),
+    (("validate",), 0),
+    (("--help",), 0),
+    (("protocol", "--phi", "0.3"), 2),
+]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,expected_code", CLOSED_STDOUT_CASES,
+                         ids=[" ".join(argv) for argv, _ in CLOSED_STDOUT_CASES])
+def test_a_command_with_stdout_closed_exits_with_its_own_code(argv, expected_code, buffered):
+    # the shell has closed stdout (`>&-`), so sys.stdout is None: the rows
+    # have nowhere to go, and are dropped as for a reader that has gone
+    env = _subprocess_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(["sh", "-c", '"$0" -m qmetro "$@" >&-', sys.executable, *argv],
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+    expected_err = b"error: give exactly one of --nbar and --r\n" if expected_code else b""
+    assert (proc.returncode, proc.stderr) == (expected_code, expected_err)
 
 
 #: Commands run with the reader of their stdout already gone

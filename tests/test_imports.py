@@ -14,6 +14,10 @@ interpreter and reports which of the heavy modules ended up in
 but never run is still of the lazy-loader's module type.  The probe reads
 its arguments with ``ast.literal_eval`` and imports ``json`` only after
 taking its readings, so that any ``json`` it sees was loaded by the CLI.
+
+Each command's handler is a module of its own, which the CLI imports only
+when that command runs: a command executes its own handler and no other,
+and ``--help`` or a refusal by the parser executes none.
 """
 
 import json
@@ -31,6 +35,9 @@ HEAVY = ("numpy", "numpy.random", "scipy", "dataclasses", "json", *PARSER_MODULE
 ENGINE_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.protocol",
                   "qmetro.validate")
 LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.protocol", "qmetro.validate")
+#: Each command's handler, which the CLI imports only to run that command
+HANDLER_MODULES = ("qmetro.cmd_protocol", "qmetro.cmd_sweep", "qmetro.cmd_table",
+                   "qmetro.cmd_validate")
 
 PROBE = """
 import ast, contextlib, io, sys, types
@@ -198,3 +205,39 @@ def test_validate_does_not_import_the_cli():
                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qmetro'))))")
     assert "qmetro.validate" in doc
     assert "qmetro.cli" not in doc
+
+
+#: A command line, its exit code, and the handler modules it executes
+HANDLER_CASES = [
+    (["protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9"], 0, ["qmetro.cmd_protocol"]),
+    (["sweep", "--nbar", "1,10", "--phi", "0.001,0.01", "--eta", "0.9"], 0, ["qmetro.cmd_sweep"]),
+    (["table", "--nbar", "4"], 0, ["qmetro.cmd_table"]),
+    (["table", "--nbar", "2", "--oracle"], 0, ["qmetro.cmd_table"]),
+    (["validate"], 0, ["qmetro.cmd_validate"]),
+    (["--help"], 0, []),
+    (["sweep", "--help"], 0, []),
+    # refused by the handler's n_bar check, then by the parser
+    (["protocol", "--nbar", "nan", "--phi", "0.3"], 2, ["qmetro.cmd_protocol"]),
+    (["protocol", "--nbar", "1", "--phi", "0.3", "--engine", "exact"], 2, []),
+]
+
+
+@pytest.mark.parametrize("argv,expected_code,handlers", HANDLER_CASES,
+                         ids=[" ".join(argv) for argv, _, _ in HANDLER_CASES])
+def test_each_command_executes_only_its_own_handler(argv, expected_code, handlers):
+    doc = _python(PROBE, repr(([argv], (), HANDLER_MODULES)))
+    assert doc["executed_after_import"] == []
+    (code, _), = doc["runs"]
+    assert code == expected_code
+    assert doc["executed"] == handlers
+
+
+def test_loading_every_engine_module_loads_no_handler():
+    # what the benchmark's tracer does: vars() of every qmetro module loads
+    # each lazily registered one, none of which imports a handler
+    doc = _python("import json, sys, qmetro.cli\n"
+                  "for name in [m for m in sys.modules if m.startswith('qmetro')]:\n"
+                  "    vars(sys.modules[name])\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qmetro'))))")
+    assert set(LAZY_MODULES) <= set(doc)
+    assert not set(HANDLER_MODULES) & set(doc)
