@@ -38,9 +38,14 @@ header, or inside the JSON document.  A sweep the kernel would refuse is
 refused before its first byte (:func:`qmetro.cmd_sweep.check_grid`), and
 every command writes each block as it is formatted, so it holds one block,
 not its document, and a reader that leaves (``| head``) stops the rows.
-A closed stdout (``>&-``) takes no bytes and a closed stderr (``2>&-``) no
-refusal, and neither changes an exit code.  ``json`` is imported only by
-the commands that write it.
+``json`` is imported only by the commands that write it.
+
+Each stream has one write policy, in the one function that writes and
+flushes it.  :func:`_emit` writes stdout and ``--out``: a stdout that is
+gone (closed by ``>&-``, its reader left, or open read-only) takes nothing
+and leaves the exit code alone; any other failed write is refused as
+``cannot write stdout`` or ``cannot write <path>``, exit 2.  :func:`_refuse`
+writes stderr: a closed stderr (``2>&-``) takes nothing, and still exits 2.
 
 The Gaussian commands (``protocol --engine gaussian``, ``sweep`` and
 ``table`` without ``--oracle``) run on the standard library alone.  Each
@@ -54,6 +59,7 @@ oracle, and no command needs scipy.
 from __future__ import annotations
 
 import atexit
+import errno
 import importlib
 import math
 import os
@@ -66,12 +72,11 @@ from types import SimpleNamespace
 from .gaussian import SingularOperatingPointError, TruncationOverflowError
 
 # A command run without a bytecode cache compiles every module it imports,
-# and the parser's transient memory for the largest of them sets the
-# command's peak RSS.  So code that only one command runs goes in that
-# command's handler module, not here, and this module stays smaller than
-# gaussian.py, the largest other module every command compiles (~2150 tokens
-# each, as `tokenize` counts them without COMMENT and NL tokens): padded to
-# 2733 tokens, it raised every Gaussian command's peak by 0.2-0.3 MB.
+# and the parser's memory for the largest sets its peak RSS.  So code that
+# only one command runs goes in its handler module, and this module stays
+# smaller than gaussian.py, which every command compiles too (a test counts
+# their tokens): padded to 2733 tokens, it raised each Gaussian command's
+# peak by 0.2-0.3 MB.
 
 #: Rows the writer joins into one block of its output (module docstring)
 SWEEP_BLOCK_ROWS = 128
@@ -105,27 +110,27 @@ def _json_cell(value) -> str:
 CELLS = {"csv": _fmt, "json": _json_cell}
 
 
-def _to_stdout(write, *args) -> None:
-    """``write(*args)``, a write or flush of stdout; if the reader has gone
-    (`qmetro sweep ... | head`), drop the rest quietly and point stdout at
-    devnull, so that no later flush raises again."""
-    try:
-        write(*args)
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
-    """Write each piece of text in turn."""
-    if out_path is None:
-        if sys.stdout is not None:  # None when the shell closed it (`>&-`)
-            _to_stdout(sys.stdout.writelines, pieces)
-    else:
+    """Write each piece of text in turn to ``out_path``, or to stdout, and flush it.
+
+    A stdout that is gone (None, ``EPIPE`` or ``EBADF``) takes nothing; any
+    other failed write is a :class:`UsageError` (module docstring).  A stdout
+    that fails is pointed at devnull, so that no later flush fails again.
+    """
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
             raise UsageError(f"cannot write {out_path}: {exc}") from exc
+    elif sys.stdout is not None:
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if exc.errno not in (errno.EPIPE, errno.EBADF):
+                raise UsageError(f"cannot write stdout: {exc}") from exc
 
 
 def _write_rows(columns: tuple[str, ...], meta: dict, fmt: str, out_path: str | None,
@@ -348,24 +353,19 @@ def main(argv=None) -> int:
 
 
 def _refuse(text) -> int:
-    """Write a refusal's ``error:`` line to stderr; its exit code, 2."""
-    _to_stderr(f"error: {text}\n")
-    return 2
+    """Write a refusal's ``error:`` line to stderr and flush it; its exit code, 2.
 
-
-def _to_stderr(text: str = "") -> None:
-    """Write ``text`` to stderr and flush it; if the shell has closed stderr
-    (``2>&-``), drop the text, so that a refusal still exits 2.  A write that
-    fails leaves the text in stderr's buffer, so stderr is then pointed at
-    devnull, where the interpreter's own last flush (under a tracer, which
-    :func:`run` leaves to shut down as usual) does not fail again."""
+    A stderr that is None (``2>&-``) takes nothing; one that refuses the
+    write is pointed at devnull, where the interpreter's own last flush of
+    the line (under a tracer, :func:`run` returns) does not fail again."""
     try:
-        sys.stderr.write(text)
+        sys.stderr.write(f"error: {text}\n")
         sys.stderr.flush()
     except AttributeError:  # stderr is None
         pass
     except OSError:  # its descriptor is gone, or refuses writes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return 2
 
 
 def _observed() -> bool:
@@ -378,27 +378,19 @@ def _observed() -> bool:
 def run() -> int:
     """Process entry point of ``python -m qmetro`` and the ``qmetro`` script.
 
-    Runs :func:`main`, then the atexit handlers, flushes stdout and stderr
-    (a reader that has gone is handled as :func:`_emit` handles it, and a
-    stderr the shell has closed as :func:`_refuse` handles it) and ends
-    the process by :func:`os._exit` with :func:`main`'s exit code.  So no
+    Runs :func:`main`, then the atexit handlers, and ends the process by
+    :func:`os._exit` with :func:`main`'s exit code.  It flushes nothing: every
+    byte qmetro writes is flushed by :func:`_emit` or :func:`_refuse`, and
+    every ``--out`` file is closed, before :func:`main` returns.  So no
     command pays for the interpreter's teardown, which clears every module
-    and collects the heap but runs no finalizer that qmetro needs: every
-    ``--out`` file is closed before :func:`main` returns.  Under a tracer or
-    profiler it returns the exit code instead, so the interpreter shuts down
-    as usual and coverage or ``python -m cProfile -m qmetro`` writes its
-    report.  An exception out of :func:`main` propagates, with its traceback
-    and exit code 1.  :func:`main` leaves the process as it found it.
+    and collects the heap but runs no finalizer that qmetro needs.  Under a
+    tracer or profiler it returns the exit code instead, so the interpreter
+    shuts down as usual and coverage or ``python -m cProfile -m qmetro``
+    writes its report.  An exception out of :func:`main` propagates, with its
+    traceback and exit code 1.  :func:`main` leaves the process as it found it.
     """
     code = main()
     if _observed():
         return code
     atexit._run_exitfuncs()
-    if sys.stdout is not None:  # None when the shell closed it (`>&-`)
-        _to_stdout(sys.stdout.flush)
-    _to_stderr()
     os._exit(code)
-
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -20,12 +20,10 @@ from .cli import _emit
 def run(args) -> int:
     report = validate.run_checks()
     doc = json.dumps(report, indent=2)
+    _emit([doc, "\n"], args.out)
     if args.out is not None:
-        _emit([doc, "\n"], args.out)
         summary = [f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: observed "
                    f"{check['observed']:.3e} (budget {check['budget']:.0e})\n"
                    for check in report["checks"]]
         _emit([*summary, f"{len(report['checks'])} checks\n"], None)
-    else:
-        _emit([doc, "\n"], None)
     return 0 if report["passed"] else 1

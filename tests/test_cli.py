@@ -565,18 +565,51 @@ CLOSED_STDOUT_CASES = [
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("argv,expected_code", CLOSED_STDOUT_CASES,
                          ids=[" ".join(argv) for argv, _ in CLOSED_STDOUT_CASES])
-def test_a_command_with_stdout_closed_exits_with_its_own_code(argv, expected_code, buffered):
-    # the shell has closed stdout (`>&-`), so sys.stdout is None: the rows
-    # have nowhere to go, and are dropped as for a reader that has gone
+@pytest.mark.parametrize("redirect", [">&-", "1</dev/null"], ids=["closed", "read-only"])
+def test_a_command_with_stdout_closed_exits_with_its_own_code(redirect, argv, expected_code,
+                                                              buffered):
+    # the shell has closed stdout (`>&-`), so sys.stdout is None, or it is
+    # open for reading only, so each write fails with EBADF: the rows have
+    # nowhere to go, and are dropped as for a reader that has gone
     env = _subprocess_env()
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
     else:
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.run(["sh", "-c", '"$0" -m qmetro "$@" >&-', sys.executable, *argv],
+    proc = subprocess.run(["sh", "-c", f'"$0" -m qmetro "$@" {redirect}', sys.executable, *argv],
                           stderr=subprocess.PIPE, env=env, timeout=120)
     expected_err = b"error: give exactly one of --nbar and --r\n" if expected_code else b""
     assert (proc.returncode, proc.stderr) == (expected_code, expected_err)
+
+
+#: Commands whose stdout refuses every write; the sweep's ~75 kB of rows
+#: take more than one 8 KiB buffer and more than one block
+FULL_STDOUT_CASES = [
+    ("protocol", "--nbar", "1", "--phi", "0.3"),
+    ("sweep", "--nbar-logspace", "1", "1e6", "100", "--phi", "0.1,1.0", "--eta", "0.8,0.9,0.99"),
+    ("validate",),
+    ("--help",),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", FULL_STDOUT_CASES, ids=" ".join)
+def test_a_stdout_that_refuses_writes_is_refused(argv, buffered):
+    # every write to /dev/full fails with ENOSPC: unlike a stdout that is
+    # gone, that is one refusal, not a traceback with exit code 1 or 120
+    env = _subprocess_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qmetro", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(b"error: cannot write stdout: ")
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+    assert b"Traceback" not in proc.stderr
 
 
 #: Commands run with the reader of their stdout already gone

@@ -17,13 +17,16 @@ taking its readings, so that any ``json`` it sees was loaded by the CLI.
 
 Each command's handler is a module of its own, which the CLI imports only
 when that command runs: a command executes its own handler and no other,
-and ``--help`` or a refusal by the parser executes none.
+and ``--help`` or a refusal by the parser executes none.  So that ``cli.py``
+does not set a command's peak RSS when it is compiled, it stays smaller
+than ``gaussian.py``, which every command compiles too.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -241,3 +244,16 @@ def test_loading_every_engine_module_loads_no_handler():
                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qmetro'))))")
     assert set(LAZY_MODULES) <= set(doc)
     assert not set(HANDLER_MODULES) & set(doc)
+
+
+def _tokens(path: Path) -> int:
+    """Tokens in a source file, as ``tokenize`` counts them without COMMENT and NL tokens."""
+    with path.open("rb") as fh:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+                   for tok in tokenize.tokenize(fh.readline))
+
+
+def test_the_cli_compiles_to_fewer_tokens_than_gaussian():
+    # the parser's memory for the largest file a command compiles without a
+    # bytecode cache sets its peak RSS; every command compiles both of these
+    assert _tokens(SRC / "qmetro" / "cli.py") < _tokens(SRC / "qmetro" / "gaussian.py")
