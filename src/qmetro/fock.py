@@ -23,19 +23,22 @@ library only.  The package registers it to load on first use, so the
 Gaussian commands never run it and never import numpy.  The protocol's
 probe, a squeezed vacuum, comes from its closed-form amplitudes
 (:func:`padded_squeezed_vacuum`), so a protocol run diagonalises nothing.
+The closed-form constructors run their recurrences in Python floats, and
+each returns through one deficit check (:func:`_check_constructor_deficit`).
 The squeeze of a general ket (:func:`squeeze`) is the oracle's independent
 numerical route: its unitary comes from one eigendecomposition of the
 generator per basis size, shared by every squeezing parameter, so no
 matrix exponential is ever taken.  The loss branches come from the Kraus
 matrix elements, evaluated in log space a band of 64 at a time.  The beam
-splitter's unitary on a complete total-photon block follows from the
+splitter rotates every complete total-photon block, its unitary from the
 previous block's by a stable recursion; only the blocks that the cutoff
-clips are diagonalised.
+clips, and only those that hold weight, are diagonalised.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -153,24 +156,50 @@ def vacuum(cutoff: int) -> PureState:
     return PureState(amps)
 
 
-def _check_constructor_deficit(amps: np.ndarray, what: str) -> float:
+def _check_constructor_deficit(amps: np.ndarray, what: str) -> PureState:
+    """The ket of a constructor's amplitudes, refused if they miss more than
+    ``CONSTRUCTOR_DEFICIT_LIMIT`` of the weight; the deficit is its tolerance."""
     deficit = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     if deficit > CONSTRUCTOR_DEFICIT_LIMIT:
         raise TruncationOverflowError(
             f"{what}: truncated norm deficit {deficit:.3e} exceeds "
             f"{CONSTRUCTOR_DEFICIT_LIMIT:g}; increase the cutoff"
         )
-    return deficit
+    return PureState(amps, truncation_tol=_tol_for(deficit))
 
 
 def coherent(alpha: complex, cutoff: int) -> PureState:
-    """Coherent state with amplitude alpha, c_n = e^{-|a|^2/2} a^n / sqrt(n!)."""
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = np.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    deficit = _check_constructor_deficit(amps, f"coherent(alpha={alpha!r}, cutoff={cutoff})")
-    return PureState(amps, truncation_tol=_tol_for(deficit))
+    """Coherent state with amplitude alpha, c_n = e^{-|a|^2/2} a^n / sqrt(n!).
+
+    The recurrence c_n = c_{n-1} alpha / sqrt(n) starts at c_0, unless
+    e^{-|a|^2/2} is not a normal double (|a|^2 above ~1417: it would lose
+    digits, and underflow to 0 above ~1490).  It then starts at the most
+    probable level m = floor(|a|^2), or at the cutoff if that is lower, with
+    |c_m| from Stirling's series in a form that cancels nothing, and runs
+    down to c_0 as well as up to the cutoff.
+    """
+    x = abs(alpha) ** 2
+    amp = complex(np.exp(-x / 2.0))
+    m = int(min(x, cutoff)) if amp.real < sys.float_info.min else 0
+    if m:
+        # log(e^{-x/2} x^{m/2} / sqrt(m!)), log m! = m log m - m + log(2 pi m)/2 + ...
+        log_mod = ((m - x) / 2.0 + m / 2.0 * math.log1p((x - m) / m)
+                   - math.log(2.0 * math.pi * m) / 4.0
+                   - (1.0 / (12.0 * m) - 1.0 / (360.0 * m**3)) / 2.0)
+        theta = m * math.atan2(alpha.imag, alpha.real)
+        amp = math.exp(log_mod) * complex(math.cos(theta), math.sin(theta))
+    amps = [0j] * (cutoff + 1)
+    amps[m] = down = amp
+    for n in range(m, 0, -1):
+        down = down * (math.sqrt(n) / alpha)
+        amps[n - 1] = down
+    for n in range(m + 1, cutoff + 1):
+        # times the reciprocal, as numpy's complex division by a real rounds
+        amp = amp * alpha * (1.0 / math.sqrt(n))
+        amps[n] = amp
+    return _check_constructor_deficit(
+        np.array(amps), f"coherent(alpha={alpha!r}, cutoff={cutoff})"
+    )
 
 
 def squeezed_vacuum(r: float, phi: float, cutoff: int) -> PureState:
@@ -181,25 +210,24 @@ def squeezed_vacuum(r: float, phi: float, cutoff: int) -> PureState:
     which is what exp[(r/2)(a^2 - a^dag^2)] produces from vacuum followed by a
     number-basis phase rotation.
     """
-    amps = _squeezed_vacuum_amplitudes(r, phi, cutoff)
-    deficit = _check_constructor_deficit(amps, f"squeezed_vacuum(r={r}, cutoff={cutoff})")
-    return PureState(amps, truncation_tol=_tol_for(deficit))
+    return _check_constructor_deficit(
+        _squeezed_vacuum_amplitudes(r, phi, cutoff), f"squeezed_vacuum(r={r}, cutoff={cutoff})"
+    )
 
 
 def _squeezed_vacuum_amplitudes(r: float, phi: float, cutoff: int) -> np.ndarray:
     check_value(r, "r", 0.0)  # the axis is set by phi
     if cutoff < 2 and r > 0:
         raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = 1.0 / np.sqrt(np.cosh(r))
-    t = np.tanh(r)
-    rot = np.exp(2j * phi)
-    for j in range(1, cutoff // 2 + 1):
-        two_j = 2 * j
-        amps[two_j] = (
-            -amps[two_j - 2] * t * rot * np.sqrt(two_j * (two_j - 1)) / two_j
-        )
-    return amps
+    amp = complex(1.0 / np.sqrt(np.cosh(r)))
+    t = float(np.tanh(r))
+    rot = complex(np.exp(2j * phi))
+    amps = [0j] * (cutoff + 1)
+    amps[0] = amp
+    for two_j in range(2, cutoff + 1, 2):  # 1 / two_j as a reciprocal, as in coherent
+        amp = -amp * t * rot * math.sqrt(two_j * (two_j - 1)) * (1.0 / two_j)
+        amps[two_j] = amp
+    return np.array(amps)
 
 
 def padded_squeezed_vacuum(r: float, cutoff: int) -> tuple[PureState, float]:
@@ -264,11 +292,9 @@ def entangled_coherent(alpha: complex, cutoff: int) -> PureState:
     vac[0] = 1.0
     raw = np.multiply.outer(coh.amplitudes, vac) + np.multiply.outer(vac, coh.amplitudes)
     norm = np.sqrt(2.0 * (1.0 + np.exp(-abs(alpha) ** 2)))
-    amps = raw / norm
-    deficit = _check_constructor_deficit(
-        amps, f"entangled_coherent(alpha={alpha!r}, cutoff={cutoff})"
+    return _check_constructor_deficit(
+        raw / norm, f"entangled_coherent(alpha={alpha!r}, cutoff={cutoff})"
     )
-    return PureState(amps, truncation_tol=_tol_for(deficit))
 
 
 def two_mode_squeezed_vacuum(r: float, cutoff: int) -> PureState:
@@ -278,10 +304,7 @@ def two_mode_squeezed_vacuum(r: float, cutoff: int) -> PureState:
     schmidt = np.tanh(r) ** n / np.cosh(r)
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     amps[n, n] = schmidt
-    deficit = _check_constructor_deficit(
-        amps, f"two_mode_squeezed_vacuum(r={r}, cutoff={cutoff})"
-    )
-    return PureState(amps, truncation_tol=_tol_for(deficit))
+    return _check_constructor_deficit(amps, f"two_mode_squeezed_vacuum(r={r}, cutoff={cutoff})")
 
 
 def product(a: PureState, b: PureState) -> PureState:
@@ -312,12 +335,12 @@ def beam_splitter(state: PureState) -> PureState:
     is only partly representable and is rotated within its clipped span, by
     an eigendecomposition of the clipped generator; the input weight in such
     blocks (:func:`beam_splitter_overflow`) bounds what the result gets wrong
-    there, and is added to its ``truncation_tol``.  Blocks whose input is
-    exactly zero are left zero without any work, and when every clipped
-    block is, that weight is 0 and is not measured.  Every block is read and
-    written as a strided slice of the C-ordered amplitudes, where |k, T - k>
-    sits at T + k cutoff, so no index array is built; the gauge diag(i^k)
-    of the complete blocks is built once per call.
+    there, and is added to its ``truncation_tol``.  Every complete block is
+    rotated, an empty one to zero; a clipped block is rotated only if its
+    input holds weight, and only then is that weight measured.  Every block
+    is read and written as a strided slice of the C-ordered amplitudes, where
+    |k, T - k> sits at T + k cutoff, so no index array is built; the gauge
+    diag(i^k) of the complete blocks is built once per call.
     """
     if not isinstance(state, PureState) or state.modes != 2:
         raise ValueError("beam_splitter() acts on two-mode pure states")
@@ -325,27 +348,26 @@ def beam_splitter(state: PureState) -> PureState:
     amps = state.amplitudes
     flat = np.ravel(amps)  # C order: block T is flat[T + k c], k = 0..T
     out = np.zeros_like(flat)
-    rows, cols = np.nonzero(amps)
-    occupied = np.zeros(2 * c + 1, dtype=bool)
-    occupied[rows + cols] = True
-    top = max(np.flatnonzero(occupied[: c + 1]).tolist(), default=-1)
-    gauge = _gauge(top + 1)
+    gauge = _gauge(c + 1)
     # i^N as 1j ** (N % 4): Python's 1j ** N is off by ~1e-14 for N > 100
-    for total, orthogonal in zip(range(top + 1), _multiplets(top)):
-        if occupied[total]:
-            block = slice(total, total * (c + 1) + 1, max(c, 1))
-            phases = gauge[: total + 1]
-            rotated = orthogonal @ (phases.conj() * flat[block])
-            out[block] = 1j ** (total % 4) * phases * rotated
-    for total in (np.flatnonzero(occupied[c + 1 :]) + c + 1).tolist():
+    for total, orthogonal in enumerate(_multiplets(c)):
+        block = slice(total, total * (c + 1) + 1, max(c, 1))
+        phases = gauge[: total + 1]
+        rotated = orthogonal @ (phases.conj() * flat[block])
+        out[block] = 1j ** (total % 4) * phases * rotated
+    held = False
+    for total in range(c + 1, 2 * c + 1):
         # k = total - c..c
         block = slice(total + (total - c) * c, total + c * c + 1, c)
+        if not flat[block].any():
+            continue
+        held = True
         n_a = np.arange(total - c, c)
         off = np.sqrt((n_a + 1.0) * (total - n_a))
         w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
         rotated = (v * np.exp(-1j * _BS_ANGLE * w)) @ (v.T @ flat[block])
         out[block] = 1j ** (total % 4) * rotated
-    clipped = beam_splitter_overflow(state)[0] if occupied[c + 1 :].any() else 0.0
+    clipped = beam_splitter_overflow(state)[0] if held else 0.0
     return PureState(out.reshape(amps.shape), truncation_tol=state.truncation_tol + clipped)
 
 
@@ -371,8 +393,6 @@ def _multiplets(top: int):
     column-scaled copies of R, each T x (T + 1), holding R[k', k-1] sqrt(k)
     and R[k', k] sqrt(T-k); no zero-bordered copy of R is made.
     """
-    if top < 0:
-        return
     rot = np.ones((1, 1))
     yield rot
     for total in range(1, top + 1):

@@ -16,6 +16,9 @@ import numpy as np
 from . import correlations as co
 from . import fock, gaussian, protocol
 
+#: Random (r, phi, eta) points of the noisy-phase-error-transcription check.
+TRANSCRIPTION_SAMPLES = 100
+
 
 def check_table_closed_form_identity() -> tuple[float, str]:
     """Every catalogue row satisfies qfi = n (1 + Q)(1 - J)."""
@@ -84,11 +87,11 @@ def check_engine_equivalence() -> tuple[float, str]:
     return worst, f"{points} grid points at cutoff 60"
 
 
-def check_phase_error_transcription(samples: int = 100) -> tuple[float, str]:
+def check_phase_error_transcription() -> tuple[float, str]:
     """Closed-form kernel's noisy phase error vs the forward-mode moment pass."""
     rng = random.Random(20240811)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(TRANSCRIPTION_SAMPLES):
         r = rng.uniform(0.1, 1.2)
         phi = rng.uniform(0.05, 1.45)
         eta = rng.uniform(0.1, 1.0)
@@ -96,7 +99,7 @@ def check_phase_error_transcription(samples: int = 100) -> tuple[float, str]:
         a = gaussian.protocol_point(n_bar, phi, eta, eta).phase_error
         b = gaussian.phase_error_from_moments(n_bar, phi, eta)
         worst = max(worst, abs(a - b) / max(a, b))
-    return worst, f"{samples} random (r, phi, eta) samples, seed 20240811"
+    return worst, f"{TRANSCRIPTION_SAMPLES} random (r, phi, eta) samples, seed 20240811"
 
 
 def check_lossless_signal_identity() -> tuple[float, str]:

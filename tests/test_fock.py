@@ -56,6 +56,75 @@ class TestCoherent:
         assert state.truncation_tol >= state.norm_deficit
 
 
+def loop_coherent(alpha, cutoff):
+    """The numpy-scalar loop fock.coherent ran before its Python-float recurrence."""
+    amps = np.zeros(cutoff + 1, dtype=complex)
+    amps[0] = np.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, cutoff + 1):
+        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
+    return amps
+
+
+def loop_squeezed_vacuum(r, phi, cutoff):
+    """The numpy-scalar loop fock._squeezed_vacuum_amplitudes ran before."""
+    amps = np.zeros(cutoff + 1, dtype=complex)
+    amps[0] = 1.0 / np.sqrt(np.cosh(r))
+    t = np.tanh(r)
+    rot = np.exp(2j * phi)
+    for j in range(1, cutoff // 2 + 1):
+        two_j = 2 * j
+        amps[two_j] = -amps[two_j - 2] * t * rot * np.sqrt(two_j * (two_j - 1)) / two_j
+    return amps
+
+
+class TestRecurrences:
+    # The Python-float recurrences give the numpy-scalar loops' values to the
+    # last bit (array_equal: a zero may differ in sign), so no Fock row moves.
+
+    @pytest.mark.parametrize("n_bar", [0.0, 1e-3, 0.5, 1.0, 4.0, 20.0, 100.0, 400.0, 1000.0, 1400.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, 2.0, math.pi])
+    def test_coherent_is_the_loop_bit_for_bit(self, n_bar, theta):
+        alpha = math.sqrt(n_bar) * (1.0 if theta == 0.0 else complex(math.cos(theta), math.sin(theta)))
+        cutoff = int(n_bar + 12.0 * math.sqrt(n_bar) + 18.0)
+        assert np.array_equal(fock.coherent(alpha, cutoff).amplitudes, loop_coherent(alpha, cutoff))
+
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, R1, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    def test_squeezed_vacuum_is_the_loop_bit_for_bit(self, r, phi):
+        for cutoff in (2, 3, 10, 61, 127, 400, 800):
+            assert np.array_equal(
+                fock._squeezed_vacuum_amplitudes(r, phi, cutoff),
+                loop_squeezed_vacuum(r, phi, cutoff),
+            ), cutoff
+
+    @pytest.mark.parametrize("n_bar", [1460.0, 1600.0, 3000.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi])
+    def test_bright_coherent_states_are_normalised(self, n_bar, theta):
+        # e^{-n_bar/2} is subnormal above ~1417 and 0 above ~1490: the loop
+        # from c_0 gave a squared norm 1 + 3.6e-7 at 1460 and 0 at 1600
+        alpha = math.sqrt(n_bar) * (1.0 if theta == 0.0 else complex(math.cos(theta), math.sin(theta)))
+        state = fock.coherent(alpha, co.oracle_cutoff("laser", n_bar))
+        assert abs(state.norm_squared - 1.0) <= 1e-12
+        assert state.truncation_tol == fock.DEFAULT_TRUNCATION_TOL
+
+    def test_bright_coherent_amplitudes_match_mpmath(self):
+        mpmath.mp.dps = 40
+        n_bar, cutoff = 1460.0, 1937
+        amps = fock.coherent(math.sqrt(n_bar), cutoff).amplitudes
+        for n in (900, 1300, 1459, 1460, 1461, 1700, cutoff):
+            exact = mpmath.exp(-mpmath.mpf(n_bar) / 2 + n * mpmath.log(n_bar) / 2
+                               - mpmath.loggamma(n + 1) / 2)
+            assert abs(amps[n].real / float(exact) - 1.0) <= 1e-12, n
+            assert amps[n].imag == 0.0
+
+    def test_a_cutoff_below_a_bright_mean_is_refused_by_its_deficit(self):
+        with pytest.raises(fock.TruncationOverflowError, match=r"deficit 1\.000e\+00 .*increase"):
+            fock.coherent(40.0, 1000)
+        with pytest.raises(fock.TruncationOverflowError, match="increase the cutoff"):
+            fock.coherent(40.0, 1600)
+        assert fock.coherent(40.0, 2099).norm_deficit <= 1e-12
+
+
 class TestSqueezedVacuum:
     def test_known_amplitudes(self):
         state = fock.squeezed_vacuum(R1, 0.0, 40)
@@ -224,6 +293,14 @@ class TestBeamSplitter:
         fock.beam_splitter(fock.twin_fock(1, 1))
         assert len(calls) == 1
 
+    def test_twin_fock_matches_per_block_eigh(self):
+        # one occupied block, T = 2, among 65 complete ones that rotate to zero
+        state = fock.twin_fock(1, 64)
+        out = fock.beam_splitter(state).amplitudes
+        assert np.max(np.abs(out - eigh_beam_splitter(state.amplitudes))) <= 1e-15
+        n = np.arange(65)
+        assert np.all(out[n[:, None] + n[None, :] != 2] == 0.0)
+
     @pytest.mark.parametrize("cutoff", [1, 2, 7, 64, 127, 200])
     def test_matches_per_block_eigh(self, cutoff):
         # every block, complete (the recursion) and clipped (eigh),
@@ -263,7 +340,8 @@ class TestBeamSplitter:
 
     def test_empty_blocks_skipped_without_changing_the_accounting(self):
         # input in one complete and one clipped block only; every other block,
-        # including those between them, is exactly zero and must stay zero
+        # including those between them, is exactly zero and must stay zero:
+        # an empty complete block is rotated to zero, an empty clipped one skipped
         cutoff = 6
         amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
         amps[1, 2] = math.sqrt(0.5)

@@ -62,7 +62,7 @@ def test_tampered_slope_coefficient_is_caught(monkeypatch):
         )
 
     monkeypatch.setattr(gaussian, "protocol_point", tampered)
-    observed, _ = validate.check_phase_error_transcription(samples=5)
+    observed, _ = validate.check_phase_error_transcription()
     assert observed > 1e-3
 
 
@@ -78,7 +78,7 @@ def test_tampered_row_kernel_is_caught(monkeypatch):
         ]
 
     monkeypatch.setattr(gaussian, "protocol_row", tampered)
-    observed, _ = validate.check_phase_error_transcription(samples=5)
+    observed, _ = validate.check_phase_error_transcription()
     assert observed > 1e-3
 
 
