@@ -5,6 +5,7 @@ classical Fisher information of a measured probability curve, and the
 closed-form (Q, J, QFI) catalogue for the standard interferometer probe
 states together with their exact Fock-space counterparts.  It also holds
 the package's one finite-difference derivative, :func:`central_derivative`,
+a single central difference that reads its curve at phi +- DERIVATIVE_STEP/2,
 which the Fisher information and :func:`qmetro.protocol.error_propagation`
 both take.  A two-mode ket's number statistics (means, variances,
 covariance, hence Q, J and the QFI) are read here, by
@@ -34,41 +35,30 @@ if TYPE_CHECKING:
 
 #: Outcomes with probability below this are skipped by the Fisher sum.
 FISHER_PROBABILITY_FLOOR = 1e-12
-#: Step (radians) of :func:`central_derivative`'s wider central difference.
+#: Step (radians) of :func:`central_derivative`, which reads phi +- h/2.
 DERIVATIVE_STEP = 1e-4
-#: Relative disagreement of the two half-step estimates that triggers
-#: Richardson extrapolation in :func:`central_derivative`.
-RICHARDSON_TRIGGER = 1e-4
 
 
 class UndefinedStatisticError(ValueError):
     """A statistic was requested where it is undefined (e.g. Q at <n> = 0)."""
 
 
-def central_derivative(curve: Callable, phi: float, measure: Callable):
-    """``measure`` of d curve / d phi, by central differences with a Richardson refinement.
+def central_derivative(curve: Callable, phi: float):
+    """d curve / d phi as the central difference (curve(phi + h/2) - curve(phi - h/2)) / h.
 
-    The differences are taken at ``DERIVATIVE_STEP`` (h) and at h/2.  When
-    ``measure`` of the two estimates differs by more than
-    ``RICHARDSON_TRIGGER`` relative, the result is ``measure`` of their
-    Richardson combination (4 d_{h/2} - d_h)/3; otherwise it is ``measure``
-    of the h/2 estimate.  ``curve`` may return a float or a numpy array.
-    A ValueError from ``curve`` (a stencil phase outside its domain, say) is
-    raised again naming ``phi`` and h, with the curve's message.
+    h is ``DERIVATIVE_STEP``, so the error is (h/2)^2 f'''(phi)/6.  ``curve``
+    may return a float or a numpy array.  A ValueError from ``curve`` (a
+    stencil phase outside its domain, say) is raised again naming ``phi``
+    and h, with the curve's message.
     """
     h = DERIVATIVE_STEP
     try:
-        d_h = (curve(phi + h) - curve(phi - h)) / (2.0 * h)
-        d_h2 = (curve(phi + h / 2.0) - curve(phi - h / 2.0)) / h
+        return (curve(phi + h / 2.0) - curve(phi - h / 2.0)) / h
     except ValueError as exc:
         raise ValueError(
-            f"cannot differentiate at phi={phi!r}: the curve refused a phase within "
-            f"DERIVATIVE_STEP={h!r} of it: {exc}"
+            f"cannot differentiate at phi={phi!r}: the curve refused a phase half of "
+            f"DERIVATIVE_STEP={h!r} from it: {exc}"
         ) from exc
-    m_h, m_h2 = measure(d_h), measure(d_h2)
-    if abs(m_h - m_h2) > RICHARDSON_TRIGGER * max(abs(m_h2), 1e-300):
-        return measure((4.0 * d_h2 - d_h) / 3.0)
-    return m_h2
 
 
 def mandel_q(mean_n: float, var_n: float) -> float:
@@ -196,10 +186,8 @@ def classical_fisher_information(prob_curve: Callable[[float], np.ndarray], phi:
             )
         return p
 
-    def fisher(d: np.ndarray) -> float:
-        return float(np.sum(d[mask] ** 2 / p0[mask]))
-
-    return central_derivative(probabilities, phi, fisher)
+    d = central_derivative(probabilities, phi)
+    return float(np.sum(d[mask] ** 2 / p0[mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +355,11 @@ def oracle_cutoff(state_id: ProbeFamily | str, n_bar: float) -> int:
 def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None = None) -> PureState:
     """Exact in-interferometer Fock state for a catalogued probe family.
 
-    States that the interferometer prepares from its inputs (laser, Caves,
-    twin Fock) are built by passing the inputs through the 50:50 beam
-    splitter; the others are constructed directly.
+    The interferometer prepares the laser, Caves and twin Fock probes from its
+    inputs.  Caves and twin Fock are built by passing the inputs through the
+    50:50 beam splitter.  The laser's input |sqrt(n_bar), 0> leaves it as the
+    coherent pair |i a, a>, a = sqrt(n_bar / 2) (see :func:`fock.beam_splitter`),
+    which is built directly, as are the other families.
     """
     family = ProbeFamily(state_id)
     if family in FORMULA_ONLY:
@@ -383,8 +373,8 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
     np.empty((c + 1, c + 1), dtype=complex)
 
     if family is ProbeFamily.LASER:
-        alpha = math.sqrt(n_bar)
-        return _beam_splitter(fock.product(fock.coherent(alpha, c), fock.vacuum(c)))
+        a = math.sqrt(n_bar / 2.0)
+        return fock.product(fock.coherent(1j * a, c), fock.coherent(a, c))
     if family is ProbeFamily.NOON:
         return fock.noon(_as_integer(n_bar, "noon"), c)
     if family is ProbeFamily.TWIN_SQUEEZED:

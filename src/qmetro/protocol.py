@@ -5,8 +5,9 @@ truncated Fock oracle), propagates phase estimates by error propagation, and
 packages cross-engine comparisons.  A :class:`ProtocolConfig` holds only the
 operating point; the caller picks the engine by calling :func:`run_gaussian`,
 :func:`run_fock` or :func:`run_both`.  Both engines return the one record of a
-point, :class:`gaussian.ProtocolResult`.  :func:`error_propagation` takes the
-slope of any (signal, variance) curve by :func:`correlations.central_derivative`;
+point, :class:`gaussian.ProtocolResult`.  :func:`error_propagation` reads any
+(signal, variance) curve at phi for the variance and at phi +- 5e-5 for the
+slope, the central difference :func:`correlations.central_derivative`;
 its Gaussian curve (:func:`gaussian_signal_curve`) is the forward-mode moment
 pass :func:`gaussian.protocol_moments`, not the closed-form kernel.  Runs are
 pure functions of their config, so concurrent evaluation of many configs is
@@ -229,7 +230,7 @@ def error_propagation(signal_curve: Callable[[float], tuple[float, float]], phi:
     _, variance = signal_curve(phi)
     if variance < 0:
         raise ValueError(f"negative variance {variance!r} at phi={phi!r}")
-    d = correlations.central_derivative(lambda x: signal_curve(x)[0], phi, float)
+    d = correlations.central_derivative(lambda x: signal_curve(x)[0], phi)
     if abs(d) <= SLOPE_FLOOR:
         raise VanishingDerivativeError(
             f"signal slope {d:.3e} at phi={phi!r} is numerically zero; "

@@ -92,8 +92,8 @@ class TestTableCommand:
         assert all(len(row) == len(header) for row in rows)
         notes = {row[0]: row[-1] for row in rows}
         assert notes["laser"] == (
-            "oracle unavailable: coherent(alpha=1.4142135623730951, cutoff=8): truncated "
-            "norm deficit 2.374e-04 exceeds 1e-06; increase the cutoff"
+            "oracle unavailable: coherent(alpha=1j, cutoff=8): truncated "
+            "norm deficit 1.125e-06 exceeds 1e-06; increase the cutoff"
         )
         # the JSON rows hold the same note, unquoted
         _, out, _ = run(

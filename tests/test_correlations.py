@@ -180,20 +180,11 @@ class TestPathSymmetricQfi:
 
 
 class TestCentralDerivative:
-    # the cube's central differences carry the error h^2, which the
-    # Richardson combination cancels exactly
-    def test_richardson_branch(self):
-        # at x = 1e-3 the two estimates differ by 7.5e-9, far more than
-        # RICHARDSON_TRIGGER times the derivative 3e-6
-        x = 1e-3
-        assert co.central_derivative(lambda t: t**3, x, float) == pytest.approx(
-            3.0 * x**2, rel=1e-12
-        )
-
     def test_half_step_branch(self):
-        # at x = 1 they differ by 2.5e-9 relative: the h/2 estimate is kept
+        # the cube's third derivative is 6, so the difference at phi +- h/2
+        # is off by (h/2)^2 exactly
         h = co.DERIVATIVE_STEP
-        assert co.central_derivative(lambda t: t**3, 1.0, float) == pytest.approx(
+        assert co.central_derivative(lambda t: t**3, 1.0) == pytest.approx(
             3.0 + h**2 / 4.0, abs=1e-11
         )
 
@@ -212,6 +203,18 @@ class TestClassicalFisher:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             co.classical_fisher_information(lambda p: np.array([-0.1, 1.1]), 0.2)
+
+    def test_reads_the_curve_at_three_phases(self):
+        # phi for the probabilities it weighs, and phi +- DERIVATIVE_STEP/2
+        phases = []
+
+        def curve(p):
+            phases.append(p)
+            return np.array([math.cos(p / 2) ** 2, math.sin(p / 2) ** 2])
+
+        co.classical_fisher_information(curve, 0.4)
+        h = co.DERIVATIVE_STEP
+        assert phases == [0.4, 0.4 + h / 2, 0.4 - h / 2]
 
     def test_leaky_curve_rejected(self):
         with pytest.raises(ValueError):
@@ -293,6 +296,7 @@ class TestOracleAgreement:
         "family,n_bar",
         [
             ("laser", 4.0),
+            ("laser", 1460.0),  # cutoff 1937: built as its pair, never beam-split
             ("noon", 3.0),
             ("twin_squeezed_vacuum", 1.0),
             ("caves", 2.0),
@@ -327,6 +331,15 @@ class TestOracleAgreement:
         assert not out.amplitudes[~complete].any()
         assert out.truncation_tol == state.truncation_tol + clipped
         assert out.norm_squared == pytest.approx(state.norm_squared - clipped, abs=1e-15)
+
+    @pytest.mark.parametrize("n_bar", [1.0, 2.0, 4.0])
+    def test_laser_oracle_is_its_coherent_pair(self, n_bar, monkeypatch):
+        # the beam splitter's output |i a, a> is built directly: none is run
+        def no_beam_splitter(state):
+            raise AssertionError("the laser oracle ran the beam splitter")
+
+        monkeypatch.setattr(fock, "beam_splitter", no_beam_splitter)
+        assert co.oracle_row("laser", n_bar).max_deviation(co.table_row("laser", n_bar)) < 1e-13
 
     @pytest.mark.parametrize("n_bar", [math.nan, math.inf, -1.0])
     def test_oracle_refuses_n_bar_by_name(self, n_bar):

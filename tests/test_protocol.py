@@ -440,7 +440,7 @@ class TestErrorPropagation:
             protocol.error_propagation(curve, 1e-4)
 
     def test_values_are_pinned(self):
-        # pinned bit for bit: the step and the Richardson rule are fixed
+        # pinned bit for bit: the step and the difference rule are fixed
         lossless = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=1e-4, n_bar=1.0))
         assert protocol.error_propagation(lossless, 1e-4) == 0.2500000119720265
         lossy = protocol.gaussian_signal_curve(
@@ -449,9 +449,10 @@ class TestErrorPropagation:
         assert protocol.error_propagation(lossy, 0.3) == 0.3897652173876287
 
     def test_stencil_refusal_names_the_callers_phase(self):
-        # the Fock curve refuses the stencil's phases outside [0, pi/2]; the
-        # error names the phase asked for and the step, then the curve's words
-        for phi, stencil in ((5e-5, -5e-5), (1.5707, 1.5708)):
+        # the Fock curve refuses the stencil's phases outside [0, pi/2], which
+        # lie within h/2 of each edge; the error names the phase asked for and
+        # the step, then the curve's words
+        for phi, stencil in ((2e-5, -3e-5), (math.pi / 2 - 2e-5, 1.5708263267948968)):
             with pytest.raises(ValueError) as info:
                 protocol.error_propagation(fock_curve, phi)
             message = str(info.value)
@@ -460,8 +461,21 @@ class TestErrorPropagation:
             assert message.endswith(f"phi={stencil!r} outside [0, pi/2]")
             assert str(info.value.__cause__) == f"phi={stencil!r} outside [0, pi/2]"
 
+    def test_reads_the_curve_at_three_phases(self):
+        # phi for the variance, then phi +- DERIVATIVE_STEP/2 for the slope
+        phases = []
+        gaussian_curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(0.3, n_bar=1.0))
+
+        def curve(phi):
+            phases.append(phi)
+            return gaussian_curve(phi)
+
+        protocol.error_propagation(curve, 0.3)
+        h = co.DERIVATIVE_STEP
+        assert phases == [0.3, 0.3 + h / 2, 0.3 - h / 2]
+
     def test_curve_accepting_every_stencil_phase_is_untouched(self):
-        # the Gaussian curve takes phi - h < 0 without refusing
+        # the Gaussian curve takes the stencil's phi - h/2 = 0 without refusing
         curve = protocol.gaussian_signal_curve(
             protocol.ProtocolConfig(phi=5e-5, n_bar=1.0, eta1=0.9, eta2=0.9)
         )
@@ -482,10 +496,13 @@ class TestErrorPropagation:
             assert propagated == pytest.approx(closed, rel=1e-4)
 
     def test_fock_curve_route(self):
-        config = protocol.ProtocolConfig(phi=0.2, r=0.5, eta1=0.9, eta2=0.9, cutoff=48)
-        propagated = protocol.error_propagation(fock_curve, 0.2)
-        closed = gaussian.phase_error(config.n_bar, 0.2, 0.9)
-        assert propagated == pytest.approx(closed, rel=1e-5)
+        # at phi = 5e-5 the stencil's lower phase is 5e-5 - 5e-5 = 0, the
+        # edge of the Fock curve's domain
+        for phi in (0.2, 5e-5):
+            config = protocol.ProtocolConfig(phi=phi, r=0.5, eta1=0.9, eta2=0.9, cutoff=48)
+            propagated = protocol.error_propagation(fock_curve, phi)
+            closed = gaussian.phase_error(config.n_bar, phi, 0.9)
+            assert propagated == pytest.approx(closed, rel=1e-5)
 
 
 class TestIntensityMeasurementOptimality:
@@ -494,5 +511,5 @@ class TestIntensityMeasurementOptimality:
         curve = protocol.lossless_output_distribution(config)
         fisher = co.classical_fisher_information(curve, 0.01)
         assert fisher == pytest.approx(16.0, rel=1e-2)
-        # pinned bit for bit: the step and the Richardson rule are fixed
+        # pinned bit for bit: the step and the difference rule are fixed
         assert fisher == 15.985611865340884
