@@ -313,8 +313,6 @@ def _geometric_cutoff(mean_per_mode: float) -> int:
     # (m/(m+1))^c < e^-48: a tail below 1e-20 for a distribution that falls
     # by m/(m+1) per photon, ~4e-12 for one that falls by it per photon pair
     # (oracle_cutoff).
-    if mean_per_mode <= 0:
-        return 16
     ratio = mean_per_mode / (mean_per_mode + 1.0)
     return int(math.ceil(48.0 / -math.log(ratio))) + 8
 
@@ -331,14 +329,14 @@ def oracle_cutoff(state_id: ProbeFamily | str, n_bar: float) -> int:
       geometric cutoff leaves it ~erfc(sqrt 24) ~ 4.3e-12, approached from
       below as n_bar grows (1.7e-14, 6.5e-13 and 2.6e-12 at n_bar 1, 4
       and 20);
-    - laser, entangled coherent and the coherent arm of Caves: a Poisson
-      tail 12 standard deviations plus 18 photons above the mean, below
-      1e-30;
+    - entangled coherent (m = n_bar), and each arm of the laser's coherent
+      pair and the coherent arm of Caves (m = n_bar / 2): a Poisson tail 12
+      standard deviations plus 18 photons above the mean m, below 1e-30;
     - NOON and twin Fock: none (the cutoff is the photon number).
     """
     family = ProbeFamily(state_id)
     if family is ProbeFamily.LASER:
-        return _poisson_cutoff(n_bar)
+        return _poisson_cutoff(n_bar / 2.0)
     if family in (ProbeFamily.NOON, ProbeFamily.TWIN_FOCK):
         return _as_integer(n_bar, family.value)
     if family is ProbeFamily.TWIN_SQUEEZED:
@@ -356,10 +354,11 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
     """Exact in-interferometer Fock state for a catalogued probe family.
 
     The interferometer prepares the laser, Caves and twin Fock probes from its
-    inputs.  Caves and twin Fock are built by passing the inputs through the
-    50:50 beam splitter.  The laser's input |sqrt(n_bar), 0> leaves it as the
-    coherent pair |i a, a>, a = sqrt(n_bar / 2) (see :func:`fock.beam_splitter`),
-    which is built directly, as are the other families.
+    inputs.  Only Caves is built by passing its inputs through the 50:50 beam
+    splitter.  The laser's input |sqrt(n_bar), 0> leaves it as the coherent
+    pair |i a, a>, a = sqrt(n_bar / 2) (see :func:`fock.beam_splitter`), and
+    the twin-Fock input |m, m> as the closed form of :func:`fock.twin_fock`;
+    both are built directly, as are the other families.
     """
     family = ProbeFamily(state_id)
     if family in FORMULA_ONLY:
@@ -394,7 +393,7 @@ def oracle_probe(state_id: ProbeFamily | str, n_bar: float, cutoff: int | None =
         n_total = _as_integer(n_bar, "twin_fock")
         if n_total % 2:
             raise ValueError("twin Fock needs an even total photon number")
-        return _beam_splitter(fock.twin_fock(n_total // 2, c))
+        return fock.twin_fock(n_total // 2, c)
     if family is ProbeFamily.TMSV:
         return fock.two_mode_squeezed_vacuum(math.asinh(math.sqrt(n_bar)), c)
     if family is ProbeFamily.ECS:

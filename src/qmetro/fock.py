@@ -23,8 +23,8 @@ library only.  The package registers it to load on first use, so the
 Gaussian commands never run it and never import numpy.  The protocol's
 probe, a squeezed vacuum, comes from its closed-form amplitudes
 (:func:`padded_squeezed_vacuum`), so a protocol run diagonalises nothing.
-The closed-form constructors run their recurrences in Python floats, and
-each returns through one deficit check (:func:`_check_constructor_deficit`).
+The closed-form constructors run their recurrences in Python floats; those
+that truncate a series return through :func:`_check_constructor_deficit`.
 The squeeze of a general ket (:func:`squeeze`) is the oracle's independent
 numerical route: its unitary comes from one eigendecomposition of the
 generator per basis size, shared by every squeezing parameter, so no
@@ -130,10 +130,6 @@ class MixedState(Frozen):
         tr = self.trace
         if not 1.0 - truncation_tol <= tr <= 1.0 + 1e-12:
             raise ValueError(f"trace {tr!r} outside [1 - {truncation_tol:g}, 1]")
-
-    @property
-    def cutoff(self) -> int:
-        return self.branches.shape[0] - 1
 
     @property
     def trace(self) -> float:
@@ -273,13 +269,20 @@ def noon(n: int, cutoff: int) -> PureState:
 
 
 def twin_fock(n_half: int, cutoff: int) -> PureState:
-    """Product number state |n_half> x |n_half>."""
-    if n_half < 0:
+    """The twin-Fock probe, |m, m> after the 50:50 :func:`beam_splitter` (m = n_half):
+    i^m sum_j sqrt(C(2j, j) C(2m - 2j, m - j)) / 2^m |2j, 2m - 2j> (Holland and Burnett,
+    PRL 71, 1355 (1993)), from amp_0^2 = prod_i (2i - 1)/(2i) by its amplitudes' ratios."""
+    m = n_half
+    if m < 0:
         raise ValueError("n_half must be >= 0")
-    if cutoff < n_half:
-        raise ValueError(f"cutoff {cutoff} < photon number {n_half}")
+    if cutoff < 2 * m:
+        raise ValueError(f"twin_fock(n_half={m}, cutoff={cutoff}): use a cutoff of at least {2 * m}")
+    amp = 1j ** (m % 4) * math.sqrt(math.prod((2 * i - 1) / (2 * i) for i in range(1, m + 1)))
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    amps[n_half, n_half] = 1.0
+    amps[0, 2 * m] = amp
+    for j in range(m):
+        amp *= math.sqrt((2 * j + 1) * (m - j) / ((j + 1) * (2 * m - 2 * j - 1)))
+        amps[2 * j + 2, 2 * m - 2 * j - 2] = amp
     return PureState(amps)
 
 

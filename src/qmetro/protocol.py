@@ -44,10 +44,6 @@ DEFAULT_CUTOFF_CAP = 400
 _CUTOFF_SEARCH_LIMIT = 1 << 20
 
 
-class VanishingDerivativeError(ValueError):
-    """Error propagation attempted where the signal slope vanishes."""
-
-
 class ProtocolConfig(Frozen):
     """One protocol operating point.
 
@@ -232,7 +228,7 @@ def error_propagation(signal_curve: Callable[[float], tuple[float, float]], phi:
         raise ValueError(f"negative variance {variance!r} at phi={phi!r}")
     d = correlations.central_derivative(lambda x: signal_curve(x)[0], phi)
     if abs(d) <= SLOPE_FLOOR:
-        raise VanishingDerivativeError(
+        raise SingularOperatingPointError(
             f"signal slope {d:.3e} at phi={phi!r} is numerically zero; "
             "this operating point carries no first-order phase information"
         )

@@ -101,8 +101,8 @@ class TestTableCommand:
         assert {r["state_id"]: r["note"] for r in json.loads(out)["rows"]} == notes
 
     def test_oracle_names_the_beam_splitter_cutoff(self, capsys):
-        # |1,1> at cutoff 1 sits wholly in a total-photon block the beam
-        # splitter cannot represent; the row names the cutoff that can
+        # the twin-Fock probe of 2 photons does not fit in cutoff 1; the
+        # row names the cutoff that holds it
         code, out, _ = run(
             capsys, "table", "--nbar", "2", "--oracle", "--cutoff", "1", "--format", "json")
         assert code == 0

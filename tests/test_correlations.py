@@ -81,7 +81,9 @@ class TestModeCorrelation:
 
     def test_zero_variance_flagged(self):
         assert co.mode_correlation(0.0, 1.0, 0.0) is None
-        stats = co.probe_statistics(fock.twin_fock(2, 4))
+        twin = np.zeros((5, 5), dtype=complex)
+        twin[2, 2] = 1.0
+        stats = co.probe_statistics(fock.PureState(twin))
         assert stats.j is None
 
 
@@ -506,8 +508,23 @@ def test_oracle_cutoff_meets_each_familys_stated_tail(n_bar):
     c = co.oracle_cutoff("caves", n_bar)
     assert _squeezed_tail(n_bar / 2.0, c) < squeezed_bound
     assert _poisson_tail(n_bar / 2.0, c) < 1e-30
-    for family in ("laser", "entangled_coherent"):
-        assert _poisson_tail(n_bar, co.oracle_cutoff(family, n_bar)) < 1e-30
+    # each arm of the laser's coherent pair holds n_bar / 2
+    assert _poisson_tail(n_bar / 2.0, co.oracle_cutoff("laser", n_bar)) < 1e-30
+    assert _poisson_tail(n_bar, co.oracle_cutoff("entangled_coherent", n_bar)) < 1e-30
+
+
+def test_laser_arms_are_cut_at_their_own_mean():
+    assert co.oracle_cutoff("laser", 1460.0) == 1073
+
+
+@pytest.mark.parametrize("n_bar", [2.0, 4.0, 8.0, 800.0])
+def test_twin_fock_oracle_splits_nothing(monkeypatch, n_bar):
+    def refuse(state):
+        raise AssertionError("the twin-Fock oracle ran the beam splitter")
+
+    monkeypatch.setattr(fock, "beam_splitter", refuse)
+    row = co.oracle_row("twin_fock", n_bar)
+    assert row.max_deviation(co.table_row("twin_fock", n_bar)) <= 1e-13
 
 
 def test_squeezed_tail_is_the_squeezed_constructors_deficit():

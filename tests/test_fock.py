@@ -103,7 +103,7 @@ class TestRecurrences:
         # e^{-n_bar/2} is subnormal above ~1417 and 0 above ~1490: the loop
         # from c_0 gave a squared norm 1 + 3.6e-7 at 1460 and 0 at 1600
         alpha = math.sqrt(n_bar) * (1.0 if theta == 0.0 else complex(math.cos(theta), math.sin(theta)))
-        state = fock.coherent(alpha, co.oracle_cutoff("laser", n_bar))
+        state = fock.coherent(alpha, co.oracle_cutoff("entangled_coherent", n_bar))
         assert abs(state.norm_squared - 1.0) <= 1e-12
         assert state.truncation_tol == fock.DEFAULT_TRUNCATION_TOL
 
@@ -168,8 +168,17 @@ class TestTwoModeConstructors:
             fock.noon(5, 4)
 
     def test_twin_fock(self):
+        # |1,1> leaves the beam splitter as i (|2,0> + |0,2>)/sqrt2
         state = fock.twin_fock(1, 3)
-        assert state.amplitudes[1, 1] == 1.0
+        amps = state.amplitudes
+        assert abs(amps[2, 0] - 1j / math.sqrt(2)) <= 1e-15
+        assert abs(amps[0, 2] - 1j / math.sqrt(2)) <= 1e-15
+        assert np.count_nonzero(amps) == 2
+
+    def test_twin_fock_is_the_beam_split_twin_number_state(self):
+        for m in range(1, 61):
+            split = fock.beam_splitter(ket({(m, m): 1.0}, 2 * m, modes=2))
+            assert np.max(np.abs(fock.twin_fock(m, 2 * m).amplitudes - split.amplitudes)) <= 1e-14, m
 
     def test_entangled_coherent_norm(self):
         alpha = 1.2
@@ -232,7 +241,7 @@ def random_ket(rng, shape):
 
 class TestBeamSplitter:
     def test_hong_ou_mandel(self):
-        out = fock.beam_splitter(fock.twin_fock(1, 4))
+        out = fock.beam_splitter(ket({(1, 1): 1.0}, 4, modes=2))
         target = ket({(2, 0): 1 / math.sqrt(2), (0, 2): 1 / math.sqrt(2)}, 4, modes=2)
         assert fock.fidelity(target, out) == pytest.approx(1.0, abs=1e-13)
         assert abs(out.amplitudes[1, 1]) < 1e-13
@@ -257,7 +266,7 @@ class TestBeamSplitter:
     def test_clipped_block_weight_is_recorded(self):
         # |1,1> at cutoff 1: its whole weight sits in the total-2 block, which
         # the cutoff cannot hold; cutoff 2 would hold it
-        state = fock.twin_fock(1, 1)
+        state = ket({(1, 1): 1.0}, 1, modes=2)
         assert fock.beam_splitter_overflow(state) == (1.0, 2)
         assert fock.beam_splitter(state).truncation_tol >= 1.0
 
@@ -290,12 +299,12 @@ class TestBeamSplitter:
         co.oracle_probe(co.ProbeFamily.CAVES, 4.0)
         assert len(calls) == 1
         calls.clear()
-        fock.beam_splitter(fock.twin_fock(1, 1))
+        fock.beam_splitter(ket({(1, 1): 1.0}, 1, modes=2))
         assert len(calls) == 1
 
     def test_twin_fock_matches_per_block_eigh(self):
         # one occupied block, T = 2, among 65 complete ones that rotate to zero
-        state = fock.twin_fock(1, 64)
+        state = ket({(1, 1): 1.0}, 64, modes=2)
         out = fock.beam_splitter(state).amplitudes
         assert np.max(np.abs(out - eigh_beam_splitter(state.amplitudes))) <= 1e-15
         n = np.arange(65)

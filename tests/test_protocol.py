@@ -483,7 +483,7 @@ class TestErrorPropagation:
 
     def test_extremum_has_no_information(self):
         curve = protocol.gaussian_signal_curve(protocol.ProtocolConfig(phi=0.3, n_bar=1.0))
-        with pytest.raises(protocol.VanishingDerivativeError):
+        with pytest.raises(gaussian.SingularOperatingPointError):
             protocol.error_propagation(curve, math.pi / 2)
 
     def test_matches_closed_form_chain(self):
