@@ -4,10 +4,7 @@ Kets of one or two bosonic modes are dense complex amplitude tensors over the
 number basis |0>, ..., |cutoff>.  Photon loss turns a single-mode ket into a
 mixed state, which is kept as the kets of its Kraus branches,
 rho = sum_k |phi_k><phi_k| (:class:`MixedState`), so no density matrix is
-ever formed.  Nor is the un-squeezed output: the detector needs only <n>,
-<n^2> and <a^2>, which :func:`unsqueezed_moments` reads in the Heisenberg
-picture from the Bogoliubov map of the un-squeeze, on the branches padded by
-two levels.  No Fock operation grows its basis.  The squeeze, phase and
+ever formed.  No Fock operation grows its basis.  The squeeze, phase and
 loss act on one mode; two-mode kets are the probe catalogue's, and their
 number statistics are read by :func:`qmetro.correlations.probe_statistics`.
 Every state records how much probability weight truncation is allowed to
@@ -20,19 +17,20 @@ correctness is preferred over speed throughout.
 All states are immutable values and all operations are pure functions; they
 are safe to call concurrently.  The module needs numpy and the standard
 library only.  The package registers it to load on first use, so the
-Gaussian commands never run it and never import numpy.  The protocol's
-probe, a squeezed vacuum, comes from its closed-form amplitudes
-(:func:`padded_squeezed_vacuum`), so a protocol run diagonalises nothing.
-The closed-form constructors run their recurrences in Python floats; those
-that truncate a series return through :func:`_check_constructor_deficit`.
-The squeeze of a general ket (:func:`squeeze`) is the oracle's independent
-numerical route: its unitary comes from one eigendecomposition of the
-generator per basis size, shared by every squeezing parameter, so no
-matrix exponential is ever taken.  The loss branches come from the Kraus
-matrix elements, evaluated in log space a band of 64 at a time.  The beam
-splitter rotates every complete total-photon block, its unitary from the
-previous block's by a stable recursion; only the blocks that the cutoff
-clips, and only those that hold weight, are diagonalised.
+Gaussian commands never run it and never import numpy; nor does the
+protocol's Fock run, whose pass is :mod:`qmetro.kraus`, on Python floats.
+This module takes the squeezed-vacuum amplitudes and the trim rule of its
+loss branches from there.  The closed-form constructors run their
+recurrences in Python floats; those that truncate a series return through
+:func:`_check_constructor_deficit`.  The squeeze of a general ket
+(:func:`squeeze`) is the oracle's independent numerical route: its unitary
+comes from one eigendecomposition of the generator per basis size, shared by
+every squeezing parameter, so no matrix exponential is ever taken.  The loss
+branches come from the Kraus matrix elements, evaluated in log space a band
+of 64 at a time.  The beam splitter rotates every complete total-photon
+block, its unitary from the previous block's by a stable recursion; only the
+blocks that the cutoff clips, and only those that hold weight, are
+diagonalised.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussian import SQUEEZE_DEFICIT_LIMIT, Frozen, TruncationOverflowError, check_eta, check_value
+from .kraus import squeezed_vacuum_amplitudes, trim
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 # Constructors refuse to return a state missing more weight than this.
@@ -207,54 +206,9 @@ def squeezed_vacuum(r: float, phi: float, cutoff: int) -> PureState:
     number-basis phase rotation.
     """
     return _check_constructor_deficit(
-        _squeezed_vacuum_amplitudes(r, phi, cutoff), f"squeezed_vacuum(r={r}, cutoff={cutoff})"
+        np.array(squeezed_vacuum_amplitudes(r, phi, cutoff), dtype=complex),
+        f"squeezed_vacuum(r={r}, cutoff={cutoff})",
     )
-
-
-def _squeezed_vacuum_amplitudes(r: float, phi: float, cutoff: int) -> np.ndarray:
-    check_value(r, "r", 0.0)  # the axis is set by phi
-    if cutoff < 2 and r > 0:
-        raise ValueError("cutoff must be >= 2 to hold a squeezed vacuum")
-    amp = complex(1.0 / np.sqrt(np.cosh(r)))
-    t = float(np.tanh(r))
-    rot = complex(np.exp(2j * phi))
-    amps = [0j] * (cutoff + 1)
-    amps[0] = amp
-    for two_j in range(2, cutoff + 1, 2):  # 1 / two_j as a reciprocal, as in coherent
-        amp = -amp * t * rot * math.sqrt(two_j * (two_j - 1)) * (1.0 / two_j)
-        amps[two_j] = amp
-    return np.array(amps)
-
-
-def padded_squeezed_vacuum(r: float, cutoff: int) -> tuple[PureState, float]:
-    """The protocol's probe: the squeezed vacuum with its tail past the cutoff, and its weight.
-
-    The closed-form amplitudes of :func:`squeezed_vacuum` are evaluated on
-    2 max(cutoff + 1, 32) levels.  A weight past the cutoff (the spill), or
-    past the padded levels (the closed form's weights sum to 1), above
-    ``SQUEEZE_DEFICIT_LIMIT`` raises TruncationOverflowError.  The ket
-    keeps every padded level that carries weight (:func:`_trim`); the weight
-    it lacks, the dropped tail and what lies past the padded levels, counts
-    in its ``truncation_tol``.
-    """
-    dim = cutoff + 1
-    amps = _squeezed_vacuum_amplitudes(r, 0.0, 2 * max(dim, 32) - 1)
-    weights = np.abs(amps) ** 2
-    spill = float(weights[dim:].sum())
-    if spill > SQUEEZE_DEFICIT_LIMIT:
-        raise TruncationOverflowError(
-            f"squeeze(r={r:+.4f}) at cutoff {cutoff} spills weight {spill:.3e} "
-            "past the cutoff; increase the cutoff"
-        )
-    beyond = 1.0 - float(weights.sum())
-    if beyond > SQUEEZE_DEFICIT_LIMIT:
-        raise TruncationOverflowError(
-            f"squeeze(r={r:+.4f}) at cutoff {cutoff} leaves weight {beyond:.3e} "
-            f"past its {weights.size} padded levels; increase the cutoff"
-        )
-    keep, _ = _trim(weights, dim)
-    missing = max(0.0, 1.0 - float(weights[:keep].sum()))
-    return PureState(amps[:keep], truncation_tol=_tol_for(missing)), spill
 
 
 def noon(n: int, cutoff: int) -> PureState:
@@ -511,17 +465,6 @@ def _check_single_mode_ket(state: object, caller: str) -> None:
         )
 
 
-def _trim(weights: np.ndarray, least: int) -> tuple[int, float]:
-    """How many leading entries to keep, at least ``least``, and the weight of the rest.
-
-    Every entry that carries weight is kept; only a tail of at most 1e-16 is
-    dropped.
-    """
-    tail = np.cumsum(weights[::-1])[::-1]
-    keep = max(least, min(weights.size, int(np.searchsorted(-tail, -1e-16)) + 1))
-    return keep, float(tail[keep]) if keep < weights.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # photon loss channel
 # ---------------------------------------------------------------------------
@@ -561,7 +504,7 @@ def loss(state: PureState, eta: float) -> MixedState:
     rho = sum_k |phi_k><phi_k| with phi_k = K_k psi, i.e.
     phi_k[m] = B[m, m + k] psi[m + k] (:func:`_loss_band`): the ket left when
     k photons are lost, whose squared norm is the probability of that.  The
-    leading branches are kept by the rule of :func:`_trim`; the dropped
+    leading branches are kept by the rule of :func:`qmetro.kraus.trim`; the dropped
     ones' weight leaves the trace, so it shows in ``trace_deficit``.  B is
     evaluated 64 rows at a time, from log-factorials built once per call, so
     nothing of size (cutoff + 1)^2 is formed, and the branches are written
@@ -588,7 +531,7 @@ def loss(state: PureState, eta: float) -> MixedState:
                       np.abs(shifted[k : k + 64]) ** 2)
             for k in range(0, dim, 64)
         ])
-        keep, dropped = _trim(weights, 1)
+        keep, dropped = trim(weights, 1)
         branches = np.multiply(_loss_band(eta, log_fact, 0, keep).T, shifted[:keep].T,
                                order="C")
     return MixedState(
@@ -600,37 +543,6 @@ def loss(state: PureState, eta: float) -> MixedState:
 # ---------------------------------------------------------------------------
 # measurements and projections
 # ---------------------------------------------------------------------------
-
-
-def unsqueezed_moments(state: PureState | MixedState, r: float) -> tuple[float, float, complex]:
-    """<n>, <n^2> and <a^2> after the un-squeeze squeeze(-r), read in the Heisenberg picture.
-
-    squeeze(-r) sends a to b = a cosh r + a^dag sinh r, so for the kets phi_k
-    of a ket or mixed state the moments are the sums over k of
-    ||b phi_k||^2, ||b^dag b phi_k||^2 and <b^dag phi_k|b phi_k>, taken on
-    phi_k padded by the two levels b^dag b raises it by: exact, and no
-    un-squeezed state is formed.
-    """
-    if isinstance(state, MixedState):
-        array = state.branches
-    else:
-        _check_single_mode_ket(state, "unsqueezed_moments")
-        array = state.amplitudes
-    padded = np.pad(array, [(0, 2)] + [(0, 0)] * (array.ndim - 1))
-    ch, sh = math.cosh(r), math.sinh(r)
-    b = _ladder(padded, ch, sh)
-    a2 = complex(np.vdot(_ladder(padded, sh, ch), b))
-    bdag_b = _ladder(b, sh, ch)
-    return float(np.vdot(b, b).real), float(np.vdot(bdag_b, bdag_b).real), a2
-
-
-def _ladder(x: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    """(lower a + upper a^dag) x over the rows of x, exact while its last row is zero."""
-    root = np.sqrt(np.arange(1.0, x.shape[0])).reshape((-1,) + (1,) * (x.ndim - 1))
-    out = np.zeros_like(x)
-    out[:-1] = (lower * root) * x[1:]
-    out[1:] += (upper * root) * x[:-1]
-    return out
 
 
 def project_total_photon(state: PureState, n_total: int) -> PureState:

@@ -14,9 +14,10 @@ pure functions of their config, so concurrent evaluation of many configs is
 safe.
 
 The Gaussian path needs this module and :mod:`qmetro.gaussian` only:
-:mod:`qmetro.fock` and :mod:`qmetro.correlations` are read only inside the
-functions that use them, so they load on the first Fock run or finite
-difference.
+:mod:`qmetro.kraus`, :mod:`qmetro.fock` and :mod:`qmetro.correlations` are
+read only inside the functions that use them, so they load on the first Fock
+run, lossless output distribution or finite difference.  A Fock run reads
+:mod:`qmetro.kraus` alone, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
-from . import correlations, fock, gaussian
+from . import correlations, fock, gaussian, kraus
 from .gaussian import Frozen, ProtocolResult, SingularOperatingPointError, TruncationOverflowError
 
 if TYPE_CHECKING:
@@ -163,38 +164,36 @@ def run_gaussian(config: ProtocolConfig) -> ProtocolResult:
 def run_fock(config: ProtocolConfig) -> ProtocolResult:
     """Protocol as exact Fock evolution of the probe, read out in the Heisenberg picture.
 
-    The probe is the closed-form squeezed vacuum of
-    :func:`fock.padded_squeezed_vacuum`, which keeps its tail past the
-    cutoff; the weight there must stay below
-    ``SQUEEZE_DEFICIT_LIMIT``.  The first loss splits the ket into one ket
-    per number of photons lost (:func:`fock.loss`, a :class:`fock.MixedState`
-    of Kraus branches, one branch without loss), so no density matrix is
+    One pass of :mod:`qmetro.kraus`, on Python floats.  The probe is the
+    closed-form squeezed vacuum of :func:`kraus.padded_probe`, which keeps
+    its tail past the cutoff; the weight there must stay below
+    ``SQUEEZE_DEFICIT_LIMIT``.  The first loss splits it into one ket per
+    number of photons lost (:func:`kraus.loss`), so no density matrix is
     formed.  The anti-squeeze and the readout loss act on the detector's
-    moments only: :func:`fock.unsqueezed_moments` gives them after the
-    anti-squeeze, exactly, and :func:`_thinned` applies the loss.
-    The number-basis rotation is applied with the same orientation the
-    moment engine uses (a -> a e^{-i phi}), so the two engines agree on the
-    complex <a^2>, not just on its modulus.
+    moments only: :func:`kraus.unsqueezed_moments` gives them after the
+    anti-squeeze, exactly, and :func:`_thinned` applies the loss.  The phase
+    enters as the number-basis rotation of the moment engine
+    (a -> a e^{-i phi}), so the two engines agree on the complex <a^2>, not
+    just on its modulus.
     """
     r, phi = config.r, config.phi
     cutoff = config.cutoff_value
 
     try:
-        probe, spill = fock.padded_squeezed_vacuum(r, cutoff)
+        readout, spill = kraus.readout(r, cutoff, config.eta1)
     except TruncationOverflowError as exc:
         needed, found = squeeze_cutoff(config.n_bar)
         raise TruncationOverflowError(
             f"squeeze stage: {exc}; use a cutoff of {'at least' if found else 'more than'} "
             f"{needed}"
         ) from exc
-    state = fock.loss(fock.phase_shift(probe, -phi), config.eta1)
-    deficit = spill + state.trace_deficit
+    deficit = spill + max(0.0, 1.0 - readout.trace)
     if deficit > TRACE_DEFICIT_LIMIT:
         raise TruncationOverflowError(
             f"final state lost weight {deficit:.3e} > {TRACE_DEFICIT_LIMIT:g}; "
             f"increase the cutoff (currently {cutoff})"
         )
-    sig, n2, m_aa = _thinned(config.eta2, *fock.unsqueezed_moments(state, r))
+    sig, n2, m_aa = _thinned(config.eta2, *readout.at(phi))
     moments = gaussian.MomentVector(m_aa, sig)
     return ProtocolResult(moments, n2 - sig**2, None, None, trace_deficit=deficit, cutoff=cutoff)
 

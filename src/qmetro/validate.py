@@ -68,8 +68,10 @@ def check_table_oracle_entangled_coherent() -> tuple[float, str]:
 def check_engine_equivalence() -> tuple[float, str]:
     """Moment-map protocol vs the Fock pipeline at cutoff 60.
 
-    The Fock side evolves the padded probe, as Kraus-branch kets when lossy,
-    and reads the anti-squeezed moments in the Heisenberg picture.
+    The Fock side is the protocol's pass on Python floats (:mod:`qmetro.kraus`):
+    the padded probe, its Kraus branches after the first loss, and the
+    anti-squeezed moments read in the Heisenberg picture.  The pass does not
+    depend on the phase, so the three phases at each (r, eta1) share it.
     """
     eta_pairs = ((1.0, 1.0), (0.95, 0.95), (0.8, 0.8), (1.0, 0.9), (0.9, 1.0), (0.95, 0.8))
     worst = 0.0

@@ -1,11 +1,13 @@
 """Import layering: Gaussian commands run no Fock code and load neither numpy
-nor ``dataclasses``, and ``json`` only when they write JSON; the Fock oracle
-needs numpy but never scipy, ``numpy.random`` or ``dataclasses``; and no
+nor ``dataclasses``, and ``json`` only when they write JSON; the protocol's
+Fock runs (``protocol --engine fock|both``) run on Python floats, loading no
+numpy and executing no ``qmetro.fock``; the catalogue oracle and ``validate``
+need numpy but never scipy, ``numpy.random`` or ``dataclasses``; and no
 command loads ``argparse``, ``gettext`` or ``locale``, since the CLI parses
 its command lines from its own option table.  ``qmetro.validate`` imports
 nothing from the CLI.
 
-The package registers ``qmetro.protocol``, ``qmetro.fock``,
+The package registers ``qmetro.protocol``, ``qmetro.kraus``, ``qmetro.fock``,
 ``qmetro.correlations`` and ``qmetro.validate`` to load on first use, so
 importing the CLI runs none of them, and ``sweep`` and ``table`` never run
 ``qmetro.protocol``.  Each case runs ``qmetro.cli.main`` in a fresh
@@ -35,9 +37,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: What the CLI's own parser replaces; no command loads it
 PARSER_MODULES = ("argparse", "gettext", "locale")
 HEAVY = ("numpy", "numpy.random", "scipy", "dataclasses", "json", *PARSER_MODULES)
-ENGINE_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.protocol",
-                  "qmetro.validate")
-LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.protocol", "qmetro.validate")
+ENGINE_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.kraus",
+                  "qmetro.protocol", "qmetro.validate")
+LAZY_MODULES = ("qmetro.correlations", "qmetro.fock", "qmetro.kraus", "qmetro.protocol",
+                "qmetro.validate")
 #: Each command's handler, which the CLI imports only to run that command
 HANDLER_MODULES = ("qmetro.cmd_protocol", "qmetro.cmd_sweep", "qmetro.cmd_table",
                    "qmetro.cmd_validate")
@@ -148,20 +151,31 @@ def test_refusal_before_the_config_runs_no_protocol_code():
     assert doc["executed"] == ["qmetro.gaussian"]
 
 
+def test_fock_protocol_runs_load_neither_numpy_nor_the_fock_module():
+    # the protocol's Fock pass is qmetro.kraus, on Python floats; each run
+    # fills its fock row
+    for argv, rows in (
+        (["protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9", "--engine", "both",
+          "--cutoff", "60"], ["gaussian", "fock"]),
+        (["protocol", "--nbar", "9", "--phi", "0.3", "--eta", "0.5", "--engine", "fock"], ["fock"]),
+    ):
+        doc = _run_in_fresh_interpreter(argv)
+        (code, out), = doc["runs"]
+        assert code == 0
+        assert [row[0] for row in _data_rows(out)] == rows
+        assert all(row[7] and row[8] for row in _data_rows(out))
+        assert doc["loaded"] == [], argv
+        assert doc["executed"] == ["qmetro.gaussian", "qmetro.kraus", "qmetro.protocol"], argv
+
+
 @pytest.mark.parametrize(
     "argv,check_output,executed",
     [
         (
-            ["protocol", "--nbar", "1", "--phi", "0.3", "--eta", "0.9", "--engine", "both",
-             "--cutoff", "60"],
-            lambda out: [row[0] for row in _data_rows(out)] == ["gaussian", "fock"],
-            ["qmetro.fock", "qmetro.gaussian", "qmetro.protocol"],
-        ),
-        (
             ["table", "--nbar", "2", "--oracle"],
             # the oracle_q column of the twin Fock row is filled in
             lambda out: any(row[0] == "twin_fock" and row[5] for row in _data_rows(out)),
-            ["qmetro.correlations", "qmetro.fock", "qmetro.gaussian"],
+            ["qmetro.correlations", "qmetro.fock", "qmetro.gaussian", "qmetro.kraus"],
         ),
         (
             ["validate", "--level", "quick"],
@@ -169,7 +183,7 @@ def test_refusal_before_the_config_runs_no_protocol_code():
             list(ENGINE_MODULES),
         ),
     ],
-    ids=["protocol-both", "table-oracle", "validate-quick"],
+    ids=["table-oracle", "validate-quick"],
 )
 def test_oracle_commands_load_numpy_but_not_scipy(argv, check_output, executed):
     doc = _run_in_fresh_interpreter(argv)
@@ -190,7 +204,8 @@ def test_lazy_modules_show_their_functions_to_vars():
     doc = _python(TRACER_PROBE, json.dumps(LAZY_MODULES))
     expected = {
         "qmetro.correlations": ("table_row", "oracle_row", "classical_fisher_information"),
-        "qmetro.fock": ("squeeze", "loss", "unsqueezed_moments", "beam_splitter"),
+        "qmetro.fock": ("squeeze", "loss", "beam_splitter"),
+        "qmetro.kraus": ("padded_probe", "loss", "trim", "squeezed_vacuum_amplitudes"),
         "qmetro.protocol": ("run_gaussian", "run_fock", "run_both", "error_propagation"),
         "qmetro.validate": ("run_checks", "check_engine_equivalence"),
     }
